@@ -116,6 +116,46 @@ fn single_core_sharded_run_is_byte_identical_to_legacy() {
     }
 }
 
+/// The same fence, frozen: the single-core multiprogram report of every
+/// engine cell is pinned byte for byte to a golden blessed from the legacy
+/// single-core `run_multiprogram` loop, so the reference outlives the loop
+/// that produced it. Regenerate (after an *intentional* behaviour change
+/// only) with `VIRTUOSO_BLESS_GOLDEN=1 cargo test --test multicore_differential`.
+#[test]
+fn single_core_multiprogram_reports_match_the_legacy_loop_goldens() {
+    let bless = std::env::var_os("VIRTUOSO_BLESS_GOLDEN").is_some();
+    let specs: Vec<WorkloadSpec> = catalog::multiprogram_mix_engines()
+        .into_iter()
+        .map(|s| s.with_instructions(6_000))
+        .collect();
+    let mut mismatches = Vec::new();
+    for (name, config) in engine_cells() {
+        assert_eq!(config.os.num_cores, 1, "{name}: fence runs at one core");
+        let (mut system, pids) = build_multiprocess(config, &specs);
+        let report = run_mix(&mut system, &pids, &specs, 0xD1FF, false);
+        let actual = serde_json::to_string(&report).unwrap();
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(format!("multiprogram_1core_{name}.json"));
+        if bless {
+            std::fs::write(&path, &actual).expect("write golden");
+            continue;
+        }
+        let expected = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
+        if actual != expected {
+            mismatches.push(name);
+            eprintln!("golden mismatch for {name}:");
+            eprintln!("  expected: {expected}");
+            eprintln!("  actual:   {actual}");
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "single-core multiprogram reports drifted from the legacy loop: {mismatches:?}"
+    );
+}
+
 /// A memory-pressure configuration small enough that two random-access
 /// processes force reclaim — and with it cross-core shootdowns.
 fn pressure_config(num_cores: usize) -> SystemConfig {

@@ -74,15 +74,13 @@ struct CoreState {
 struct LocalTranslation {
     paddr: Option<PhysAddr>,
     fixed_latency: Cycles,
-    /// Cycles beyond the 1-cycle L1 TLB probe (address translation
-    /// overhead), exactly as the inline path accumulates them.
-    penalty_cycles: u64,
     walk: Option<WalkOutcome>,
 }
 
-/// One memory access executed core-locally during a parallel epoch slice,
-/// with its shared-state half (walk charging, cache/DRAM traffic, retire)
-/// deferred to the serial barrier replay.
+/// One memory access whose core-local half has run and whose shared-state
+/// half (walk charging, cache/DRAM traffic, retire) is still owed: logged
+/// by a parallel epoch slice for the serial barrier replay, or handed back
+/// by the instruction loop because its translation faulted.
 #[derive(Debug)]
 struct DeferredAccess {
     pc: VirtAddr,
@@ -108,48 +106,56 @@ struct SliceLog {
 /// the steady-state loop allocates nothing.
 #[derive(Debug)]
 struct EpochSlice {
-    /// Whether this core runs a slice this epoch.
-    active: bool,
+    /// Instructions this core's slice may run this epoch, sized by the
+    /// plan before anything is fetched; zero when the core sits the epoch
+    /// out (the other fields are then stale).
+    cap: u64,
     pid: ProcessId,
-    /// Index into `programs` / the leftover queues.
+    /// Index into `programs` / the fetched-instruction queues.
     prog: usize,
-    asid: Asid,
     /// The core's cycle count when the slice was planned (after its
     /// dispatch context switch), for per-process cycle attribution.
     cycles_before: u64,
     /// The trace source ran dry while filling the slice.
     exhausted: bool,
-    instrs: Vec<Instruction>,
     log: SliceLog,
+}
+
+impl EpochSlice {
+    /// The slice's instructions: the first `cap` (fewer if the trace ran
+    /// dry) at the front of its program's queue, which the fetch pass left
+    /// contiguous.
+    fn instrs<'a>(&self, fetched: &'a [VecDeque<Instruction>]) -> &'a [Instruction] {
+        let (front, _) = fetched[self.prog].as_slices();
+        &front[..front.len().min(self.cap as usize)]
+    }
 }
 
 impl Default for EpochSlice {
     fn default() -> Self {
         EpochSlice {
-            active: false,
+            cap: 0,
             pid: ProcessId(0),
-            prog: usize::MAX,
-            asid: System::asid_of(ProcessId(0)),
+            prog: 0,
             cycles_before: 0,
             exhausted: false,
-            instrs: Vec::new(),
             log: SliceLog::default(),
         }
     }
 }
 
-/// A program's trace source with the unconsumed tail of a fault-truncated
-/// epoch slice queued back in front: instructions already pulled from the
-/// source replay before fresh ones, so slicing never reorders or drops
-/// trace instructions.
+/// A program's trace source behind the queue of instructions an epoch
+/// fetched from it but did not run (a fault truncated the slice): those
+/// replay before fresh ones, so slicing never reorders or drops trace
+/// instructions.
 struct ReplayFront<'a> {
-    pending: &'a mut VecDeque<Instruction>,
+    fetched: &'a mut VecDeque<Instruction>,
     inner: &'a mut dyn TraceSource,
 }
 
 impl TraceSource for ReplayFront<'_> {
     fn next_instruction(&mut self) -> Option<Instruction> {
-        self.pending
+        self.fetched
             .pop_front()
             .or_else(|| self.inner.next_instruction())
     }
@@ -158,24 +164,28 @@ impl TraceSource for ReplayFront<'_> {
 impl CoreState {
     /// The core-local half of one memory access: the L0 fast path, then the
     /// engine translation. Touches only this core's TLBs/PWCs/engine state,
-    /// so parallel epoch workers can run it without synchronization. The
-    /// accumulation mirrors [`System::memory_access`] byte for byte.
+    /// so parallel epoch workers can run it without synchronization.
     fn local_translate(&mut self, asid: Asid, vaddr: VirtAddr) -> LocalTranslation {
         if self.engine.uses_l0() {
             if let Some((pa, latency)) = self.mmu.l0_translate(asid, vaddr) {
                 return LocalTranslation {
                     paddr: Some(pa),
                     fixed_latency: latency,
-                    penalty_cycles: latency.raw().saturating_sub(1),
                     walk: None,
                 };
             }
         }
+        self.engine_translate(asid, vaddr)
+    }
+
+    /// [`CoreState::local_translate`] without the L0 fast path: the L0
+    /// stands down on the retry after a page fault (the engine refills it
+    /// on this translation).
+    fn engine_translate(&mut self, asid: Asid, vaddr: VirtAddr) -> LocalTranslation {
         let result = self.engine.translate(&mut self.mmu, asid, vaddr);
         LocalTranslation {
             paddr: result.paddr,
             fixed_latency: result.fixed_latency,
-            penalty_cycles: result.fixed_latency.raw().saturating_sub(1),
             walk: result.walk,
         }
     }
@@ -211,57 +221,198 @@ impl CoreState {
     }
 }
 
-/// Projects core `$idx`'s state out of `$sys` as a shared borrow. A macro
-/// rather than a method so the borrow stays field-granular: `per_proc`,
-/// `shootdowns`, `os` and the rest of `System` remain independently
-/// borrowable alongside the returned reference.
-macro_rules! core_ref {
-    ($sys:expr, $idx:expr) => {{
-        let idx: usize = $idx;
-        if idx == 0 {
-            &$sys.core0
-        } else {
-            &$sys.extra_cores[idx - 1]
-        }
-    }};
+/// Instructions already in hand — a planned epoch slice, or the single
+/// instruction of [`System::step`] — as a trace source, so they run through
+/// the same loop as a live frontend without being copied or boxed.
+struct Fetched<'a>(std::slice::Iter<'a, Instruction>);
+
+impl TraceSource for Fetched<'_> {
+    fn next_instruction(&mut self) -> Option<Instruction> {
+        self.0.next().copied()
+    }
 }
 
-/// [`core_ref!`], mutably.
-macro_rules! core_mut {
-    ($sys:expr, $idx:expr) => {{
-        let idx: usize = $idx;
-        if idx == 0 {
-            &mut $sys.core0
-        } else {
-            &mut $sys.extra_cores[idx - 1]
-        }
-    }};
+/// The steady-state access pipeline: the active core, the accounting slot
+/// of the process holding it and the shared memory hierarchy, borrowed
+/// field by field out of [`System`] once per run of non-faulting
+/// instructions (`System::datapath`) so the instruction loop re-derives
+/// none of them. Everything that needs the whole machine — a page fault,
+/// housekeeping, the coherence fence — happens between two such borrows.
+struct Datapath<'a> {
+    core: &'a mut CoreState,
+    perf: &'a mut ProcPerf,
+    caches: &'a mut CacheHierarchy,
+    dram: &'a mut DramModel,
+    mode: SimulationMode,
 }
 
-/// The active core, shared. `$pin` is the `PIN0` const of the enclosing
-/// stepping function: when `true` (the single-core run loops) the
-/// projection constant-folds to the inline `core0` field, so the
-/// instruction loop pays no `active` load or branch — the exact code the
-/// machine ran before it grew multiple cores.
-macro_rules! active_ref {
-    ($sys:expr, $pin:expr) => {{
-        if $pin {
-            &$sys.core0
-        } else {
-            core_ref!($sys, $sys.active)
+impl Datapath<'_> {
+    /// Runs instructions from `source` until `n` have retired, the trace
+    /// ends or a translation faults. Returns how many retired and, on a
+    /// fault, the faulting access's core-local half: the caller completes
+    /// it with [`System::finish_faulted_access`] (the kernel is not
+    /// reachable from here) and counts it as retired.
+    fn run_until_fault<T: TraceSource + ?Sized>(
+        &mut self,
+        source: &mut T,
+        n: u64,
+    ) -> (u64, Option<DeferredAccess>) {
+        let asid = System::asid_of(self.core.current);
+        let mut ran = 0u64;
+        while ran < n {
+            let Some(instr) = source.next_instruction() else {
+                break;
+            };
+            match instr.memory {
+                None => self.core.core.retire_compute(1),
+                Some((vaddr, kind)) => {
+                    let translation = self.core.local_translate(asid, vaddr);
+                    if translation.paddr.is_none() {
+                        let entry = DeferredAccess {
+                            pc: instr.pc,
+                            vaddr,
+                            kind,
+                            translation,
+                        };
+                        return (ran, Some(entry));
+                    }
+                    self.complete_access(instr.pc, kind, &translation, Cycles::ZERO);
+                }
+            }
+            ran += 1;
         }
-    }};
-}
+        (ran, None)
+    }
 
-/// [`active_ref!`], mutably.
-macro_rules! active_mut {
-    ($sys:expr, $pin:expr) => {{
-        if $pin {
-            &mut $sys.core0
-        } else {
-            core_mut!($sys, $sys.active)
+    /// The shared-state half of one memory access, and the only place it
+    /// is spelled out: charge the translation, send the data access through
+    /// caches and DRAM, retire. The inline loop, the epoch barrier's replay
+    /// and the retry after a page fault all end here, so every schedule
+    /// charges identical cycles in identical order. `carried` is latency a
+    /// faulted first attempt already exposed; an access still unmapped
+    /// after its fault was serviced is skipped.
+    fn complete_access(
+        &mut self,
+        pc: VirtAddr,
+        kind: AccessType,
+        translation: &LocalTranslation,
+        carried: Cycles,
+    ) {
+        let latency = carried + self.charge_translation(translation);
+        match translation.paddr {
+            Some(paddr) => {
+                let data_latency = self.data_access(pc, paddr, kind);
+                self.core.core.retire_memory(latency + data_latency);
+            }
+            None => self.core.core.retire_compute(1),
         }
-    }};
+    }
+
+    /// Charges one translation attempt — its page walk replayed through the
+    /// memory hierarchy on top of the fixed TLB/PWC probe latency — credits
+    /// the cost to the core and the process holding it (one dense-array
+    /// slot per memory access; compute instructions never touch these
+    /// fields) and returns the latency the attempt exposes.
+    fn charge_translation(&mut self, translation: &LocalTranslation) -> Cycles {
+        let mut latency = translation.fixed_latency;
+        // Cycles beyond the 1-cycle L1 TLB probe are translation overhead.
+        let mut cycles = translation.fixed_latency.raw().saturating_sub(1);
+        let (mut ptw_latency, mut ptw_count) = (0u64, 0u64);
+        if let Some(walk) = &translation.walk {
+            let walk_latency = self.charge_page_walk(walk.parallel, &walk.accesses);
+            latency += walk_latency;
+            cycles += walk_latency.raw();
+            ptw_latency = walk_latency.raw();
+            ptw_count = 1;
+        }
+        self.core.translation_cycles += cycles;
+        self.core.ptw_latency_cycles += ptw_latency;
+        self.core.ptw_count += ptw_count;
+        self.perf.translation_cycles += cycles;
+        self.perf.ptw_latency_cycles += ptw_latency;
+        self.perf.ptw_count += ptw_count;
+        latency
+    }
+
+    /// Replays a page-table walk through the memory hierarchy and returns
+    /// its latency. Parallel (hash-based) walks cost the slowest access;
+    /// serial (radix) walks cost the sum.
+    fn charge_page_walk(&mut self, parallel: bool, accesses: &[PhysAddr]) -> Cycles {
+        match self.mode {
+            SimulationMode::Emulation {
+                fixed_ptw_latency, ..
+            } => {
+                if accesses.is_empty() {
+                    Cycles::ZERO
+                } else {
+                    fixed_ptw_latency
+                }
+            }
+            SimulationMode::Detailed => {
+                let mut total = Cycles::ZERO;
+                let mut slowest = Cycles::ZERO;
+                for pa in accesses {
+                    let mut latency = Cycles::ZERO;
+                    let access = self.caches.access_page_table(*pa);
+                    latency += access.latency;
+                    for line in &access.dram_fetches {
+                        latency += self.dram.access(&vm_types::MemoryAccess::physical(
+                            *line,
+                            AccessType::Read,
+                            Requestor::PageTableWalker,
+                        ));
+                    }
+                    for wb in &access.writebacks {
+                        self.dram.access(&vm_types::MemoryAccess::physical(
+                            *wb,
+                            AccessType::Write,
+                            Requestor::PageTableWalker,
+                        ));
+                    }
+                    total += latency;
+                    slowest = slowest.max(latency);
+                }
+                if parallel {
+                    slowest
+                } else {
+                    total
+                }
+            }
+        }
+    }
+
+    /// The data access through caches and DRAM: the demanded line (and any
+    /// prefetches and writebacks) move through the shared hierarchy;
+    /// returns the latency the demand access exposes to the core.
+    fn data_access(&mut self, pc: VirtAddr, paddr: PhysAddr, kind: AccessType) -> Cycles {
+        let access = self
+            .caches
+            .access_with_pc(pc, paddr, kind, Requestor::Application);
+        let mut latency = access.latency;
+        for (i, line) in access.dram_fetches.iter().enumerate() {
+            let requestor = if i == 0 {
+                Requestor::Application
+            } else {
+                Requestor::Prefetcher
+            };
+            let dram_latency = self.dram.access(&vm_types::MemoryAccess::physical(
+                *line,
+                AccessType::Read,
+                requestor,
+            ));
+            if i == 0 {
+                latency += dram_latency;
+            }
+        }
+        for wb in &access.writebacks {
+            self.dram.access(&vm_types::MemoryAccess::physical(
+                *wb,
+                AccessType::Write,
+                Requestor::Application,
+            ));
+        }
+        latency
+    }
 }
 
 /// The full simulated machine.
@@ -272,16 +423,11 @@ pub struct System {
     config: SystemConfig,
     caches: CacheHierarchy,
     dram: DramModel,
-    /// Core 0's translation frontend + timing model, stored inline: the
-    /// single-core instruction loop reaches all its state at fixed
-    /// offsets from `self`, exactly as it did before the machine grew
-    /// multiple cores (measured: routing core 0 through a `Vec` cost
-    /// 5–9% sustained MIPS across every single-core workload).
-    core0: CoreState,
-    /// Cores 1..N of a multi-core machine (empty at `num_cores = 1`).
-    extra_cores: Vec<CoreState>,
-    /// The core the convenience stepping API drives; the sharded
-    /// multi-core loop rotates it round-robin.
+    /// The simulated cores (at least one), each with its private
+    /// translation frontend and timing model.
+    cores: Vec<CoreState>,
+    /// The core the stepping API and the slow paths act on; the
+    /// multiprogram loop rotates it round-robin.
     active: usize,
     os: MimicOs,
     /// The first process, used by the single-process convenience API.
@@ -311,20 +457,15 @@ pub struct System {
     /// Instructions retired since the coherence fence last ran (only
     /// advanced when [`SystemConfig::invariant_check_interval`] arms it).
     instructions_since_invariant_check: u64,
-    /// Total [`System::handle_fault`] invocations. The single-threaded
-    /// epoch path watches this counter to truncate a slice after its first
-    /// fault at exactly the instruction where a parallel worker would have
-    /// stopped, keeping every host-thread count on one schedule.
-    fault_events: u64,
     /// `true` while the barrier replay of a parallel epoch is resolving
     /// faults; guards debug assertions that no cross-core disturbance
     /// (reclaim shootdowns, OOM kills) slips into an epoch the headroom
     /// check declared safe.
     epoch_replay: bool,
-    /// Planned epochs the sharded loop executed (as opposed to legacy
-    /// one-`CORE_TICK` rounds). Not part of any report — exposed through
-    /// [`System::epochs_run`] so tests can assert the epoch path actually
-    /// engaged rather than silently falling back.
+    /// Planned epochs the multiprogram loop executed (as opposed to
+    /// fallback one-`CORE_TICK` rounds). Not part of any report — exposed
+    /// through [`System::epochs_run`] so tests can assert the epoch path
+    /// actually engaged rather than silently falling back.
     epochs_run: u64,
 }
 
@@ -358,8 +499,7 @@ impl System {
         System {
             caches: CacheHierarchy::new(config.caches.clone()),
             dram: DramModel::new(config.dram.clone()),
-            core0: make_core(0),
-            extra_cores: (1..num_cores).map(make_core).collect(),
+            cores: (0..num_cores).map(make_core).collect(),
             active: 0,
             os,
             primary: pid,
@@ -374,7 +514,6 @@ impl System {
             segfaults: 0,
             oom_failures: 0,
             instructions_since_invariant_check: 0,
-            fault_events: 0,
             epoch_replay: false,
             epochs_run: 0,
             config,
@@ -395,22 +534,22 @@ impl System {
     /// statistics). Under the Midgard engine this is the Midgard-space
     /// backend the engine repurposes; see [`mmu_sim::MidgardEngine`].
     pub fn mmu(&self) -> &Mmu {
-        &self.core0.mmu
+        &self.cores[0].mmu
     }
 
     /// The translation engine of core 0 (for engine-specific statistics).
     pub fn engine(&self) -> &TranslationEngine {
-        &self.core0.engine
+        &self.cores[0].engine
     }
 
     /// Core `core`'s private TLB-and-page-table state.
     pub fn mmu_of(&self, core: usize) -> &Mmu {
-        &core_ref!(self, core).mmu
+        &self.cores[core].mmu
     }
 
     /// Core `core`'s translation engine.
     pub fn engine_of(&self, core: usize) -> &TranslationEngine {
-        &core_ref!(self, core).engine
+        &self.cores[core].engine
     }
 
     /// The DRAM model (for row-buffer statistics).
@@ -420,22 +559,17 @@ impl System {
 
     /// The core model of core 0.
     pub fn core(&self) -> &CoreModel {
-        &self.core0.core
+        &self.cores[0].core
     }
 
     /// The core model of core `core`.
     pub fn core_model_of(&self, core: usize) -> &CoreModel {
-        &core_ref!(self, core).core
+        &self.cores[core].core
     }
 
     /// Number of simulated cores.
     pub fn num_cores(&self) -> usize {
-        1 + self.extra_cores.len()
-    }
-
-    /// Iterates the per-core state, core 0 first.
-    fn each_core(&self) -> impl Iterator<Item = &CoreState> {
-        std::iter::once(&self.core0).chain(self.extra_cores.iter())
+        self.cores.len()
     }
 
     /// The core a process is pinned to (`pid % num_cores`).
@@ -450,7 +584,7 @@ impl System {
 
     /// The process currently holding core 0.
     pub fn current_pid(&self) -> ProcessId {
-        self.core0.current
+        self.cores[0].current
     }
 
     /// The ASID of a process.
@@ -484,7 +618,7 @@ impl System {
         self.oom_failures
     }
 
-    /// Planned multi-instruction epochs the sharded multi-core loop has
+    /// Planned multi-instruction epochs [`System::run_multiprogram`] has
     /// executed (zero when every round fell back to the serial
     /// one-`CORE_TICK` schedule — under memory pressure, fault injection
     /// or an armed coherence fence). Diagnostic only; never serialized
@@ -591,7 +725,7 @@ impl System {
     fn engine_note_mapped_region(&mut self, pid: ProcessId, start: VirtAddr, len: u64) {
         let asid = Self::asid_of(pid);
         let core = self.core_of(pid);
-        let c = core_mut!(self, core);
+        let c = &mut self.cores[core];
         c.engine.note_vma(asid, start, len);
         c.engine.note_ranges(asid, self.os.ranges(pid));
     }
@@ -616,7 +750,7 @@ impl System {
             while offset < len {
                 let va = start.add(offset);
                 if let Some(existing) = self.os.process(pid).lookup_mapping(va) {
-                    let c = core_mut!(self, home);
+                    let c = &mut self.cores[home];
                     c.engine.handle_fault_install(
                         &mut c.mmu,
                         asid,
@@ -636,7 +770,7 @@ impl System {
                         // time — populate charges nothing by design).
                         self.apply_invalidations_from(home, &outcome.invalidations, false);
                         self.process_oom_kills(false);
-                        let c = core_mut!(self, home);
+                        let c = &mut self.cores[home];
                         c.engine
                             .handle_fault_install(&mut c.mmu, asid, &outcome.mapping, info);
                         for extra in &outcome.additional_mappings {
@@ -676,85 +810,8 @@ impl System {
     ) -> SimulationReport {
         self.workload_name = frontend.name().to_string();
         let limit = max_instructions.unwrap_or(u64::MAX);
-        if self.extra_cores.is_empty() {
-            self.step_block::<true, T>(frontend, limit);
-        } else {
-            self.step_block::<false, T>(frontend, limit);
-        }
+        self.step_block(frontend, limit);
         self.report()
-    }
-
-    /// Runs several processes concurrently, interleaved by the MimicOS
-    /// round-robin scheduler: each runnable process executes up to one
-    /// quantum of its trace, then the kernel preempts it, the context
-    /// switch is charged (switch-code instruction stream, TLB flush policy)
-    /// and the next process takes the core. The run ends when every trace
-    /// is exhausted or `max_instructions` have retired in total.
-    ///
-    /// Every `(pid, source)` pair must name a process created by
-    /// [`System::spawn_process`] (or [`System::pid`] for the first).
-    /// Processes known to the scheduler but absent from `programs` are
-    /// treated as immediately exited.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the same `pid` appears twice in `programs`.
-    pub fn run_multiprogram(
-        &mut self,
-        programs: &mut [(ProcessId, &mut dyn TraceSource)],
-        max_instructions: Option<u64>,
-    ) -> MultiProgramReport {
-        if !self.extra_cores.is_empty() {
-            return self.run_multiprogram_sharded(programs, max_instructions);
-        }
-        let names = self.name_programs(programs);
-
-        let limit = max_instructions.unwrap_or(u64::MAX);
-        let mut retired_total = 0u64;
-        'outer: while retired_total < limit {
-            let Some(pid) = self.os.scheduler_mut().schedule() else {
-                break; // every process exited
-            };
-            if pid != self.core0.current {
-                // Dispatch after an exit (or an externally spawned process):
-                // architecturally still a context switch.
-                self.apply_context_switch(ContextSwitch {
-                    from: self.core0.current,
-                    to: pid,
-                });
-            }
-            let Some((_, source)) = programs.iter_mut().find(|(p, _)| *p == pid) else {
-                // No trace for this process: it exits immediately.
-                self.os.scheduler_mut().exit(pid);
-                continue;
-            };
-
-            let quantum = self.os.scheduler().quantum();
-            // This legacy loop only runs single-core (the sharded loop
-            // handles `extra_cores`), so the pinned block applies. The
-            // block never runs past the quantum or the global limit, so
-            // preemption points match the per-step loop exactly.
-            let n = quantum.min(limit - retired_total);
-            let ran = self.step_block::<true, dyn TraceSource>(&mut **source, n);
-            let exhausted = ran < n;
-            retired_total += ran;
-            if retired_total >= limit {
-                if ran > 0 {
-                    self.os.scheduler_mut().account(ran);
-                }
-                break 'outer;
-            }
-            let expired = ran > 0 && self.os.scheduler_mut().account(ran);
-            if exhausted {
-                self.os.scheduler_mut().exit(pid);
-            } else if expired {
-                if let Some(switch) = self.os.scheduler_mut().preempt() {
-                    self.apply_context_switch(switch);
-                }
-            }
-        }
-
-        self.multiprogram_report(&names)
     }
 
     /// Registers the program names and builds the combined workload name.
@@ -806,9 +863,9 @@ impl System {
     const EPOCH_TICKS: u64 = 16;
 
     /// Below this per-core slice length an epoch is not worth its planning
-    /// and barrier overhead; the loop falls back to one classic `CORE_TICK`
-    /// round instead (which is also how housekeeping ticks land at their
-    /// exact per-core instruction numbers).
+    /// and barrier overhead; the loop falls back to one `CORE_TICK` round
+    /// instead (which is also how housekeeping ticks land at their exact
+    /// per-core instruction numbers).
     const MIN_EPOCH_SLICE: u64 = Self::CORE_TICK;
 
     /// Upper bound on physical memory one page fault can consume: a 2 MiB
@@ -817,11 +874,16 @@ impl System {
     /// core count, since a slice stops at its first fault.
     const EPOCH_FAULT_ALLOC_BOUND: u64 = 4 << 20;
 
-    /// Runs several processes on the system's simulated cores: every core
-    /// round-robins over its own run queue (processes are pinned by
-    /// `pid % num_cores`), the cores interleave deterministically in fixed
-    /// slices, and reclaim invalidations broadcast shootdown IPIs from the
-    /// faulting core to every other core.
+    /// Runs several processes on the system's simulated cores, interleaved
+    /// by the MimicOS round-robin scheduler. Every core time-slices its own
+    /// run queue (processes are pinned by `pid % num_cores`): a process
+    /// executes up to one quantum of its trace, then the kernel preempts
+    /// it, the context switch is charged (switch-code instruction stream,
+    /// TLB flush policy) and the next process takes the core. The cores
+    /// interleave deterministically in fixed slices, and reclaim
+    /// invalidations broadcast shootdown IPIs from the faulting core to
+    /// every other core. The run ends when every trace is exhausted or
+    /// `max_instructions` have retired in total.
     ///
     /// Whenever no source of cross-core disturbance can fire mid-slice
     /// (see `System::epoch_ready`), the loop runs *epochs*: each core
@@ -833,19 +895,19 @@ impl System {
     /// because they touch disjoint state and the barrier replay is a fixed
     /// serial order, **every host-thread count produces bit-identical
     /// reports** (the `multicore_differential` fence enforces this).
-    /// Otherwise the loop falls back to the classic serial `CORE_TICK`
-    /// round-robin round, which handles housekeeping ticks, the coherence
-    /// fence, fault injection and memory pressure exactly as before.
+    /// Otherwise the loop falls back to one serial `CORE_TICK` round-robin
+    /// round, which handles housekeeping ticks, the coherence fence, fault
+    /// injection and memory pressure at their exact instruction numbers.
     ///
-    /// With `num_cores = 1` this is semantically identical to the legacy
-    /// [`System::run_multiprogram`] loop — dispatches, preemption points
-    /// and every charged cycle land on the same instructions — which the
-    /// `multicore_differential` test fence pins byte-for-byte.
+    /// Every `(pid, source)` pair must name a process created by
+    /// [`System::spawn_process`] (or [`System::pid`] for the first).
+    /// Processes known to the scheduler but absent from `programs` are
+    /// treated as immediately exited.
     ///
     /// # Panics
     ///
     /// Panics if the same `pid` appears twice in `programs`.
-    pub fn run_multiprogram_sharded(
+    pub fn run_multiprogram(
         &mut self,
         programs: &mut [(ProcessId, &mut dyn TraceSource)],
         max_instructions: Option<u64>,
@@ -856,66 +918,53 @@ impl System {
         let num_cores = self.num_cores();
         let host_threads = self.config.host_threads.clamp(1, num_cores);
 
-        // Dense pid -> program-index map: the legacy loop's per-turn linear
-        // scan over `programs` was measurable dispatch overhead at
-        // CORE_TICK granularity.
+        // Dense pid -> program-index map: a per-turn linear scan over
+        // `programs` is measurable dispatch overhead at CORE_TICK
+        // granularity.
         let max_pid = programs.iter().map(|(pid, _)| pid.0).max().unwrap_or(0);
-        let mut program_of = vec![usize::MAX; max_pid + 1];
+        let mut program_of = vec![None; max_pid + 1];
         for (i, (pid, _)) in programs.iter().enumerate() {
-            program_of[pid.0] = i;
+            program_of[pid.0] = Some(i);
         }
-        // Fault-truncated epoch slices park their unconsumed tail here;
-        // both the epoch planner and the fallback rounds drain it before
-        // pulling fresh instructions from the source.
-        let mut pending: Vec<VecDeque<Instruction>> =
+        // Per program, the instructions an epoch has fetched from its
+        // source and not yet run. A slice executes in place at the front of
+        // its queue, so a fault-truncated slice leaves its tail where the
+        // next epoch — or fallback turn — of that program finds it first.
+        let mut fetched: Vec<VecDeque<Instruction>> =
             (0..programs.len()).map(|_| VecDeque::new()).collect();
         let mut epoch: Vec<EpochSlice> = (0..num_cores).map(|_| EpochSlice::default()).collect();
 
         let mut retired_total = 0u64;
-        'outer: loop {
-            if retired_total >= limit {
-                break;
-            }
-            let mut any_progress = false;
+        // A dispatched process always retires an instruction or exits, so
+        // the run ends when the limit is reached or every process has exited.
+        'outer: while retired_total < limit && self.os.scheduler().runnable() > 0 {
             let mut ran_epoch = false;
 
             if self.epoch_ready() {
-                // ---- Plan (serial): dispatch and slice sizing, in core
-                // order. Context switches apply here so the parallel phase
-                // sees post-dispatch translation state.
+                // ---- Plan (serial): dispatch and size every core's slice,
+                // in core order, before a single instruction is fetched — a
+                // runt on a later core then abandons the epoch with nothing
+                // to put back. Context switches apply here so the parallel
+                // phase sees post-dispatch translation state.
                 let interval = self.config.housekeeping_interval;
                 let mut budget = limit - retired_total;
                 let mut runt = false;
                 for slice in epoch.iter_mut() {
-                    slice.active = false;
+                    slice.cap = 0;
                 }
                 for (core, slice) in epoch.iter_mut().enumerate() {
                     if budget == 0 {
                         break;
                     }
-                    let Some(pid) = self.os.scheduler_mut().schedule_on(core) else {
-                        continue; // this core's queue is empty
-                    };
-                    self.active = core;
-                    if pid != core_ref!(self, core).current {
-                        self.apply_context_switch(ContextSwitch {
-                            from: core_ref!(self, core).current,
-                            to: pid,
-                        });
-                    }
-                    let prog = program_of.get(pid.0).copied().unwrap_or(usize::MAX);
-                    if prog == usize::MAX {
-                        // No trace for this process: it exits immediately.
-                        self.os.scheduler_mut().exit(pid);
-                        any_progress = true;
+                    let Some((pid, prog)) = self.dispatch(core, &program_of) else {
                         continue;
-                    }
+                    };
                     // Strictly below the housekeeping threshold: background
                     // ticks (khugepaged collapses!) must never fire inside
                     // an epoch, where their invalidations would reach cores
                     // whose local phase already ran.
                     let slack = if interval > 0 {
-                        (interval - core_ref!(self, core).instructions_since_housekeeping)
+                        (interval - self.cores[core].instructions_since_housekeeping)
                             .saturating_sub(1)
                     } else {
                         u64::MAX
@@ -929,84 +978,71 @@ impl System {
                         break;
                     }
                     budget -= cap;
-                    slice.active = true;
+                    slice.cap = cap;
                     slice.pid = pid;
                     slice.prog = prog;
-                    slice.asid = Self::asid_of(pid);
-                    slice.exhausted = false;
-                    slice.cycles_before = 0;
-                    slice.instrs.clear();
-                    slice.log.ran = 0;
-                    slice.log.accesses.clear();
-                    slice.log.fault = None;
-                    // Pull the slice's instructions now (serially):
-                    // leftovers from a truncated predecessor first, then
-                    // the source.
-                    let queue = &mut pending[prog];
-                    while (slice.instrs.len() as u64) < cap {
-                        if let Some(instr) = queue.pop_front() {
-                            slice.instrs.push(instr);
-                            continue;
-                        }
-                        match programs[prog].1.next_instruction() {
-                            Some(instr) => slice.instrs.push(instr),
-                            None => {
-                                slice.exhausted = true;
-                                break;
-                            }
-                        }
-                    }
                 }
 
                 if !runt {
                     ran_epoch = true;
                     self.epochs_run += 1;
-                    // Snapshot attribution baselines after every dispatch
-                    // switch has been charged.
+                    // ---- Fetch (serial): top every slice's queue up to
+                    // its cap from the source (what a truncated predecessor
+                    // left comes first). The attribution baselines are
+                    // snapshotted here, after every dispatch switch has
+                    // been charged.
                     for (core, slice) in epoch.iter_mut().enumerate() {
-                        if slice.active {
-                            slice.cycles_before = core_ref!(self, core).core.cycles().raw();
+                        if slice.cap == 0 {
+                            continue;
                         }
+                        slice.exhausted = false;
+                        slice.log.ran = 0;
+                        slice.log.accesses.clear();
+                        slice.log.fault = None;
+                        slice.cycles_before = self.cores[core].core.cycles().raw();
+                        let queue = &mut fetched[slice.prog];
+                        while (queue.len() as u64) < slice.cap {
+                            match programs[slice.prog].1.next_instruction() {
+                                Some(instr) => queue.push_back(instr),
+                                None => {
+                                    slice.exhausted = true;
+                                    break;
+                                }
+                            }
+                        }
+                        queue.make_contiguous();
                     }
 
                     // ---- Parallel phase: each active core runs its slice
                     // against private state only. With one host thread the
                     // slice instead executes inline during the barrier
                     // below, which is the same schedule by construction.
-                    if host_threads > 1 && epoch.iter().any(|s| s.active) {
-                        let mut cores: Vec<Option<&mut CoreState>> = Vec::with_capacity(num_cores);
-                        cores.push(Some(&mut self.core0));
-                        cores.extend(self.extra_cores.iter_mut().map(Some));
-                        let mut jobs: Vec<(&mut CoreState, Asid, &[Instruction], &mut SliceLog)> =
-                            Vec::new();
-                        for (core, slice) in epoch.iter_mut().enumerate() {
-                            if !slice.active {
-                                continue;
-                            }
-                            let state = cores[core].take().expect("one slice per core");
-                            jobs.push((state, slice.asid, &slice.instrs, &mut slice.log));
+                    if host_threads > 1 {
+                        let mut buckets: Vec<Vec<(&mut CoreState, &mut EpochSlice)>> =
+                            (0..host_threads).map(|_| Vec::new()).collect();
+                        let jobs = self.cores.iter_mut().zip(epoch.iter_mut());
+                        for (i, job) in jobs.filter(|(_, s)| s.cap > 0).enumerate() {
+                            buckets[i % host_threads].push(job);
                         }
-                        let buckets_n = host_threads.min(jobs.len());
-                        let mut buckets: Vec<Vec<_>> = (0..buckets_n).map(|_| Vec::new()).collect();
-                        for (i, job) in jobs.into_iter().enumerate() {
-                            buckets[i % buckets_n].push(job);
-                        }
+                        let fetched = &fetched[..];
                         std::thread::scope(|scope| {
-                            let mut buckets = buckets.into_iter();
+                            let mut buckets = buckets.into_iter().filter(|b| !b.is_empty());
+                            // The calling thread works too instead of
+                            // blocking at the join.
                             let local = buckets.next();
                             for bucket in buckets {
                                 scope.spawn(move || {
-                                    for (state, asid, instrs, log) in bucket {
-                                        state.run_slice_local(asid, instrs, log);
+                                    for (state, slice) in bucket {
+                                        let instrs = slice.instrs(fetched);
+                                        let asid = Self::asid_of(slice.pid);
+                                        state.run_slice_local(asid, instrs, &mut slice.log);
                                     }
                                 });
                             }
-                            // The calling thread works too instead of
-                            // blocking at the join.
-                            if let Some(bucket) = local {
-                                for (state, asid, instrs, log) in bucket {
-                                    state.run_slice_local(asid, instrs, log);
-                                }
+                            for (state, slice) in local.into_iter().flatten() {
+                                let instrs = slice.instrs(fetched);
+                                let asid = Self::asid_of(slice.pid);
+                                state.run_slice_local(asid, instrs, &mut slice.log);
                             }
                         });
                     }
@@ -1017,152 +1053,143 @@ impl System {
                     // state moves, so its order — and therefore every
                     // report — is independent of the host-thread count.
                     for (core, slice) in epoch.iter_mut().enumerate() {
-                        if !slice.active {
+                        if slice.cap == 0 {
                             continue;
                         }
                         self.active = core;
-                        let ran_total = if host_threads > 1 {
-                            self.epoch_replay = true;
+                        let instrs = slice.instrs(&fetched);
+                        let planned = instrs.len() as u64;
+                        let (mut ran, fault) = if host_threads > 1 {
+                            let mut path = self.datapath();
                             for entry in &slice.log.accesses {
-                                self.replay_access(entry);
+                                path.complete_access(
+                                    entry.pc,
+                                    entry.kind,
+                                    &entry.translation,
+                                    Cycles::ZERO,
+                                );
                             }
-                            let mut ran = slice.log.ran;
-                            if let Some(entry) = slice.log.fault.take() {
-                                self.finish_faulted_access(&entry);
-                                ran += 1;
-                            }
-                            self.epoch_replay = false;
-                            ran
+                            (slice.log.ran, slice.log.fault.take())
                         } else {
                             // Single host thread: execute the slice inline,
-                            // truncating after the first fault exactly
-                            // where a parallel worker would have stopped.
-                            let fault_before = self.fault_events;
-                            let mut ran = 0u64;
-                            for &instr in &slice.instrs {
-                                match instr.memory {
-                                    None => core_mut!(self, core).core.retire_compute(1),
-                                    Some((vaddr, kind)) => {
-                                        self.memory_access::<false>(instr.pc, vaddr, kind)
-                                    }
-                                }
-                                ran += 1;
-                                if self.fault_events != fault_before {
-                                    break;
-                                }
-                            }
-                            ran
+                            // stopping at the first fault exactly where a
+                            // parallel worker would have.
+                            self.datapath()
+                                .run_until_fault(&mut Fetched(instrs.iter()), planned)
                         };
+                        if let Some(entry) = fault {
+                            // The slice resumes mid-instruction and ends.
+                            self.epoch_replay = host_threads > 1;
+                            self.finish_faulted_access(&entry);
+                            self.epoch_replay = false;
+                            ran += 1;
+                        }
+                        self.attribute_block(ran, slice.cycles_before);
+                        // What the slice did not get to stays queued for
+                        // the next dispatch of this program.
+                        fetched[slice.prog].drain(..ran as usize);
 
-                        {
-                            let c = core_mut!(self, core);
-                            let perf = &mut self.per_proc[c.current_slot];
-                            perf.instructions += ran_total;
-                            perf.cycles += c.core.cycles().raw() - slice.cycles_before;
-                            c.instructions_since_housekeeping += ran_total;
-                        }
-                        retired_total += ran_total;
-                        if retired_total >= limit {
-                            if ran_total > 0 {
-                                self.os.scheduler_mut().account_on(core, ran_total);
-                            }
+                        retired_total += ran;
+                        let at_limit = retired_total >= limit;
+                        self.settle(
+                            core,
+                            slice.pid,
+                            ran,
+                            slice.exhausted && ran == planned,
+                            at_limit,
+                        );
+                        if at_limit {
                             break 'outer;
-                        }
-                        if ran_total > 0 {
-                            any_progress = true;
-                        }
-                        let expired =
-                            ran_total > 0 && self.os.scheduler_mut().account_on(core, ran_total);
-                        let consumed_all = ran_total == slice.instrs.len() as u64;
-                        if slice.exhausted && consumed_all {
-                            self.os.scheduler_mut().exit(slice.pid);
-                        } else if expired {
-                            if let Some(switch) = self.os.scheduler_mut().preempt_on(core) {
-                                self.active = core;
-                                self.apply_context_switch(switch);
-                            }
-                        }
-                        if !consumed_all {
-                            // Fault truncation: park the unconsumed tail
-                            // for the next dispatch of this program.
-                            let queue = &mut pending[slice.prog];
-                            for instr in &slice.instrs[ran_total as usize..] {
-                                queue.push_back(*instr);
-                            }
                         }
                     }
                 }
             }
 
             if !ran_epoch {
-                // ---- Fallback: one classic serial CORE_TICK round-robin
-                // round. Runs whenever an epoch is unsafe (fence armed,
-                // fault injection, low memory headroom) or not worthwhile
-                // (a core is about to cross its housekeeping threshold),
-                // and fires those events at their exact per-core
-                // instruction numbers via step_block's chunk clamping.
+                // ---- Fallback: one serial CORE_TICK round-robin round.
+                // Runs whenever an epoch is unsafe (fence armed, fault
+                // injection, low memory headroom) or not worthwhile (a
+                // core is about to cross its housekeeping threshold), and
+                // fires those events at their exact per-core instruction
+                // numbers via step_block's chunk clamping. Unlike an
+                // epoch it plans and executes one core at a time.
                 for core in 0..num_cores {
                     if retired_total >= limit {
                         break 'outer;
                     }
-                    let Some(pid) = self.os.scheduler_mut().schedule_on(core) else {
-                        continue; // this core's queue is empty
-                    };
-                    self.active = core;
-                    if pid != core_ref!(self, core).current {
-                        self.apply_context_switch(ContextSwitch {
-                            from: core_ref!(self, core).current,
-                            to: pid,
-                        });
-                    }
-                    let prog = program_of.get(pid.0).copied().unwrap_or(usize::MAX);
-                    if prog == usize::MAX {
-                        // No trace for this process: it exits immediately.
-                        self.os.scheduler_mut().exit(pid);
-                        any_progress = true;
+                    let Some((pid, prog)) = self.dispatch(core, &program_of) else {
                         continue;
-                    }
-
-                    // Run one turn: at most CORE_TICK instructions, never
-                    // past the end of the quantum (so preemption points
-                    // match the single-core loop instruction-for-
-                    // instruction).
-                    let turn = Self::CORE_TICK.min(self.os.scheduler().remaining_quantum_on(core));
-                    let n = turn.min(limit - retired_total);
+                    };
+                    // One turn: at most CORE_TICK instructions, never past
+                    // the end of the quantum, so preemption points do not
+                    // depend on how the run was sliced.
+                    let n = Self::CORE_TICK
+                        .min(self.os.scheduler().remaining_quantum_on(core))
+                        .min(limit - retired_total);
                     let mut source = ReplayFront {
-                        pending: &mut pending[prog],
+                        fetched: &mut fetched[prog],
                         inner: &mut *programs[prog].1,
                     };
-                    let ran = self.step_block::<false, _>(&mut source, n);
-                    let exhausted = ran < n;
+                    let ran = self.step_block(&mut source, n);
                     retired_total += ran;
-                    if retired_total >= limit {
-                        if ran > 0 {
-                            self.os.scheduler_mut().account_on(core, ran);
-                        }
+                    let at_limit = retired_total >= limit;
+                    self.settle(core, pid, ran, ran < n, at_limit);
+                    if at_limit {
                         break 'outer;
                     }
-                    if ran > 0 {
-                        any_progress = true;
-                    }
-                    let expired = ran > 0 && self.os.scheduler_mut().account_on(core, ran);
-                    if exhausted {
-                        self.os.scheduler_mut().exit(pid);
-                    } else if expired {
-                        if let Some(switch) = self.os.scheduler_mut().preempt_on(core) {
-                            self.active = core;
-                            self.apply_context_switch(switch);
-                        }
-                    }
                 }
-            }
-            if !any_progress {
-                break; // every process exited
             }
         }
 
         self.active = 0;
         self.multiprogram_report(&names)
+    }
+
+    /// The head of one core's turn — schedule, context switch, program
+    /// lookup: picks the next process of `core`'s run queue, makes `core`
+    /// the active core, charges the dispatch switch when the process is not
+    /// the one already holding it (after an exit, or for an externally
+    /// spawned process: architecturally still a context switch) and looks
+    /// up its trace. `None` means the core has nothing to run this turn:
+    /// its queue is empty, or the process has no trace and exits
+    /// immediately.
+    fn dispatch(
+        &mut self,
+        core: usize,
+        program_of: &[Option<usize>],
+    ) -> Option<(ProcessId, usize)> {
+        let pid = self.os.scheduler_mut().schedule_on(core)?;
+        self.active = core;
+        let from = self.cores[core].current;
+        if pid != from {
+            self.apply_context_switch(ContextSwitch { from, to: pid });
+        }
+        let prog = program_of.get(pid.0).copied().flatten();
+        if prog.is_none() {
+            self.os.scheduler_mut().exit(pid);
+        }
+        prog.map(|prog| (pid, prog))
+    }
+
+    /// The tail of one core's turn — account, exit, preempt: charges the
+    /// `ran` instructions to `pid`'s quantum on `core`, then retires the
+    /// process if its trace `finished` or preempts it if the quantum
+    /// expired. When the run's instruction limit has been reached
+    /// (`at_limit`) only the accounting applies: the run ends with the
+    /// process still holding its core.
+    fn settle(&mut self, core: usize, pid: ProcessId, ran: u64, finished: bool, at_limit: bool) {
+        let expired = ran > 0 && self.os.scheduler_mut().account_on(core, ran);
+        if at_limit {
+            return;
+        }
+        if finished {
+            self.os.scheduler_mut().exit(pid);
+        } else if expired {
+            if let Some(switch) = self.os.scheduler_mut().preempt_on(core) {
+                self.active = core;
+                self.apply_context_switch(switch);
+            }
+        }
     }
 
     /// `true` when the next multi-core interleave can run as an epoch:
@@ -1208,13 +1235,13 @@ impl System {
             SimulationMode::Emulation { .. } => {
                 // Emulation mode charges the switch as a fixed stall instead
                 // of simulating the switch code.
-                core_mut!(self, self.active)
+                self.cores[self.active]
                     .core
                     .stall(Cycles::new(u64::from(self.config.os.context_switch_cost)));
             }
         }
         self.ensure_perf_slot(switch.to);
-        let c = core_mut!(self, self.active);
+        let c = &mut self.cores[self.active];
         let dropped = c
             .engine
             .context_switch(&mut c.mmu, Self::asid_of(switch.to));
@@ -1229,10 +1256,7 @@ impl System {
     fn process_report(&self, pid: ProcessId, workload: String) -> ProcessReport {
         let perf = self.per_proc.get(pid.0).copied().unwrap_or_default();
         let home = self.core_of(pid);
-        let asid_stats = core_ref!(self, home)
-            .mmu
-            .stats()
-            .for_asid(Self::asid_of(pid));
+        let asid_stats = self.cores[home].mmu.stats().for_asid(Self::asid_of(pid));
         let process = self.os.process(pid);
         ProcessReport {
             pid: pid.0,
@@ -1273,33 +1297,28 @@ impl System {
     /// Executes one application instruction on the active core, attributing
     /// its cost to the process currently holding that core.
     pub fn step(&mut self, instr: &Instruction) {
-        self.step_impl::<false>(instr);
+        self.step_block(&mut Fetched(std::slice::from_ref(instr).iter()), 1);
     }
 
-    /// Runs up to `n` instructions from `frontend` through the pinned
-    /// step path, amortizing the per-instruction bookkeeping (perf
-    /// attribution, housekeeping counter) over chunks. Returns how many
-    /// instructions actually retired — fewer than `n` only when the
-    /// trace ends.
+    /// Runs up to `n` instructions from `frontend` on the active core,
+    /// amortizing the per-instruction bookkeeping (perf attribution,
+    /// housekeeping counter) over chunks. Returns how many instructions
+    /// actually retired — fewer than `n` only when the trace ends.
     ///
-    /// Semantically identical to `n` calls of [`System::step_impl`]: the
-    /// per-process cycle attribution telescopes (the active slot cannot
-    /// change mid-block — only `apply_context_switch` moves it, and the
-    /// step path never switches), and chunks are clamped to the
-    /// housekeeping slack so background ticks fire at exactly the same
-    /// instruction numbers as the per-step loop.
-    fn step_block<const PIN0: bool, T: TraceSource + ?Sized>(
-        &mut self,
-        frontend: &mut T,
-        n: u64,
-    ) -> u64 {
-        debug_assert!(!PIN0 || self.active == 0);
+    /// Chunking is invisible in the results: the per-process cycle
+    /// attribution telescopes (the active slot cannot change mid-block —
+    /// only `apply_context_switch` moves it, and the step path never
+    /// switches), and chunks are clamped to the housekeeping and fence
+    /// slack so both fire at exactly the instruction numbers a
+    /// one-instruction-at-a-time loop would fire them at.
+    fn step_block<T: TraceSource + ?Sized>(&mut self, frontend: &mut T, n: u64) -> u64 {
         let interval = self.config.housekeeping_interval;
         let fence_interval = self.config.invariant_check_interval;
         let mut stepped = 0u64;
         while stepped < n {
+            let core = &self.cores[self.active];
             let slack = if interval > 0 {
-                interval - active_ref!(self, PIN0).instructions_since_housekeeping
+                interval - core.instructions_since_housekeeping
             } else {
                 u64::MAX
             };
@@ -1309,26 +1328,22 @@ impl System {
                 u64::MAX
             };
             let chunk = (n - stepped).min(slack).min(fence_slack);
-            let cycles_before = active_ref!(self, PIN0).core.cycles().raw();
+            let cycles_before = core.core.cycles().raw();
             let mut ran = 0u64;
             while ran < chunk {
-                let Some(instr) = frontend.next_instruction() else {
-                    break;
+                let (clean, fault) = self.datapath().run_until_fault(frontend, chunk - ran);
+                ran += clean;
+                let Some(entry) = fault else {
+                    break; // chunk complete, or trace exhausted
                 };
-                match instr.memory {
-                    None => active_mut!(self, PIN0).core.retire_compute(1),
-                    Some((vaddr, kind)) => self.memory_access::<PIN0>(instr.pc, vaddr, kind),
-                }
+                self.finish_faulted_access(&entry);
                 ran += 1;
             }
-            let c = active_mut!(self, PIN0);
-            let perf = &mut self.per_proc[c.current_slot];
-            perf.instructions += ran;
-            perf.cycles += c.core.cycles().raw() - cycles_before;
-            c.instructions_since_housekeeping += ran;
+            self.attribute_block(ran, cycles_before);
             stepped += ran;
-            if interval > 0 && c.instructions_since_housekeeping >= interval {
-                c.instructions_since_housekeeping = 0;
+            let core = &mut self.cores[self.active];
+            if interval > 0 && core.instructions_since_housekeeping >= interval {
+                core.instructions_since_housekeeping = 0;
                 self.housekeeping();
             }
             if fence_interval > 0 {
@@ -1345,54 +1360,27 @@ impl System {
         stepped
     }
 
-    /// [`System::step`], monomorphized over `PIN0`: the single-core run
-    /// loops instantiate `PIN0 = true`, pinning the active core to the
-    /// inline `core0` field at compile time (callers must guarantee
-    /// `active == 0`, which `extra_cores.is_empty()` implies).
-    fn step_impl<const PIN0: bool>(&mut self, instr: &Instruction) {
-        debug_assert!(!PIN0 || self.active == 0);
-        let cycles_before = active_ref!(self, PIN0).core.cycles().raw();
-        match instr.memory {
-            None => active_mut!(self, PIN0).core.retire_compute(1),
-            Some((vaddr, kind)) => self.memory_access::<PIN0>(instr.pc, vaddr, kind),
-        }
-        let housekeeping_interval = self.config.housekeeping_interval;
-        let c = active_mut!(self, PIN0);
-        let perf = &mut self.per_proc[c.current_slot];
-        perf.instructions += 1;
-        perf.cycles += c.core.cycles().raw() - cycles_before;
-        c.instructions_since_housekeeping += 1;
-        if housekeeping_interval > 0 && c.instructions_since_housekeeping >= housekeeping_interval {
-            c.instructions_since_housekeeping = 0;
-            self.housekeeping();
-        }
-        let fence_interval = self.config.invariant_check_interval;
-        if fence_interval > 0 {
-            self.instructions_since_invariant_check += 1;
-            if self.instructions_since_invariant_check >= fence_interval {
-                self.instructions_since_invariant_check = 0;
-                self.assert_invariants();
-            }
+    /// Borrows the active core's access pipeline out of the machine.
+    fn datapath(&mut self) -> Datapath<'_> {
+        let core = &mut self.cores[self.active];
+        Datapath {
+            perf: &mut self.per_proc[core.current_slot],
+            core,
+            caches: &mut self.caches,
+            dram: &mut self.dram,
+            mode: self.config.mode,
         }
     }
 
-    /// Flushes locally accumulated translation costs into the active core's
-    /// and the current process's accounting (one dense-array index per
-    /// memory access; compute instructions never touch these fields).
-    fn credit_translation<const PIN0: bool>(
-        &mut self,
-        cycles: u64,
-        ptw_latency: u64,
-        ptw_count: u64,
-    ) {
-        let c = active_mut!(self, PIN0);
-        c.translation_cycles += cycles;
-        c.ptw_latency_cycles += ptw_latency;
-        c.ptw_count += ptw_count;
-        let perf = &mut self.per_proc[c.current_slot];
-        perf.translation_cycles += cycles;
-        perf.ptw_latency_cycles += ptw_latency;
-        perf.ptw_count += ptw_count;
+    /// Attributes a block of `ran` instructions just executed on the active
+    /// core, and the cycles the core spent since `cycles_before`, to the
+    /// process holding it.
+    fn attribute_block(&mut self, ran: u64, cycles_before: u64) {
+        let core = &mut self.cores[self.active];
+        let perf = &mut self.per_proc[core.current_slot];
+        perf.instructions += ran;
+        perf.cycles += core.core.cycles().raw() - cycles_before;
+        core.instructions_since_housekeeping += ran;
     }
 
     /// Executes one application instruction on core `core` — the multi-core
@@ -1414,7 +1402,7 @@ impl System {
     /// before the fix, the TLBs kept translating into the freed frames.
     // vmlint: allow(no-alloc-in-hot-path, "periodic slow path: runs once per housekeeping interval, not per access; the counting-allocator test brackets it out of the steady-state window")
     fn housekeeping(&mut self) {
-        let current = core_ref!(self, self.active).current;
+        let current = self.cores[self.active].current;
         self.functional
             .post_request(KernelRequest::BackgroundTick { pid: current });
         let _ = self.functional.take_request();
@@ -1430,207 +1418,25 @@ impl System {
         self.apply_invalidations_from(self.active, &invalidations, detailed);
     }
 
-    /// Performs one data memory access: translation, possible fault
-    /// handling, then the data access itself. [`System::step`] retires the
-    /// surrounding instruction's per-process accounting.
-    ///
-    /// The core-local half (the L0 fast path and the engine translation —
-    /// [`CoreState::local_translate`]) is shared with the parallel epoch
-    /// workers; the shared-state half below is exactly what the epoch
-    /// barrier replays, so the inline and epoch schedules charge identical
-    /// cycles in identical order.
-    fn memory_access<const PIN0: bool>(&mut self, pc: VirtAddr, vaddr: VirtAddr, kind: AccessType) {
-        let asid = Self::asid_of(active_ref!(self, PIN0).current);
-        let translation = active_mut!(self, PIN0).local_translate(asid, vaddr);
-        if translation.paddr.is_none() {
-            // Fault: resolve it on the serial path shared with the epoch
-            // barrier (walk charging, kernel service, one retry).
-            let entry = DeferredAccess {
-                pc,
-                vaddr,
-                kind,
-                translation,
-            };
-            self.finish_faulted_access(&entry);
-            return;
-        }
-
-        let mut total_latency = translation.fixed_latency;
-        let mut translation_cycles = translation.penalty_cycles;
-        let mut ptw_latency = 0u64;
-        let mut ptw_count = 0u64;
-        if let Some(walk) = &translation.walk {
-            let walk_latency = self.charge_page_walk(walk.parallel, &walk.accesses);
-            total_latency += walk_latency;
-            translation_cycles += walk_latency.raw();
-            ptw_latency += walk_latency.raw();
-            ptw_count += 1;
-        }
-        self.credit_translation::<PIN0>(translation_cycles, ptw_latency, ptw_count);
-
-        let paddr = translation.paddr.expect("checked above");
-        total_latency += self.data_access(pc, paddr, kind);
-        active_mut!(self, PIN0).core.retire_memory(total_latency);
-    }
-
-    /// The data access through caches and DRAM: the demanded line (and any
-    /// prefetches and writebacks) move through the shared hierarchy;
-    /// returns the latency the demand access exposes to the core.
-    fn data_access(&mut self, pc: VirtAddr, paddr: PhysAddr, kind: AccessType) -> Cycles {
-        let access = self
-            .caches
-            .access_with_pc(pc, paddr, kind, Requestor::Application);
-        let mut latency = access.latency;
-        for (i, line) in access.dram_fetches.iter().enumerate() {
-            let requestor = if i == 0 {
-                Requestor::Application
-            } else {
-                Requestor::Prefetcher
-            };
-            let dram_latency = self.dram.access(&vm_types::MemoryAccess::physical(
-                *line,
-                AccessType::Read,
-                requestor,
-            ));
-            if i == 0 {
-                latency += dram_latency;
-            }
-        }
-        for wb in &access.writebacks {
-            self.dram.access(&vm_types::MemoryAccess::physical(
-                *wb,
-                AccessType::Write,
-                Requestor::Application,
-            ));
-        }
-        latency
-    }
-
-    /// Replays the shared-state half of one successfully translated epoch
-    /// access on the active core: walk charging, translation crediting,
-    /// cache/DRAM traffic and the final retire, in exactly the order the
-    /// inline path performs them.
-    fn replay_access(&mut self, entry: &DeferredAccess) {
-        let mut total_latency = entry.translation.fixed_latency;
-        let mut translation_cycles = entry.translation.penalty_cycles;
-        let mut ptw_latency = 0u64;
-        let mut ptw_count = 0u64;
-        if let Some(walk) = &entry.translation.walk {
-            let walk_latency = self.charge_page_walk(walk.parallel, &walk.accesses);
-            total_latency += walk_latency;
-            translation_cycles += walk_latency.raw();
-            ptw_latency += walk_latency.raw();
-            ptw_count += 1;
-        }
-        self.credit_translation::<false>(translation_cycles, ptw_latency, ptw_count);
-        let paddr = entry
-            .translation
-            .paddr
-            .expect("replayed accesses translated locally");
-        total_latency += self.data_access(entry.pc, paddr, entry.kind);
-        core_mut!(self, self.active)
-            .core
-            .retire_memory(total_latency);
-    }
-
     /// Completes a memory access whose core-local translation faulted:
-    /// charges the recorded attempt-0 walk, services the fault through the
-    /// kernel, then retries the translation once — the exact tail of the
-    /// pre-epoch translation loop. Shared between the inline step path
-    /// (which calls it immediately) and the epoch barrier (which calls it
-    /// while resuming a truncated slice mid-instruction).
+    /// charges the recorded first attempt, services the fault through the
+    /// kernel, then retries the translation once and lets
+    /// [`Datapath::complete_access`] finish the access. Shared between the
+    /// step path (which calls it as soon as the instruction loop hands the
+    /// fault back) and the epoch barrier (which calls it while resuming a
+    /// truncated slice mid-instruction).
     // vmlint: allow(no-alloc-in-hot-path, "fault slow path: runs only when a translation faulted into the kernel, never on the TLB/PTW steady-state hit path the allocator test measures")
     fn finish_faulted_access(&mut self, entry: &DeferredAccess) {
-        let asid = Self::asid_of(core_ref!(self, self.active).current);
-        let mut total_latency = entry.translation.fixed_latency;
-        let mut translation_cycles = entry.translation.penalty_cycles;
-        let mut ptw_latency = 0u64;
-        let mut ptw_count = 0u64;
-        if let Some(walk) = &entry.translation.walk {
-            let walk_latency = self.charge_page_walk(walk.parallel, &walk.accesses);
-            total_latency += walk_latency;
-            translation_cycles += walk_latency.raw();
-            ptw_latency += walk_latency.raw();
-            ptw_count += 1;
-        }
+        let carried = self.datapath().charge_translation(&entry.translation);
         if !self.handle_fault(entry.vaddr, entry.kind.is_write()) {
             // Unresolvable fault: skip the access.
-            self.credit_translation::<false>(translation_cycles, ptw_latency, ptw_count);
-            core_mut!(self, self.active).core.retire_compute(1);
+            self.cores[self.active].core.retire_compute(1);
             return;
         }
-        // Retry once; the L0 path stands down here, matching the original
-        // attempt loop (the engine refills it on this translation).
-        let result = {
-            let c = core_mut!(self, self.active);
-            c.engine.translate(&mut c.mmu, asid, entry.vaddr)
-        };
-        total_latency += result.fixed_latency;
-        translation_cycles += result.fixed_latency.raw().saturating_sub(1);
-        if let Some(walk) = &result.walk {
-            let walk_latency = self.charge_page_walk(walk.parallel, &walk.accesses);
-            total_latency += walk_latency;
-            translation_cycles += walk_latency.raw();
-            ptw_latency += walk_latency.raw();
-            ptw_count += 1;
-        }
-        self.credit_translation::<false>(translation_cycles, ptw_latency, ptw_count);
-        let Some(paddr) = result.paddr else {
-            // Still unmapped after a successful fault: skip the access.
-            core_mut!(self, self.active).core.retire_compute(1);
-            return;
-        };
-        total_latency += self.data_access(entry.pc, paddr, entry.kind);
-        core_mut!(self, self.active)
-            .core
-            .retire_memory(total_latency);
-    }
-
-    /// Replays a page-table walk through the memory hierarchy and returns
-    /// its latency. Parallel (hash-based) walks cost the slowest access;
-    /// serial (radix) walks cost the sum.
-    fn charge_page_walk(&mut self, parallel: bool, accesses: &[PhysAddr]) -> Cycles {
-        match self.config.mode {
-            SimulationMode::Emulation {
-                fixed_ptw_latency, ..
-            } => {
-                if accesses.is_empty() {
-                    Cycles::ZERO
-                } else {
-                    fixed_ptw_latency
-                }
-            }
-            SimulationMode::Detailed => {
-                let mut total = Cycles::ZERO;
-                let mut slowest = Cycles::ZERO;
-                for pa in accesses {
-                    let mut latency = Cycles::ZERO;
-                    let access = self.caches.access_page_table(*pa);
-                    latency += access.latency;
-                    for line in &access.dram_fetches {
-                        latency += self.dram.access(&vm_types::MemoryAccess::physical(
-                            *line,
-                            AccessType::Read,
-                            Requestor::PageTableWalker,
-                        ));
-                    }
-                    for wb in &access.writebacks {
-                        self.dram.access(&vm_types::MemoryAccess::physical(
-                            *wb,
-                            AccessType::Write,
-                            Requestor::PageTableWalker,
-                        ));
-                    }
-                    total += latency;
-                    slowest = slowest.max(latency);
-                }
-                if parallel {
-                    slowest
-                } else {
-                    total
-                }
-            }
-        }
+        let core = &mut self.cores[self.active];
+        let retry = core.engine_translate(Self::asid_of(core.current), entry.vaddr);
+        self.datapath()
+            .complete_access(entry.pc, entry.kind, &retry, carried);
     }
 
     /// Sends a page-fault request to MimicOS over the functional channel,
@@ -1638,9 +1444,8 @@ impl System {
     /// charges the fault latency. Returns `false` when the fault could not
     /// be resolved (segmentation fault).
     fn handle_fault(&mut self, vaddr: VirtAddr, is_write: bool) -> bool {
-        self.fault_events += 1;
         self.functional.post_request(KernelRequest::PageFault {
-            pid: core_ref!(self, self.active).current,
+            pid: self.cores[self.active].current,
             vaddr,
             is_write,
         });
@@ -1711,7 +1516,7 @@ impl System {
                         }
                         let device_cycles =
                             (device_latency_ns * self.config.core.frequency.ghz()).round() as u64;
-                        core_mut!(self, self.active)
+                        self.cores[self.active]
                             .core
                             .stall(Cycles::new(device_cycles));
                     }
@@ -1720,7 +1525,7 @@ impl System {
                         ..
                     } => {
                         self.apply_invalidations_from(self.active, &invalidations, false);
-                        let c = core_mut!(self, self.active);
+                        let c = &mut self.cores[self.active];
                         c.engine
                             .handle_fault_install(&mut c.mmu, asid, &mapping, install_info);
                         for extra in &additional {
@@ -1799,7 +1604,7 @@ impl System {
         for kill in kills {
             let asid = Self::asid_of(kill.victim);
             for core in 0..num_cores {
-                let c = core_mut!(self, core);
+                let c = &mut self.cores[core];
                 let dropped = c.engine.flush_asid(&mut c.mmu, asid);
                 self.shootdowns.tlb_entries_dropped += dropped as u64;
             }
@@ -1844,16 +1649,16 @@ impl System {
         info: InstallInfo,
     ) {
         let accesses = {
-            let c = core_mut!(self, core);
+            let c = &mut self.cores[core];
             c.engine
                 .handle_fault_install(&mut c.mmu, asid, mapping, info)
         };
-        core_mut!(self, core).core.set_kernel_mode(true);
+        self.cores[core].core.set_kernel_mode(true);
         for pa in accesses {
             let lat = self.charge_kernel_access(pa, AccessType::Write);
-            core_mut!(self, core).core.retire_memory(lat);
+            self.cores[core].core.retire_memory(lat);
         }
-        core_mut!(self, core).core.set_kernel_mode(false);
+        self.cores[core].core.set_kernel_mode(false);
     }
 
     /// Tears down the translations of a single victim page on core `core`,
@@ -1868,7 +1673,7 @@ impl System {
     ) {
         let asid = Self::asid_of(victim.pid);
         let outcome = {
-            let c = core_mut!(self, core);
+            let c = &mut self.cores[core];
             c.engine
                 .invalidate(&mut c.mmu, asid, victim.vaddr, victim.page_size)
         };
@@ -1876,12 +1681,12 @@ impl System {
         self.shootdowns.pwc_entries_dropped += outcome.pwc_entries_dropped as u64;
         self.shootdowns.engine_entries_dropped += outcome.engine_entries_dropped as u64;
         if charge_memory {
-            core_mut!(self, core).core.set_kernel_mode(true);
+            self.cores[core].core.set_kernel_mode(true);
             for pa in outcome.accesses {
                 let lat = self.charge_kernel_access(pa, AccessType::Write);
-                core_mut!(self, core).core.retire_memory(lat);
+                self.cores[core].core.retire_memory(lat);
             }
-            core_mut!(self, core).core.set_kernel_mode(false);
+            self.cores[core].core.set_kernel_mode(false);
         }
     }
 
@@ -1952,7 +1757,7 @@ impl System {
                     // longer (a busy interrupt controller); the remote
                     // core's stall grows by the configured delay.
                     let stall = ipi_cost + self.os.injected_ipi_delay_cycles();
-                    core_mut!(self, core).core.stall(Cycles::new(stall));
+                    self.cores[core].core.stall(Cycles::new(stall));
                     if let Some(per_core) = self.shootdowns.per_core.as_mut() {
                         per_core[core].ipi_stall_cycles += stall;
                     }
@@ -1973,7 +1778,7 @@ impl System {
             if charge_memory {
                 self.install_mapping_detailed(home, asid, mapping, InstallInfo::default());
             } else {
-                let c = core_mut!(self, home);
+                let c = &mut self.cores[home];
                 c.engine
                     .handle_fault_install(&mut c.mmu, asid, mapping, InstallInfo::default());
             }
@@ -1990,21 +1795,19 @@ impl System {
     }
 
     fn inject_stream(&mut self, stream: &KernelInstructionStream) {
-        core_mut!(self, self.active).core.set_kernel_mode(true);
+        self.cores[self.active].core.set_kernel_mode(true);
         for op in stream.ops() {
             match *op {
                 KernelOp::Compute { count } => {
-                    core_mut!(self, self.active)
-                        .core
-                        .retire_compute(count as u64);
+                    self.cores[self.active].core.retire_compute(count as u64);
                 }
                 KernelOp::Memory { paddr, kind } => {
                     let latency = self.charge_kernel_access(paddr, kind);
-                    core_mut!(self, self.active).core.retire_memory(latency);
+                    self.cores[self.active].core.retire_memory(latency);
                 }
             }
         }
-        core_mut!(self, self.active).core.set_kernel_mode(false);
+        self.cores[self.active].core.set_kernel_mode(false);
     }
 
     fn charge_kernel_access(&mut self, paddr: PhysAddr, kind: AccessType) -> Cycles {
@@ -2073,15 +1876,13 @@ impl System {
     ///
     /// Returns the first violated invariant as a human-readable message.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let num_cores = self.num_cores();
         let num_processes = self.os.num_processes();
         // Midgard's backend TLB caches *Midgard-space* addresses, which
         // have no entry in the kernel's per-process mapping table; for
         // that engine only the ownership checks apply to TLB entries.
         let tlb_holds_native_vas = !matches!(self.config.engine, mmu_sim::EngineConfig::Midgard(_));
 
-        for core in 0..num_cores {
-            let c = core_ref!(self, core);
+        for (core, c) in self.cores.iter().enumerate() {
             for (asid, cached) in c.mmu.tlb().entries() {
                 let idx = asid.raw() as usize;
                 if idx >= num_processes {
@@ -2272,20 +2073,23 @@ impl System {
         let freq = self.config.core.frequency;
 
         let app_instructions: u64 = self
-            .each_core()
+            .cores
+            .iter()
             .map(|c| c.core.stats().app_instructions.get())
             .sum();
         let kernel_instructions: u64 = self
-            .each_core()
+            .cores
+            .iter()
             .map(|c| c.core.stats().kernel_instructions.get())
             .sum();
         let cycles = self
-            .each_core()
+            .cores
+            .iter()
             .map(|c| c.core.cycles().raw())
             .max()
             .unwrap_or(0);
-        let (ipc, app_ipc) = if self.extra_cores.is_empty() {
-            (self.core0.core.ipc(), self.core0.core.app_ipc())
+        let (ipc, app_ipc) = if let [only] = self.cores.as_slice() {
+            (only.core.ipc(), only.core.app_ipc())
         } else if cycles == 0 {
             (0.0, 0.0)
         } else {
@@ -2294,17 +2098,17 @@ impl System {
                 app_instructions as f64 / cycles as f64,
             )
         };
-        let walks: u64 = self.each_core().map(|c| c.mmu.stats().walks.get()).sum();
-        let l2_tlb_mpki = if self.extra_cores.is_empty() {
-            self.core0.mmu.stats().l2_mpki(app_instructions)
+        let walks: u64 = self.cores.iter().map(|c| c.mmu.stats().walks.get()).sum();
+        let l2_tlb_mpki = if let [only] = self.cores.as_slice() {
+            only.mmu.stats().l2_mpki(app_instructions)
         } else if app_instructions == 0 {
             0.0
         } else {
             walks as f64 * 1000.0 / app_instructions as f64
         };
-        let translation_cycles: u64 = self.each_core().map(|c| c.translation_cycles).sum();
-        let ptw_count: u64 = self.each_core().map(|c| c.ptw_count).sum();
-        let ptw_latency_cycles: u64 = self.each_core().map(|c| c.ptw_latency_cycles).sum();
+        let translation_cycles: u64 = self.cores.iter().map(|c| c.translation_cycles).sum();
+        let ptw_count: u64 = self.cores.iter().map(|c| c.ptw_count).sum();
+        let ptw_latency_cycles: u64 = self.cores.iter().map(|c| c.ptw_latency_cycles).sum();
 
         let total_time_ns = Cycles::new(cycles).to_nanos(freq).as_nanos();
         let translation_ns = Cycles::new(translation_cycles).to_nanos(freq).as_nanos();
@@ -2337,7 +2141,7 @@ impl System {
             swap_io_ns: self.os.swap().stats().total_io_ns,
             huge_mappings: os_stats.huge_mappings.get(),
             base_mappings: os_stats.base_mappings.get(),
-            engine: self.core0.engine.report(&self.core0.mmu),
+            engine: self.cores[0].engine.report(&self.cores[0].mmu),
             shootdowns: (!self.shootdowns.is_zero()).then(|| self.shootdowns.clone()),
             oom: {
                 let kills = os_stats.oom_kills.get();
@@ -2609,7 +2413,7 @@ mod tests {
             .expect("collapse created a huge mapping");
         let asid = System::asid_of(system.pid());
         let result = {
-            let c = &mut system.core0;
+            let c = &mut system.cores[0];
             c.engine.translate(&mut c.mmu, asid, huge.vaddr)
         };
         assert_eq!(result.paddr, Some(huge.paddr));
@@ -3018,7 +2822,7 @@ mod tests {
             page_size: PageSize::Size4K,
         };
         let asid = System::asid_of(system.pid());
-        system.core0.mmu.install_mapping(asid, &bogus);
+        system.cores[0].mmu.install_mapping(asid, &bogus);
         let violation = system.check_invariants().unwrap_err();
         assert!(
             violation.contains("stale"),

@@ -236,8 +236,8 @@ impl TranslationEngine {
     /// Always inlined: after inlining, the page-table arm is the direct
     /// `Mmu::translate` call on the caller's field behind one predicted
     /// branch, and `#[cold]` keeps the alternative engines' code out of
-    /// the hot loop (fat LTO otherwise inlined all four arms into
-    /// `System::memory_access`, costing measurable sustained MIPS).
+    /// the hot loop (fat LTO otherwise inlined all four arms into the
+    /// simulator's instruction loop, costing measurable sustained MIPS).
     #[inline(always)]
     pub fn translate(&mut self, mmu: &mut Mmu, asid: Asid, va: VirtAddr) -> TranslationResult {
         match self {

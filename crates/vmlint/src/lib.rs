@@ -2,9 +2,8 @@
 //!
 //! Virtuoso's credibility rests on invariants that otherwise exist only
 //! as prose and runtime fences: the zero-allocation steady-state loop,
-//! the page/frame-number `FxHashMap` keying rule, the core-private-only
-//! parallel epoch phase behind the byte-identical `--threads` contract,
-//! and byte-stable report serialization. This crate checks those
+//! the page/frame-number `FxHashMap` keying rule, bit-deterministic
+//! simulation state, and byte-stable report serialization. This crate checks those
 //! invariants at review time, before a golden-report diff or a chaos run
 //! would catch the regression dynamically.
 //!

@@ -1,4 +1,4 @@
-//! The five rule families and the name-level call graph they run on.
+//! The four rule families and the name-level call graph they run on.
 //!
 //! Every rule is the *static twin* of a runtime fence the workspace
 //! already carries:
@@ -8,14 +8,17 @@
 //! | `no-alloc-in-hot-path` (R1) | the steady-state loop allocates nothing | the counting allocator in `tests/alloc_free_hot_path.rs` |
 //! | `fx-keying` (R2) | Fx maps key by page/frame *numbers*, never raw addresses | the Utopia simspeed cell (PR 7's measured cliff) |
 //! | `determinism` (R3) | no wall clocks, entropy or randomly-seeded containers in simulation crates | byte-identical golden reports |
-//! | `epoch-safety` (R4) | the parallel epoch phase touches core-private state only | the `--threads` differential suites |
 //! | `report-stability` (R5) | optional report sections serialize only when present | golden-report byte comparison |
 //!
 //! Violations are waivable with `// vmlint: allow(<rule>, "<why>")` placed
 //! directly above (or trailing on) the offending line; a waiver on the
-//! `fn` line waives the whole function and, for the reachability rules R1
-//! and R4, stops traversal through it — that is how cold slow paths
-//! (fault service, housekeeping) are cut out of the hot-path closure.
+//! `fn` line waives the whole function and, for the reachability rule R1,
+//! stops traversal through it — that is how cold slow paths (fault
+//! service, housekeeping) are cut out of the hot-path closure.
+//!
+//! There is no R4: "the parallel epoch phase touches core-private state
+//! only" is enforced by the borrow checker (`CoreState::run_slice_local`
+//! receives `&mut CoreState` and a `&mut SliceLog`, never a `System`).
 
 use crate::scan::{Callee, FileScan, FnInfo};
 use std::collections::{BTreeMap, VecDeque};
@@ -27,8 +30,6 @@ pub const R1_NO_ALLOC: &str = "no-alloc-in-hot-path";
 pub const R2_FX_KEYING: &str = "fx-keying";
 /// R3: no nondeterminism sources in simulation crates.
 pub const R3_DETERMINISM: &str = "determinism";
-/// R4: the parallel epoch phase touches core-private state only.
-pub const R4_EPOCH_SAFETY: &str = "epoch-safety";
 /// R5: optional report fields must be gated with `skip_serializing_if`.
 pub const R5_REPORT_STABILITY: &str = "report-stability";
 /// Meta-rule for malformed or unknown waiver directives (not waivable).
@@ -39,26 +40,19 @@ pub const ALL_RULES: &[&str] = &[
     R1_NO_ALLOC,
     R2_FX_KEYING,
     R3_DETERMINISM,
-    R4_EPOCH_SAFETY,
     R5_REPORT_STABILITY,
 ];
 
 /// The hot-path roots of R1: `(fn name, required impl type)`.
-/// `System::step_block` is the batched steady-state loop,
-/// `CoreState::run_slice_local` the parallel epoch phase, and
+/// `System::step_block` drives the steady-state instruction loop
+/// (`Datapath::run_until_fault`, one call below it),
+/// `CoreState::run_slice_local` is the parallel epoch phase, and
 /// `Mmu::translate` the translation frontend every engine composes with.
 const R1_ROOTS: &[(&str, Option<&str>)] = &[
     ("step_block", None),
     ("run_slice_local", None),
     ("translate", Some("Mmu")),
 ];
-
-/// The epoch-safety root of R4.
-const R4_ROOTS: &[(&str, Option<&str>)] = &[("run_slice_local", None)];
-
-/// `System` fields that hold shared machine state: the parallel epoch
-/// phase must go through the `SliceLog` instead.
-const R4_SHARED_FIELDS: &[&str] = &["os", "dram", "caches", "functional", "streams", "ipi"];
 
 /// Allocating macros (R1).
 const R1_MACROS: &[&str] = &["format", "vec", "println", "eprintln", "print", "eprint"];
@@ -108,7 +102,7 @@ const R2_BAD_KEY_TOKENS: &[&str] = &["u64", "usize", "VirtAddr", "PhysAddr"];
 /// time on purpose, and vmlint is host tooling.
 const R3_EXEMPT_CRATES: &[&str] = &["bench", "vmlint"];
 
-/// Crate directories excluded from the simulation call graph (R1/R4):
+/// Crate directories excluded from the simulation call graph (R1):
 /// host tooling shares method names with simulation code (`chain`,
 /// `entries`, ...) and the name-level resolver would conflate them.
 const GRAPH_EXEMPT_CRATES: &[&str] = &["vmlint", "bench"];
@@ -285,7 +279,6 @@ pub fn run_rules(files: &[FileScan]) -> Vec<Diagnostic> {
     check_r1(&graph, &mut diags);
     check_r2(files, &mut diags);
     check_r3(files, &mut diags);
-    check_r4(&graph, &mut diags);
     check_r5(files, &mut diags);
     diags.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     diags
@@ -324,7 +317,7 @@ fn root_ids(graph: &Graph<'_>, roots: &[(&str, Option<&str>)]) -> Vec<FnId> {
     let mut ids = Vec::new();
     for (id, (_, f)) in graph.fns.iter().enumerate() {
         if roots.iter().any(|(name, ty)| {
-            f.name == *name && ty.map_or(true, |t| f.impl_type.as_deref() == Some(t))
+            f.name == *name && ty.is_none_or(|t| f.impl_type.as_deref() == Some(t))
         }) {
             ids.push(id);
         }
@@ -336,7 +329,7 @@ fn root_ids(graph: &Graph<'_>, roots: &[(&str, Option<&str>)]) -> Vec<FnId> {
 fn check_r1(graph: &Graph<'_>, diags: &mut Vec<Diagnostic>) {
     let roots = root_ids(graph, R1_ROOTS);
     let parents = graph.reach(&roots, R1_NO_ALLOC);
-    for (&id, _) in &parents {
+    for &id in parents.keys() {
         let (fs, f) = graph.fns[id];
         for call in &f.calls {
             let offense = match &call.callee {
@@ -432,35 +425,6 @@ fn check_r3(files: &[FileScan], diags: &mut Vec<Diagnostic>) {
                 line: hit.line,
                 rule: R3_DETERMINISM,
                 message: format!("`{}` in a simulation crate: {why}", hit.what),
-            });
-        }
-    }
-}
-
-/// R4: the parallel epoch phase touches core-private state only.
-fn check_r4(graph: &Graph<'_>, diags: &mut Vec<Diagnostic>) {
-    let roots = root_ids(graph, R4_ROOTS);
-    let parents = graph.reach(&roots, R4_EPOCH_SAFETY);
-    for (&id, _) in &parents {
-        let (fs, f) = graph.fns[id];
-        for field in &f.fields {
-            if !R4_SHARED_FIELDS.contains(&field.name.as_str()) {
-                continue;
-            }
-            if fs.waived(R4_EPOCH_SAFETY, field.line) {
-                continue;
-            }
-            diags.push(Diagnostic {
-                file: fs.path.display().to_string(),
-                line: field.line,
-                rule: R4_EPOCH_SAFETY,
-                message: format!(
-                    "`.{}` names shared machine state inside the parallel epoch phase ({}); \
-                     core-local code must log the access in the SliceLog and let the serial \
-                     barrier replay it",
-                    field.name,
-                    graph.chain(&parents, id)
-                ),
             });
         }
     }

@@ -1,5 +1,5 @@
 //! The item scanner: turns one file's token stream into the shapes the
-//! rules consume — functions with their call/field-access sites, structs
+//! rules consume — functions with their call sites, structs
 //! with their fields and attributes, `FxHashMap`/`FxHashSet` key
 //! declarations, determinism watch-token hits, and waiver coverage.
 //!
@@ -35,15 +35,6 @@ pub struct CallSite {
     pub line: u32,
 }
 
-/// One `.field` access inside a function body (not followed by `(`).
-#[derive(Debug, Clone)]
-pub struct FieldUse {
-    /// The field name.
-    pub name: String,
-    /// 1-indexed line of the access.
-    pub line: u32,
-}
-
 /// One function (or method) definition.
 #[derive(Debug)]
 pub struct FnInfo {
@@ -58,8 +49,6 @@ pub struct FnInfo {
     pub is_test: bool,
     /// Every call site in the body, in order.
     pub calls: Vec<CallSite>,
-    /// Every `.field` access in the body.
-    pub fields: Vec<FieldUse>,
 }
 
 impl FnInfo {
@@ -425,12 +414,8 @@ fn parse_impl_header(toks: &[Token], i: usize) -> (Option<String>, usize) {
         match t.kind {
             TokKind::Punct => match t.text.as_bytes()[0] {
                 b'<' => angle += 1,
-                b'>' => {
-                    // `->` in a trait bound (`Fn() -> T`): not a close.
-                    if !toks[j - 1].is_punct('-') {
-                        angle -= 1;
-                    }
-                }
+                // `->` in a trait bound (`Fn() -> T`): not a close.
+                b'>' if !toks[j - 1].is_punct('-') => angle -= 1,
                 b'(' => paren += 1,
                 b')' => paren -= 1,
                 _ => {}
@@ -580,9 +565,10 @@ fn parse_struct(
                 let tt = &toks[k];
                 if tt.is_punct('<') || tt.is_punct('(') || tt.is_punct('[') {
                     depth += 1;
-                } else if tt.is_punct(')') || tt.is_punct(']') {
-                    depth -= 1;
-                } else if tt.is_punct('>') && !toks[k - 1].is_punct('-') {
+                } else if tt.is_punct(')')
+                    || tt.is_punct(']')
+                    || (tt.is_punct('>') && !toks[k - 1].is_punct('-'))
+                {
                     depth -= 1;
                 } else if tt.is_punct(',') && depth == 0 {
                     break;
@@ -626,7 +612,6 @@ fn parse_fn(
         line: toks[i].line,
         is_test,
         calls: Vec::new(),
-        fields: Vec::new(),
     };
     // Find the body `{` (or `;`) at zero paren/bracket/angle depth.
     let mut j = i + 2;
@@ -641,11 +626,7 @@ fn parse_fn(
                 b'[' => bracket += 1,
                 b']' => bracket -= 1,
                 b'<' => angle += 1,
-                b'>' => {
-                    if !toks[j - 1].is_punct('-') {
-                        angle -= 1;
-                    }
-                }
+                b'>' if !toks[j - 1].is_punct('-') => angle -= 1,
                 b'{' if paren == 0 && bracket == 0 && angle <= 0 => {
                     body_open = Some(j);
                     break;
@@ -670,7 +651,7 @@ fn parse_fn(
 }
 
 /// Scans a function body's tokens in `[start, close)`, recording call
-/// sites and field accesses. Nested `fn` items are parsed recursively and
+/// sites. Nested `fn` items are parsed recursively and
 /// recorded as their own functions.
 fn scan_body(
     toks: &[Token],
@@ -691,7 +672,7 @@ fn scan_body(
             }
             TokKind::Punct if t.is_punct('.') => {
                 // `.name(...)`: method call; `.name::<T>(...)`: turbofish
-                // method call; `.name` otherwise: field access.
+                // method call; `.name` otherwise: field access (ignored).
                 if let Some(n) = toks.get(j + 1) {
                     if n.kind == TokKind::Ident {
                         let after = j + 2;
@@ -699,11 +680,6 @@ fn scan_body(
                         if is_call {
                             info.calls.push(CallSite {
                                 callee: Callee::Method(n.text.clone()),
-                                line: n.line,
-                            });
-                        } else if n.text != "await" {
-                            info.fields.push(FieldUse {
-                                name: n.text.clone(),
                                 line: n.line,
                             });
                         }
@@ -906,10 +882,8 @@ mod tests {
     #[test]
     fn field_accesses_are_distinguished_from_method_calls() {
         let fs = scan("fn f(s: &System) { let a = s.os; s.dram.access(); }");
-        let fields: Vec<&str> = fs.fns[0].fields.iter().map(|f| f.name.as_str()).collect();
-        assert!(fields.contains(&"os"));
-        assert!(fields.contains(&"dram"));
-        assert!(!fields.contains(&"access"));
+        let calls: Vec<&Callee> = fs.fns[0].calls.iter().map(|c| &c.callee).collect();
+        assert_eq!(calls, [&Callee::Method("access".into())]);
     }
 
     #[test]

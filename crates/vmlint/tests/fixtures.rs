@@ -7,8 +7,7 @@ use std::process::Command;
 
 use vmlint::analyze_files;
 use vmlint::rules::{
-    Diagnostic, R1_NO_ALLOC, R2_FX_KEYING, R3_DETERMINISM, R4_EPOCH_SAFETY, R5_REPORT_STABILITY,
-    R_WAIVER,
+    Diagnostic, R1_NO_ALLOC, R2_FX_KEYING, R3_DETERMINISM, R5_REPORT_STABILITY, R_WAIVER,
 };
 
 /// Lints one fixture under a simulation-crate name (so the crate-scoped
@@ -88,29 +87,6 @@ fn r3_violation_fires_for_each_source() {
 #[test]
 fn r3_clean_is_quiet_including_test_modules() {
     assert_eq!(rules_fired(&lint("r3_clean.rs")), Vec::<&str>::new());
-}
-
-#[test]
-fn r4_violation_fires_directly_and_transitively() {
-    let diags = lint("r4_violation.rs");
-    let lines: Vec<u32> = diags
-        .iter()
-        .filter(|d| d.rule == R4_EPOCH_SAFETY)
-        .map(|d| d.line)
-        .collect();
-    assert!(
-        lines.contains(&8),
-        "shared state named inside run_slice_local fires: {diags:?}"
-    );
-    assert!(
-        lines.contains(&13),
-        "shared state named one call below run_slice_local fires: {diags:?}"
-    );
-}
-
-#[test]
-fn r4_clean_is_quiet() {
-    assert_eq!(rules_fired(&lint("r4_clean.rs")), Vec::<&str>::new());
 }
 
 #[test]

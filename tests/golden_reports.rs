@@ -16,6 +16,9 @@
 //! VIRTUOSO_BLESS_GOLDEN=1 cargo test --test golden_reports
 //! ```
 
+mod common;
+
+use common::golden_matches;
 use virtuoso_suite::prelude::*;
 
 /// The three golden cells: name, configuration, workload.
@@ -146,31 +149,14 @@ fn run_cell(config: SystemConfig, spec: &WorkloadSpec) -> SimulationReport {
     system.run(&mut spec.build(0xF00D), None)
 }
 
-fn golden_path(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.json"))
-}
-
 #[test]
 fn simulation_reports_are_byte_stable() {
-    let bless = std::env::var_os("VIRTUOSO_BLESS_GOLDEN").is_some();
     let mut mismatches = Vec::new();
     for (name, config, spec) in golden_cells() {
         let report = run_cell(config, &spec);
         let actual = serde_json::to_string(&report).expect("serialize report");
-        let path = golden_path(name);
-        if bless {
-            std::fs::write(&path, &actual).expect("write golden");
-            continue;
-        }
-        let expected = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-        if actual != expected {
+        if !golden_matches(name, &actual) {
             mismatches.push(name);
-            eprintln!("golden mismatch for {name}:");
-            eprintln!("  expected: {expected}");
-            eprintln!("  actual:   {actual}");
         }
     }
     assert!(
@@ -335,17 +321,9 @@ fn oom_kill_report_is_byte_stable() {
         "memory pressure must never be misattributed as segfaults"
     );
 
-    let bless = std::env::var_os("VIRTUOSO_BLESS_GOLDEN").is_some();
     let actual = serde_json::to_string(&report).expect("serialize report");
-    let path = golden_path("oom_kill");
-    if bless {
-        std::fs::write(&path, &actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-    assert_eq!(
-        actual, expected,
+    assert!(
+        golden_matches("oom_kill", &actual),
         "oom_kill golden drifted — if the behaviour change is intentional, \
          regenerate with VIRTUOSO_BLESS_GOLDEN=1"
     );
@@ -358,7 +336,6 @@ fn oom_kill_report_is_byte_stable() {
 /// the runs are stable but that the shootdown IPI path stays exercised.
 #[test]
 fn multicore_reports_are_byte_stable() {
-    let bless = std::env::var_os("VIRTUOSO_BLESS_GOLDEN").is_some();
     let mut mismatches = Vec::new();
     for (name, config, specs) in multicore_golden_cells() {
         let report = run_multicore_cell(config, &specs);
@@ -374,18 +351,8 @@ fn multicore_reports_are_byte_stable() {
         let stalled: u64 = per_core.iter().map(|c| c.ipi_stall_cycles).sum();
         assert!(stalled > 0, "{name}: remote IPI stalls must be nonzero");
         let actual = serde_json::to_string(&report).expect("serialize report");
-        let path = golden_path(name);
-        if bless {
-            std::fs::write(&path, &actual).expect("write golden");
-            continue;
-        }
-        let expected = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-        if actual != expected {
+        if !golden_matches(name, &actual) {
             mismatches.push(name);
-            eprintln!("golden mismatch for {name}:");
-            eprintln!("  expected: {expected}");
-            eprintln!("  actual:   {actual}");
         }
     }
     assert!(

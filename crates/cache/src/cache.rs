@@ -1,6 +1,6 @@
 //! A single set-associative cache.
 
-use crate::replacement::{ReplacementPolicy, SetReplacement};
+use crate::replacement::{Replacement, ReplacementPolicy};
 use serde::{Deserialize, Serialize};
 use vm_types::{Counter, Cycles, FastDiv, PhysAddr, Requestor, CACHE_LINE_BYTES};
 
@@ -203,7 +203,8 @@ pub struct Cache {
     /// instead of a pointer chase into a per-set `Vec` on every access.
     lines: Vec<Line>,
     ways: usize,
-    replacement: Vec<SetReplacement>,
+    /// Per-way replacement state, flat and indexed like `lines`.
+    replacement: Replacement,
     stats: CacheStats,
     /// Precomputed set-count divisor (a mask/shift for the power-of-two
     /// geometries every shipped configuration uses).
@@ -218,9 +219,7 @@ impl Cache {
         Cache {
             lines: vec![Line::default(); num_sets * ways],
             ways,
-            replacement: (0..num_sets)
-                .map(|_| SetReplacement::new(config.replacement, ways))
-                .collect(),
+            replacement: Replacement::new(config.replacement, num_sets, ways),
             config,
             stats: CacheStats::default(),
             set_div: FastDiv::new(num_sets as u64),
@@ -280,7 +279,7 @@ impl Cache {
                 set[way].clear_prefetched();
                 self.stats.prefetch_hits.inc();
             }
-            self.replacement[set_idx].on_hit(way);
+            self.replacement.on_hit(set_idx, way);
             self.stats.hits.inc();
             LookupResult::Hit
         } else {
@@ -297,36 +296,33 @@ impl Cache {
     /// line, if a writeback is required.
     pub fn fill(&mut self, paddr: PhysAddr, is_write: bool, prefetched: bool) -> Option<PhysAddr> {
         let (set_idx, tag) = self.index_and_tag(paddr);
-        let num_sets = self.replacement.len() as u64;
         let set = &mut self.lines[set_idx * self.ways..(set_idx + 1) * self.ways];
 
         // If the line is already present (e.g. racing fills), just update it.
-        if let Some(way) = set.iter().position(|l| l.matches(tag)) {
+        if let Some(line) = set.iter_mut().find(|l| l.matches(tag)) {
             if is_write {
-                set[way].set_dirty();
+                line.set_dirty();
             }
             return None;
         }
-
-        // Way validity as a stack bitmask: no per-fill heap allocation.
-        let mut valid_mask = 0u64;
-        for (way, line) in set.iter().enumerate() {
-            if line.valid() {
-                valid_mask |= 1 << way;
-            }
-        }
-        let victim_way = self.replacement[set_idx].choose_victim_mask(valid_mask);
-        let victim = set[victim_way];
+        // Invalid ways are always preferred, lowest first; only a full set
+        // consults (and ages) the replacement state.
+        let invalid = set.iter().position(|l| !l.valid());
         let mut writeback = None;
-        if victim.valid() {
-            self.stats.evictions.inc();
-            if victim.dirty() {
-                let victim_line = victim.tag() * num_sets + set_idx as u64;
-                writeback = Some(PhysAddr::new(victim_line * CACHE_LINE_BYTES));
+        let victim_way = match invalid {
+            Some(way) => way,
+            None => {
+                let way = self.replacement.victim(set_idx);
+                self.stats.evictions.inc();
+                if set[way].dirty() {
+                    let victim_line = set[way].tag() * self.set_div.divisor() + set_idx as u64;
+                    writeback = Some(PhysAddr::new(victim_line * CACHE_LINE_BYTES));
+                }
+                way
             }
-        }
+        };
         set[victim_way] = Line::new(tag, is_write, prefetched);
-        self.replacement[set_idx].on_insert(victim_way);
+        self.replacement.on_insert(set_idx, victim_way);
         if prefetched {
             self.stats.prefetch_fills.inc();
         }
@@ -361,6 +357,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pa(x: u64) -> PhysAddr {
         PhysAddr::new(x)
@@ -468,10 +465,209 @@ mod tests {
     }
 
     #[test]
+    fn associativity_is_not_capped_at_a_machine_word() {
+        let cfg = CacheConfig {
+            capacity_bytes: 128 * CACHE_LINE_BYTES,
+            ways: 128,
+            ..CacheConfig::tiny("wide")
+        };
+        assert_eq!(cfg.num_sets(), 1);
+        let mut c = Cache::new(cfg);
+        for i in 0..128 {
+            assert!(c.fill(pa(i * CACHE_LINE_BYTES), true, false).is_none());
+        }
+        assert_eq!(c.resident_lines(), 128);
+        assert_eq!(
+            c.stats().evictions.get(),
+            0,
+            "every fill found an invalid way"
+        );
+        // Line 0 becomes the most recently used, so line 1 is the victim.
+        assert!(c.lookup(pa(0), false, Requestor::Application).is_hit());
+        let wb = c.fill(pa(128 * CACHE_LINE_BYTES), false, false);
+        assert_eq!(wb, Some(pa(CACHE_LINE_BYTES)));
+        assert!(c.contains(pa(0)) && !c.contains(pa(CACHE_LINE_BYTES)));
+    }
+
+    #[test]
     fn paper_configs_have_expected_geometry() {
         assert_eq!(CacheConfig::l1_data().num_sets(), 64);
         assert_eq!(CacheConfig::l2().num_sets(), 2048);
         assert_eq!(CacheConfig::l3().ways, 16);
         assert_eq!(CacheConfig::l1_instruction().latency, Cycles::new(4));
+    }
+
+    /// The obvious cache the flat one must agree with: one `Vec` of ways
+    /// per set, each way a record carrying its own replacement value, and a
+    /// separate pass for every question a fill asks.
+    struct NaiveCache {
+        policy: ReplacementPolicy,
+        sets: Vec<NaiveSet>,
+        stats: CacheStats,
+    }
+
+    #[derive(Clone)]
+    struct NaiveSet {
+        ways: Vec<NaiveWay>,
+        clock: u32,
+    }
+
+    #[derive(Clone, Copy)]
+    struct NaiveWay {
+        line: Option<u64>,
+        dirty: bool,
+        prefetched: bool,
+        /// LRU age stamp or SRRIP re-reference prediction value.
+        value: u32,
+    }
+
+    impl NaiveCache {
+        fn new(config: &CacheConfig) -> Self {
+            let idle = NaiveWay {
+                line: None,
+                dirty: false,
+                prefetched: false,
+                value: match config.replacement {
+                    ReplacementPolicy::Lru => 0,
+                    ReplacementPolicy::Srrip => 3,
+                },
+            };
+            let set = NaiveSet {
+                ways: vec![idle; config.ways as usize],
+                clock: 0,
+            };
+            NaiveCache {
+                policy: config.replacement,
+                sets: vec![set; config.num_sets()],
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn touch(policy: ReplacementPolicy, set: &mut NaiveSet, way: usize, srrip_value: u32) {
+            set.ways[way].value = match policy {
+                ReplacementPolicy::Lru => {
+                    set.clock += 1;
+                    set.clock
+                }
+                ReplacementPolicy::Srrip => srrip_value,
+            };
+        }
+
+        fn lookup(&mut self, line: u64, is_write: bool, requestor: Requestor) -> bool {
+            let sets = self.sets.len() as u64;
+            let set = &mut self.sets[(line % sets) as usize];
+            let Some(way) = set.ways.iter().position(|w| w.line == Some(line)) else {
+                self.stats.misses.inc();
+                if requestor == Requestor::Kernel {
+                    self.stats.kernel_misses.inc();
+                }
+                return false;
+            };
+            set.ways[way].dirty |= is_write;
+            if std::mem::take(&mut set.ways[way].prefetched) {
+                self.stats.prefetch_hits.inc();
+            }
+            Self::touch(self.policy, set, way, 0);
+            self.stats.hits.inc();
+            true
+        }
+
+        fn fill(&mut self, line: u64, is_write: bool, prefetched: bool) -> Option<u64> {
+            let sets = self.sets.len() as u64;
+            let set = &mut self.sets[(line % sets) as usize];
+            if let Some(way) = set.ways.iter_mut().find(|w| w.line == Some(line)) {
+                way.dirty |= is_write;
+                return None;
+            }
+            let way = match set.ways.iter().position(|w| w.line.is_none()) {
+                Some(invalid) => invalid,
+                None => {
+                    self.stats.evictions.inc();
+                    match self.policy {
+                        ReplacementPolicy::Lru => {
+                            let oldest = set.ways.iter().map(|w| w.value).min().expect("ways");
+                            set.ways
+                                .iter()
+                                .position(|w| w.value == oldest)
+                                .expect("ways")
+                        }
+                        ReplacementPolicy::Srrip => loop {
+                            if let Some(distant) = set.ways.iter().position(|w| w.value >= 3) {
+                                break distant;
+                            }
+                            set.ways.iter_mut().for_each(|w| w.value += 1);
+                        },
+                    }
+                }
+            };
+            let victim = set.ways[way];
+            set.ways[way] = NaiveWay {
+                line: Some(line),
+                dirty: is_write,
+                prefetched,
+                value: victim.value,
+            };
+            Self::touch(self.policy, set, way, 2);
+            if prefetched {
+                self.stats.prefetch_fills.inc();
+            }
+            victim.line.filter(|_| victim.dirty)
+        }
+
+        fn invalidate(&mut self, line: u64) -> bool {
+            let sets = self.sets.len() as u64;
+            let set = &mut self.sets[(line % sets) as usize];
+            match set.ways.iter_mut().find(|w| w.line == Some(line)) {
+                Some(way) => {
+                    way.line = None;
+                    true
+                }
+                None => false,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn flat_cache_matches_the_naive_model_op_for_op(
+            ops in prop::collection::vec(any::<u64>(), 1..800),
+            geometry in 0usize..6
+        ) {
+            let config = CacheConfig {
+                // 4 sets of 1, 2 or 4 ways.
+                capacity_bytes: 4 * [1, 2, 4][geometry % 3] * CACHE_LINE_BYTES,
+                ways: [1, 2, 4][geometry % 3],
+                replacement: [ReplacementPolicy::Lru, ReplacementPolicy::Srrip][geometry / 3],
+                ..CacheConfig::tiny("T")
+            };
+            let mut flat = Cache::new(config.clone());
+            let mut naive = NaiveCache::new(&config);
+            for (step, op) in ops.into_iter().enumerate() {
+                // 32 lines over 4 sets: every set overflows, hits recur.
+                let line = op >> 8 & 31;
+                let addr = pa(line * CACHE_LINE_BYTES + (op >> 16 & 63));
+                let flag = op >> 4 & 1 == 1;
+                match op & 15 {
+                    0..=5 => {
+                        let prefetched = op >> 5 & 3 == 0;
+                        let writeback = naive.fill(line, flag, prefetched).map(|l| pa(l * CACHE_LINE_BYTES));
+                        prop_assert_eq!(flat.fill(addr, flag, prefetched), writeback, "step {}", step);
+                    }
+                    6 => prop_assert_eq!(flat.invalidate(addr), naive.invalidate(line), "step {}", step),
+                    _ => {
+                        let requestor = [Requestor::Application, Requestor::Kernel][(op >> 5 & 1) as usize];
+                        let hit = flat.lookup(addr, flag, requestor).is_hit();
+                        prop_assert_eq!(hit, naive.lookup(line, flag, requestor), "step {}", step);
+                    }
+                }
+                prop_assert_eq!(flat.stats(), &naive.stats, "step {}", step);
+                for probe in 0..32 {
+                    let resident = naive.sets[probe as usize % 4].ways.iter().any(|w| w.line == Some(probe));
+                    prop_assert_eq!(flat.contains(pa(probe * CACHE_LINE_BYTES)), resident, "step {}", step);
+                }
+            }
+        }
     }
 }

@@ -16,113 +16,79 @@ pub enum ReplacementPolicy {
     Srrip,
 }
 
-/// Per-way replacement metadata. For LRU this is an age stamp; for SRRIP it
-/// is the re-reference prediction value (RRPV).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WayMeta {
-    value: u32,
-}
-
 /// Maximum RRPV for 2-bit SRRIP.
 const SRRIP_MAX: u32 = 3;
 /// RRPV assigned on insertion ("long re-reference interval").
 const SRRIP_INSERT: u32 = 2;
 
-/// Replacement state for one cache set.
+/// Replacement state of every set of one cache, flat and way-major like the
+/// cache's lines: way `w` of set `s` is `meta[s * ways + w]`. For LRU the
+/// value is an age stamp from the set's own clock; for SRRIP it is the
+/// re-reference prediction value (RRPV).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SetReplacement {
+pub(crate) struct Replacement {
     policy: ReplacementPolicy,
-    meta: Vec<WayMeta>,
-    clock: u32,
+    ways: usize,
+    meta: Vec<u32>,
+    /// One LRU clock per set (unused by SRRIP).
+    clocks: Vec<u32>,
 }
 
-impl SetReplacement {
-    /// Creates replacement state for a set with `ways` ways (at most 64,
-    /// so way validity fits one machine word on the victim-selection fast
-    /// path).
-    pub fn new(policy: ReplacementPolicy, ways: usize) -> Self {
-        assert!(ways <= 64, "at most 64 ways per set (got {ways})");
+impl Replacement {
+    /// Creates replacement state for `sets` sets of `ways` ways each.
+    pub(crate) fn new(policy: ReplacementPolicy, sets: usize, ways: usize) -> Self {
         let init = match policy {
             ReplacementPolicy::Lru => 0,
             ReplacementPolicy::Srrip => SRRIP_MAX,
         };
-        SetReplacement {
+        Replacement {
             policy,
-            meta: vec![WayMeta { value: init }; ways],
-            clock: 0,
+            ways,
+            meta: vec![init; sets * ways],
+            clocks: vec![0; sets],
         }
     }
 
-    /// Notifies the policy that `way` was accessed (hit).
-    pub fn on_hit(&mut self, way: usize) {
-        match self.policy {
-            ReplacementPolicy::Lru => {
-                self.clock += 1;
-                self.meta[way].value = self.clock;
-            }
-            ReplacementPolicy::Srrip => {
-                self.meta[way].value = 0;
-            }
-        }
-    }
-
-    /// Notifies the policy that a new line was inserted into `way`.
-    pub fn on_insert(&mut self, way: usize) {
-        match self.policy {
-            ReplacementPolicy::Lru => {
-                self.clock += 1;
-                self.meta[way].value = self.clock;
-            }
-            ReplacementPolicy::Srrip => {
-                self.meta[way].value = SRRIP_INSERT;
-            }
-        }
-    }
-
-    /// Chooses a victim way among the ways whose validity is given by
-    /// `valid`. Invalid ways are always preferred.
-    pub fn choose_victim(&mut self, valid: &[bool]) -> usize {
-        debug_assert_eq!(valid.len(), self.meta.len());
-        let mut mask = 0u64;
-        for (way, &v) in valid.iter().enumerate() {
-            if v {
-                mask |= 1 << way;
-            }
-        }
-        self.choose_victim_mask(mask)
-    }
-
-    /// Chooses a victim way given the validity of each way as a bitmask
-    /// (bit `i` set ⇔ way `i` holds a valid line). Invalid ways are always
-    /// preferred. This is the allocation-free fast path of
-    /// [`choose_victim`](Self::choose_victim): the per-fill `Vec<bool>` it
-    /// replaced was one of the steady-state loop's hottest allocations.
-    pub fn choose_victim_mask(&mut self, valid_mask: u64) -> usize {
-        let ways = self.meta.len();
-        debug_assert!(ways <= 64, "bitmask replacement supports at most 64 ways");
-        let full = if ways == 64 {
-            u64::MAX
-        } else {
-            (1 << ways) - 1
+    /// Notifies the policy that `way` of `set` was accessed (hit).
+    pub(crate) fn on_hit(&mut self, set: usize, way: usize) {
+        self.meta[set * self.ways + way] = match self.policy {
+            ReplacementPolicy::Lru => self.tick(set),
+            ReplacementPolicy::Srrip => 0,
         };
-        let invalid = !valid_mask & full;
-        if invalid != 0 {
-            return invalid.trailing_zeros() as usize;
-        }
+    }
+
+    /// Notifies the policy that a new line was inserted into `way` of `set`.
+    pub(crate) fn on_insert(&mut self, set: usize, way: usize) {
+        self.meta[set * self.ways + way] = match self.policy {
+            ReplacementPolicy::Lru => self.tick(set),
+            ReplacementPolicy::Srrip => SRRIP_INSERT,
+        };
+    }
+
+    fn tick(&mut self, set: usize) -> u32 {
+        self.clocks[set] += 1;
+        self.clocks[set]
+    }
+
+    /// Chooses the way to evict from a `set` whose ways all hold valid
+    /// lines (the cache prefers an invalid way and never asks then). Ties
+    /// break to the lowest way; SRRIP ages the whole set until a way
+    /// reaches the maximum RRPV.
+    pub(crate) fn victim(&mut self, set: usize) -> usize {
+        let meta = &mut self.meta[set * self.ways..(set + 1) * self.ways];
         match self.policy {
-            ReplacementPolicy::Lru => self
-                .meta
+            // `min_by_key` keeps the first of equal minima.
+            ReplacementPolicy::Lru => meta
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, m)| m.value)
-                .map(|(i, _)| i)
-                .unwrap_or(0),
+                .min_by_key(|&(_, &stamp)| stamp)
+                .map_or(0, |(way, _)| way),
             ReplacementPolicy::Srrip => loop {
-                if let Some(way) = self.meta.iter().position(|m| m.value >= SRRIP_MAX) {
+                if let Some(way) = meta.iter().position(|&rrpv| rrpv >= SRRIP_MAX) {
                     break way;
                 }
-                for m in &mut self.meta {
-                    m.value += 1;
+                for rrpv in meta.iter_mut() {
+                    *rrpv += 1;
                 }
             },
         }
@@ -133,104 +99,63 @@ impl SetReplacement {
 mod tests {
     use super::*;
 
-    #[test]
-    fn lru_evicts_least_recently_used() {
-        let mut set = SetReplacement::new(ReplacementPolicy::Lru, 4);
-        let valid = vec![true; 4];
-        for way in 0..4 {
-            set.on_insert(way);
+    fn full_set(policy: ReplacementPolicy, ways: usize) -> Replacement {
+        let mut set = Replacement::new(policy, 1, ways);
+        for way in 0..ways {
+            set.on_insert(0, way);
         }
-        set.on_hit(0);
-        set.on_hit(2);
-        set.on_hit(3);
-        // Way 1 was inserted earliest and never touched again.
-        assert_eq!(set.choose_victim(&valid), 1);
+        set
     }
 
     #[test]
-    fn invalid_ways_are_preferred_victims() {
-        let mut set = SetReplacement::new(ReplacementPolicy::Srrip, 4);
-        let valid = vec![true, true, false, true];
-        assert_eq!(set.choose_victim(&valid), 2);
+    fn lru_evicts_least_recently_used() {
+        let mut set = full_set(ReplacementPolicy::Lru, 4);
+        set.on_hit(0, 0);
+        set.on_hit(0, 2);
+        set.on_hit(0, 3);
+        // Way 1 was inserted earliest and never touched again.
+        assert_eq!(set.victim(0), 1);
     }
 
     #[test]
     fn srrip_protects_rereferenced_lines() {
-        let mut set = SetReplacement::new(ReplacementPolicy::Srrip, 2);
-        let valid = vec![true, true];
-        set.on_insert(0);
-        set.on_insert(1);
+        let mut set = full_set(ReplacementPolicy::Srrip, 2);
         // Way 0 is re-referenced (RRPV=0), way 1 is not (RRPV=2).
-        set.on_hit(0);
-        assert_eq!(set.choose_victim(&valid), 1);
+        set.on_hit(0, 0);
+        assert_eq!(set.victim(0), 1);
     }
 
     #[test]
     fn srrip_eventually_finds_a_victim_even_when_all_hot() {
-        let mut set = SetReplacement::new(ReplacementPolicy::Srrip, 4);
-        let valid = vec![true; 4];
+        let mut set = full_set(ReplacementPolicy::Srrip, 4);
         for way in 0..4 {
-            set.on_insert(way);
-            set.on_hit(way);
+            set.on_hit(0, way);
         }
-        let victim = set.choose_victim(&valid);
-        assert!(victim < 4);
-    }
-
-    #[test]
-    fn mask_and_slice_victim_selection_agree() {
-        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Srrip] {
-            let mut by_slice = SetReplacement::new(policy, 4);
-            let mut by_mask = SetReplacement::new(policy, 4);
-            for way in 0..4 {
-                by_slice.on_insert(way);
-                by_mask.on_insert(way);
-            }
-            by_slice.on_hit(1);
-            by_mask.on_hit(1);
-            let valid = [true, true, false, true];
-            let mask = 0b1011u64;
-            assert_eq!(
-                by_slice.choose_victim(&valid),
-                by_mask.choose_victim_mask(mask),
-                "{policy:?}"
-            );
-            let all = [true; 4];
-            assert_eq!(
-                by_slice.choose_victim(&all),
-                by_mask.choose_victim_mask(0b1111),
-                "{policy:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn mask_prefers_lowest_invalid_way() {
-        let mut set = SetReplacement::new(ReplacementPolicy::Lru, 8);
-        assert_eq!(set.choose_victim_mask(0b1111_0101), 1);
-        assert_eq!(set.choose_victim_mask(0), 0);
-    }
-
-    #[test]
-    fn full_64_way_mask_is_supported() {
-        let mut set = SetReplacement::new(ReplacementPolicy::Lru, 64);
-        for way in 0..64 {
-            set.on_insert(way);
-        }
-        set.on_hit(0);
-        let victim = set.choose_victim_mask(u64::MAX);
-        assert!(victim > 0 && victim < 64);
+        // Three rounds of aging lift every RRPV from 0 to 3; the lowest
+        // way wins the tie.
+        assert_eq!(set.victim(0), 0);
+        assert_eq!(set.meta, vec![3; 4]);
     }
 
     #[test]
     fn lru_victim_rotates_under_streaming() {
-        let mut set = SetReplacement::new(ReplacementPolicy::Lru, 2);
-        let valid = vec![true; 2];
-        set.on_insert(0);
-        set.on_insert(1);
-        let v1 = set.choose_victim(&valid);
-        set.on_insert(v1);
-        let v2 = set.choose_victim(&valid);
+        let mut set = full_set(ReplacementPolicy::Lru, 2);
+        let v1 = set.victim(0);
+        set.on_insert(0, v1);
+        let v2 = set.victim(0);
         assert_ne!(v1, v2);
+    }
+
+    #[test]
+    fn sets_keep_separate_clocks_and_state() {
+        let mut r = Replacement::new(ReplacementPolicy::Lru, 2, 2);
+        for way in 0..2 {
+            r.on_insert(0, way);
+            r.on_insert(1, way);
+        }
+        r.on_hit(0, 0);
+        assert_eq!(r.victim(0), 1);
+        assert_eq!(r.victim(1), 0, "set 1 never saw the hit");
+        assert_eq!(r.clocks, vec![3, 2]);
     }
 }

@@ -216,8 +216,10 @@ pub struct Mmu {
     config: MmuConfig,
     tlb: TlbHierarchy,
     pwc: PageWalkCaches,
-    /// One page table per address space, created on first use.
-    tables: Vec<(Asid, Box<dyn PageTable + Send>)>,
+    /// One page table per address space, created on first use and indexed
+    /// densely by raw ASID like [`MmuStats::per_asid`]: every walk starts
+    /// with this lookup.
+    tables: Vec<Option<Box<dyn PageTable + Send>>>,
     stats: MmuStats,
 }
 
@@ -227,7 +229,7 @@ impl std::fmt::Debug for Mmu {
             .field("config", &self.config)
             .field("stats", &self.stats)
             .field("page_table_kind", &self.config.page_table)
-            .field("address_spaces", &self.tables.len())
+            .field("address_spaces", &self.tables.iter().flatten().count())
             .finish_non_exhaustive()
     }
 }
@@ -270,10 +272,7 @@ impl Mmu {
 
     /// The page table of address space `asid`, if it has one.
     pub fn page_table_of(&self, asid: Asid) -> Option<&(dyn PageTable + Send)> {
-        self.tables
-            .iter()
-            .find(|(a, _)| *a == asid)
-            .map(|(_, t)| t.as_ref())
+        self.tables.get(asid.raw() as usize)?.as_deref()
     }
 
     /// The page table of the first address space ([`Asid::KERNEL`]) — the
@@ -283,17 +282,20 @@ impl Mmu {
             .expect("the ASID-0 table is created by Mmu::new")
     }
 
-    fn table_for(&mut self, asid: Asid) -> &mut Box<dyn PageTable + Send> {
-        if let Some(idx) = self.tables.iter().position(|(a, _)| *a == asid) {
-            return &mut self.tables[idx].1;
+    fn table_for(&mut self, asid: Asid) -> &mut (dyn PageTable + Send) {
+        let idx = asid.raw() as usize;
+        if idx >= self.tables.len() {
+            self.tables.resize_with(idx + 1, || None);
         }
-        let base = PhysAddr::new(
-            self.config.metadata_base.raw() + u64::from(asid.raw()) * ASID_TABLE_STRIDE,
-        );
-        let mut table = build_page_table(self.config.page_table, base);
-        table.set_skip_empty_size_probes(self.config.skip_empty_size_probes);
-        self.tables.push((asid, table));
-        &mut self.tables.last_mut().expect("just pushed").1
+        let config = &self.config;
+        self.tables[idx]
+            .get_or_insert_with(|| {
+                let base = config.metadata_base.raw() + u64::from(asid.raw()) * ASID_TABLE_STRIDE;
+                let mut table = build_page_table(config.page_table, PhysAddr::new(base));
+                table.set_skip_empty_size_probes(config.skip_empty_size_probes);
+                table
+            })
+            .as_mut()
     }
 
     fn asid_stats(&mut self, asid: Asid) -> &mut AsidMmuStats {

@@ -3,183 +3,198 @@
 use super::{PageTable, PageTableKind, WalkAccessList, WalkOutcome};
 use mimic_os::Mapping;
 use serde::{Deserialize, Serialize};
-use vm_types::{FxHashMap, PageSize, PhysAddr, VirtAddr};
+use vm_types::{PageSize, PhysAddr, VirtAddr};
 
 /// Size of one page-table node (one 4 KiB frame of 512 8-byte entries).
 const NODE_BYTES: u64 = 4096;
+/// Entries per node.
+const ENTRIES: usize = 512;
+/// Virtual-address bits the four levels translate (9 each above the 12-bit
+/// page offset).
+const VA_BITS: u32 = 48;
+/// The PML4: allocated first, so it sits at `metadata_base`, and nobody's
+/// child — which frees index 0 to mean "no lower table".
+const ROOT: u32 = 0;
+/// Marks an entry that holds no leaf translation (no frame lives there).
+const NO_LEAF: PhysAddr = PhysAddr::new(u64::MAX);
+/// Page size of a leaf at each level (0 = PT, 1 = PD, 2 = PDPT).
+const LEAF_SIZE: [PageSize; 3] = [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G];
+
+/// One 512-entry table. An entry needs a lower-table slot *and* a leaf slot:
+/// a huge leaf can be installed over a still-populated lower table (the walk
+/// then stops at the leaf) and removing it re-exposes the base pages below.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Node {
+    /// Frame of each entry's leaf translation, or [`NO_LEAF`]. Read first:
+    /// a PT-level lookup touches nothing else.
+    leaves: [PhysAddr; ENTRIES],
+    /// Arena index of each entry's lower table (0 = none).
+    children: [u32; ENTRIES],
+}
+
+impl Node {
+    const EMPTY: Node = Node {
+        leaves: [NO_LEAF; ENTRIES],
+        children: [0; ENTRIES],
+    };
+}
 
 /// The 4-level radix page table (PML4 → PDPT → PD → PT), the baseline design
 /// in the paper's Use Case 1. Huge pages terminate the walk early: a 2 MiB
 /// mapping is a leaf in the PD level, a 1 GiB mapping a leaf in the PDPT.
+///
+/// Stored the way it is walked: an arena of nodes linked by index, node `i`
+/// occupying the simulated frame at `metadata_base + i * 4 KiB` in
+/// allocation order. Nodes are never freed. The table covers the 48-bit
+/// address space; an address above it is never mapped.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RadixPageTable {
-    /// Physical placement of each allocated node, keyed by (level, prefix):
-    /// level 3 = PML4 (single node, prefix 0), level 2 = PDPT (prefix =
-    /// va >> 39), level 1 = PD (prefix = va >> 30), level 0 = PT
-    /// (prefix = va >> 21).
-    /// (The maps use the deterministic Fx hasher: walks probe them on
-    /// every TLB miss, the hottest lookups in the whole simulator.)
-    // vmlint: allow(fx-keying, "keyed (level, va >> {39,30,21}): the u64 is a level-shifted node prefix, never a raw address")
-    nodes: FxHashMap<(u8, u64), PhysAddr>,
-    /// Leaf translations keyed by the page base's 4K page number
-    /// (`base >> 12`). NOT the raw base address: page-aligned keys have
-    /// twelve-plus zero low bits, and hashbrown picks buckets from the low
-    /// bits of the Fx hash, whose entropy sits in the high bits — raw
-    /// bases collapse the table into a few long probe chains on the
-    /// hottest lookup of every TLB-missing walk.
-    // vmlint: allow(fx-keying, "keyed by vpn (va >> 12), shifted at every call site per the comment above — the PR 7 rekey this rule pins")
-    leaves: FxHashMap<u64, Mapping>,
-    /// Resident-leaf count per page size (1G, 2M, 4K), letting lookups
-    /// skip probing sizes with no mappings at all — for a 4K-only address
-    /// space that removes two random-memory hash probes per page walk.
-    size_counts: [usize; 3],
+    nodes: Vec<Node>,
+    /// Leaves currently installed.
+    len: usize,
     metadata_base: PhysAddr,
-    next_node: u64,
 }
 
 impl RadixPageTable {
     /// Creates an empty radix table whose nodes are allocated starting at
     /// `metadata_base`.
     pub fn new(metadata_base: PhysAddr) -> Self {
-        let mut pt = RadixPageTable {
-            nodes: FxHashMap::default(),
-            leaves: FxHashMap::default(),
-            size_counts: [0; 3],
+        RadixPageTable {
+            // The root (PML4) always exists.
+            nodes: vec![Node::EMPTY],
+            len: 0,
             metadata_base,
-            next_node: 0,
-        };
-        // The root (PML4) always exists.
-        pt.allocate_node(3, 0);
-        pt
-    }
-
-    fn allocate_node(&mut self, level: u8, prefix: u64) -> PhysAddr {
-        if let Some(&addr) = self.nodes.get(&(level, prefix)) {
-            return addr;
-        }
-        let addr = self.metadata_base.add(self.next_node * NODE_BYTES);
-        self.next_node += 1;
-        self.nodes.insert((level, prefix), addr);
-        addr
-    }
-
-    fn node(&self, level: u8, prefix: u64) -> Option<PhysAddr> {
-        self.nodes.get(&(level, prefix)).copied()
-    }
-
-    fn prefix(va: VirtAddr, level: u8) -> u64 {
-        match level {
-            3 => 0,
-            2 => va.raw() >> 39,
-            1 => va.raw() >> 30,
-            _ => va.raw() >> 21,
         }
     }
 
-    /// The entry address read at a given level for `va`: the node's base
-    /// plus the 8-byte entry index for that level.
-    fn entry_addr(&self, node: PhysAddr, va: VirtAddr, level: u8) -> PhysAddr {
-        let idx = match level {
-            3 => (va.raw() >> 39) & 0x1ff,
-            2 => (va.raw() >> 30) & 0x1ff,
-            1 => (va.raw() >> 21) & 0x1ff,
-            _ => (va.raw() >> 12) & 0x1ff,
-        };
-        node.add(idx * 8)
-    }
-
-    /// Index into [`Self::size_counts`] for a page size.
-    fn size_index(size: PageSize) -> usize {
+    /// Level (0 = PT … 2 = PDPT) whose entries are leaves of `size`.
+    fn leaf_level(size: PageSize) -> usize {
         match size {
-            PageSize::Size1G => 0,
+            PageSize::Size4K => 0,
             PageSize::Size2M => 1,
-            PageSize::Size4K => 2,
-        }
-    }
-
-    fn find_leaf(&self, va: VirtAddr) -> Option<Mapping> {
-        for size in [PageSize::Size1G, PageSize::Size2M, PageSize::Size4K] {
-            if self.size_counts[Self::size_index(size)] == 0 {
-                continue;
-            }
-            let base = va.page_base(size);
-            if let Some(m) = self.leaves.get(&(base.raw() >> 12)) {
-                if m.page_size == size {
-                    return Some(*m);
-                }
-            }
-        }
-        None
-    }
-
-    /// Number of levels a walk for a mapping of `size` must traverse
-    /// (excluding levels skipped by page-walk caches).
-    fn walk_depth(size: PageSize) -> u8 {
-        match size {
             PageSize::Size1G => 2,
-            PageSize::Size2M => 3,
-            PageSize::Size4K => 4,
+        }
+    }
+
+    /// Index of `va`'s entry in its level-`level` node (3 = PML4 … 0 = PT).
+    fn index(va: VirtAddr, level: usize) -> usize {
+        ((va.raw() >> (12 + 9 * level)) & 0x1ff) as usize
+    }
+
+    /// The address the walker reads for entry `idx` of node `node`.
+    fn entry_addr(&self, node: u32, idx: usize) -> PhysAddr {
+        self.metadata_base
+            .add(u64::from(node) * NODE_BYTES + idx as u64 * 8)
+    }
+
+    /// Follows `va` down from the root, recording in `path[level]` the node
+    /// visited at each level, until an entry holds a leaf (larger sizes
+    /// win: they sit higher) or no lower table. Returns the last level
+    /// visited and the leaf found there. (Forced inline: with `remove` as a
+    /// second caller LLVM otherwise keeps it out of line in `walk`, where
+    /// the path and the mapping then travel through memory.)
+    #[inline(always)]
+    fn descend(&self, va: VirtAddr, path: &mut [u32; 4]) -> (usize, Option<Mapping>) {
+        let mut level = 3;
+        path[level] = ROOT;
+        if va.raw() >> VA_BITS != 0 {
+            return (level, None);
+        }
+        loop {
+            let node = &self.nodes[path[level] as usize];
+            let idx = Self::index(va, level);
+            if node.leaves[idx] != NO_LEAF {
+                // The PML4 holds no leaves, so `level` is at most 2 here.
+                let size = LEAF_SIZE[level];
+                let mapping = Mapping {
+                    vaddr: va.page_base(size),
+                    paddr: node.leaves[idx],
+                    page_size: size,
+                };
+                return (level, Some(mapping));
+            }
+            // PT entries never link a lower table, so this ends at level 0.
+            if node.children[idx] == 0 {
+                return (level, None);
+            }
+            level -= 1;
+            path[level] = node.children[idx];
         }
     }
 }
 
 impl PageTable for RadixPageTable {
     fn walk(&mut self, va: VirtAddr, skip_levels: usize) -> WalkOutcome {
-        let leaf = self.find_leaf(va);
-        let depth = leaf.map_or(4, |m| Self::walk_depth(m.page_size));
-        let mut accesses = WalkAccessList::new();
-        // Walk from the top (level 3) down, honouring PWC skips. The skip
-        // count removes the uppermost levels, never the leaf access.
-        let start_level = 3_i32 - (skip_levels as i32).min(depth as i32 - 1);
-        for l in (0..=start_level).rev() {
-            let level = l as u8;
-            // Levels below the leaf depth are not visited.
-            if (4 - depth) > level {
-                break;
-            }
-            match self.node(level, Self::prefix(va, level)) {
-                Some(node) => accesses.push(self.entry_addr(node, va, level)),
-                None => break,
-            }
-        }
-        WalkOutcome {
-            mapping: leaf,
-            accesses,
+        let mut path = [ROOT; 4];
+        let (last, mapping) = self.descend(va, &mut path);
+        // A PWC hit removes the uppermost levels, never the read of the
+        // leaf entry; a faulting walk is cut like a 4 KiB one and reads
+        // entries only as far down as tables exist.
+        let deepest_start = if mapping.is_some() { last } else { 0 };
+        let start = 3usize.saturating_sub(skip_levels).max(deepest_start);
+        let mut outcome = WalkOutcome {
+            mapping,
+            accesses: WalkAccessList::new(),
             parallel: false,
+        };
+        for level in (last..=start).rev() {
+            let entry = self.entry_addr(path[level], Self::index(va, level));
+            outcome.accesses.push(entry);
         }
+        outcome
     }
 
     fn insert(&mut self, mapping: Mapping) -> Vec<PhysAddr> {
         let va = mapping.vaddr;
-        let depth = Self::walk_depth(mapping.page_size);
-        let mut accesses = Vec::new();
-        // Touch (and allocate if needed) every node on the path.
-        for l in (0..4u8).rev() {
-            if (4 - depth) > l {
-                break;
+        assert!(
+            va.raw() >> VA_BITS == 0 && mapping.paddr != NO_LEAF,
+            "radix page table maps 48-bit virtual addresses to frames below {NO_LEAF:?} (got {mapping:?})"
+        );
+        debug_assert!(va.is_aligned(mapping.page_size), "unaligned {mapping:?}");
+        let leaf_level = Self::leaf_level(mapping.page_size);
+        let mut accesses = Vec::with_capacity(4 - leaf_level);
+        let mut node = ROOT;
+        // Touch (and allocate if needed) every node down to the leaf's, then
+        // keep following existing tables below it: a leaf of another size at
+        // exactly this base is replaced, wherever on the path it sits.
+        for level in (0..4).rev() {
+            let idx = Self::index(va, level);
+            if level >= leaf_level {
+                accesses.push(self.entry_addr(node, idx));
             }
-            let node = self.allocate_node(l, Self::prefix(va, l));
-            accesses.push(self.entry_addr(node, va, l));
+            let entry = &mut self.nodes[node as usize];
+            let had_leaf = entry.leaves[idx] != NO_LEAF;
+            if level == leaf_level {
+                entry.leaves[idx] = mapping.paddr;
+                self.len += usize::from(!had_leaf);
+            } else if had_leaf && va.is_aligned(LEAF_SIZE[level]) {
+                // (The PML4 holds no leaves, so `level` is at most 2 here.)
+                entry.leaves[idx] = NO_LEAF;
+                self.len -= 1;
+            }
+            let mut child = entry.children[idx];
+            if child == 0 {
+                if level <= leaf_level {
+                    break;
+                }
+                child = u32::try_from(self.nodes.len()).expect("fewer than 2^32 nodes");
+                self.nodes.push(Node::EMPTY);
+                self.nodes[node as usize].children[idx] = child;
+            }
+            node = child;
         }
-        if let Some(prev) = self.leaves.insert(va.raw() >> 12, mapping) {
-            self.size_counts[Self::size_index(prev.page_size)] -= 1;
-        }
-        self.size_counts[Self::size_index(mapping.page_size)] += 1;
         accesses
     }
 
     fn remove(&mut self, va: VirtAddr) -> Vec<PhysAddr> {
-        let Some(mapping) = self.find_leaf(va) else {
+        let mut path = [ROOT; 4];
+        let (level, Some(_)) = self.descend(va, &mut path) else {
             return Vec::new();
         };
-        if let Some(removed) = self.leaves.remove(&(mapping.vaddr.raw() >> 12)) {
-            self.size_counts[Self::size_index(removed.page_size)] -= 1;
-        }
-        let leaf_level = 4 - Self::walk_depth(mapping.page_size);
-        match self.node(leaf_level, Self::prefix(mapping.vaddr, leaf_level)) {
-            Some(node) => vec![self.entry_addr(node, mapping.vaddr, leaf_level)],
-            None => Vec::new(),
-        }
+        let idx = Self::index(va, level);
+        self.nodes[path[level] as usize].leaves[idx] = NO_LEAF;
+        self.len -= 1;
+        vec![self.entry_addr(path[level], idx)]
     }
 
     fn kind(&self) -> PageTableKind {
@@ -191,13 +206,15 @@ impl PageTable for RadixPageTable {
     }
 
     fn len(&self) -> usize {
-        self.leaves.len()
+        self.len
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn map4k(va: u64) -> Mapping {
         Mapping {
@@ -296,5 +313,208 @@ mod tests {
         pt.insert(map4k(0x1000));
         let walk = pt.walk(VirtAddr::new(0x1000), 0);
         assert!(walk.accesses.iter().all(|a| a.raw() >= base.raw()));
+    }
+
+    #[test]
+    fn a_huge_leaf_hides_and_its_removal_re_exposes_the_base_pages_below() {
+        let mut pt = RadixPageTable::new(PhysAddr::new(0x80_0000_0000));
+        let base_page = map4k(0x4000_1000);
+        pt.insert(base_page);
+        let huge = Mapping {
+            vaddr: VirtAddr::new(0x4000_0000),
+            paddr: PhysAddr::new(0x9_0000_0000),
+            page_size: PageSize::Size2M,
+        };
+        pt.insert(huge);
+        assert_eq!(pt.len(), 2);
+        let hidden = pt.walk(VirtAddr::new(0x4000_1000), 0);
+        assert_eq!(hidden.mapping, Some(huge));
+        assert_eq!(hidden.accesses.len(), 3);
+        assert_eq!(pt.remove(VirtAddr::new(0x4000_1000)).len(), 1);
+        let exposed = pt.walk(VirtAddr::new(0x4000_1000), 0);
+        assert_eq!(exposed.mapping, Some(base_page));
+        assert_eq!(exposed.accesses.len(), 4);
+    }
+
+    #[test]
+    fn a_mapping_replaces_a_leaf_of_another_size_at_exactly_its_base() {
+        let mut pt = RadixPageTable::new(PhysAddr::new(0x80_0000_0000));
+        pt.insert(map4k(0x4000_0000));
+        pt.insert(map4k(0x4000_1000));
+        pt.insert(Mapping {
+            vaddr: VirtAddr::new(0x4000_0000),
+            paddr: PhysAddr::new(0x9_0000_0000),
+            page_size: PageSize::Size2M,
+        });
+        // The base page at the huge page's own base is gone, its neighbour
+        // is only hidden.
+        assert_eq!(pt.len(), 2);
+        pt.remove(VirtAddr::new(0x4000_0000));
+        assert!(pt.walk(VirtAddr::new(0x4000_0000), 0).is_fault());
+        assert!(!pt.walk(VirtAddr::new(0x4000_1000), 0).is_fault());
+    }
+
+    #[test]
+    fn addresses_above_48_bits_are_never_mapped() {
+        let mut pt = RadixPageTable::new(PhysAddr::new(0x80_0000_0000));
+        pt.insert(map4k(0x1000));
+        let alias = VirtAddr::new((1 << 48) | 0x1000);
+        let walk = pt.walk(alias, 0);
+        assert!(walk.is_fault());
+        assert_eq!(walk.accesses.len(), 1, "only the PML4 entry is read");
+        assert!(pt.remove(alias).is_empty());
+        assert_eq!(pt.len(), 1);
+    }
+
+    /// The representation the arena replaced, kept as the oracle: node
+    /// frames keyed by (level, address prefix) and every leaf, whatever its
+    /// size, keyed by its base address alone.
+    struct MapRadix {
+        nodes: BTreeMap<(u8, u64), PhysAddr>,
+        leaves: BTreeMap<u64, Mapping>,
+        metadata_base: PhysAddr,
+    }
+
+    impl MapRadix {
+        fn new(metadata_base: PhysAddr) -> Self {
+            let mut pt = MapRadix {
+                nodes: BTreeMap::new(),
+                leaves: BTreeMap::new(),
+                metadata_base,
+            };
+            pt.allocate_node(3, 0);
+            pt
+        }
+
+        fn allocate_node(&mut self, level: u8, prefix: u64) -> PhysAddr {
+            let next = self.metadata_base.add(self.nodes.len() as u64 * NODE_BYTES);
+            *self.nodes.entry((level, prefix)).or_insert(next)
+        }
+
+        fn prefix(va: VirtAddr, level: u8) -> u64 {
+            match level {
+                3 => 0,
+                2 => va.raw() >> 39,
+                1 => va.raw() >> 30,
+                _ => va.raw() >> 21,
+            }
+        }
+
+        fn entry_addr(node: PhysAddr, va: VirtAddr, level: u8) -> PhysAddr {
+            node.add(((va.raw() >> (12 + 9 * u32::from(level))) & 0x1ff) * 8)
+        }
+
+        fn find_leaf(&self, va: VirtAddr) -> Option<Mapping> {
+            [PageSize::Size1G, PageSize::Size2M, PageSize::Size4K]
+                .into_iter()
+                .find_map(|size| {
+                    let m = self.leaves.get(&va.page_base(size).raw())?;
+                    (m.page_size == size).then_some(*m)
+                })
+        }
+
+        fn walk_depth(size: PageSize) -> u8 {
+            match size {
+                PageSize::Size1G => 2,
+                PageSize::Size2M => 3,
+                PageSize::Size4K => 4,
+            }
+        }
+
+        fn walk(&self, va: VirtAddr, skip_levels: usize) -> WalkOutcome {
+            let leaf = self.find_leaf(va);
+            let depth = leaf.map_or(4, |m| Self::walk_depth(m.page_size));
+            let mut accesses = WalkAccessList::new();
+            let start_level = 3_i32 - (skip_levels as i32).min(i32::from(depth) - 1);
+            for l in (0..=start_level).rev() {
+                let level = l as u8;
+                if (4 - depth) > level {
+                    break;
+                }
+                match self.nodes.get(&(level, Self::prefix(va, level))) {
+                    Some(&node) => accesses.push(Self::entry_addr(node, va, level)),
+                    None => break,
+                }
+            }
+            WalkOutcome {
+                mapping: leaf,
+                accesses,
+                parallel: false,
+            }
+        }
+
+        fn insert(&mut self, mapping: Mapping) -> Vec<PhysAddr> {
+            let va = mapping.vaddr;
+            let depth = Self::walk_depth(mapping.page_size);
+            let mut accesses = Vec::new();
+            for l in (4 - depth..4).rev() {
+                let node = self.allocate_node(l, Self::prefix(va, l));
+                accesses.push(Self::entry_addr(node, va, l));
+            }
+            self.leaves.insert(va.raw(), mapping);
+            accesses
+        }
+
+        fn remove(&mut self, va: VirtAddr) -> Vec<PhysAddr> {
+            let Some(mapping) = self.find_leaf(va) else {
+                return Vec::new();
+            };
+            self.leaves.remove(&mapping.vaddr.raw());
+            let level = 4 - Self::walk_depth(mapping.page_size);
+            let node = self.nodes[&(level, Self::prefix(mapping.vaddr, level))];
+            vec![Self::entry_addr(node, mapping.vaddr, level)]
+        }
+    }
+
+    /// An address from a pool small and aligned enough that mappings of
+    /// all three sizes collide at the same bases, share tables, nest inside
+    /// each other and sit under two different PML4 entries.
+    fn pooled_va(r: u64) -> VirtAddr {
+        const PICKS: [u64; 4] = [0, 0, 1, 511];
+        let gib = [0, 1, 512, 513][(r & 3) as usize];
+        let mib2 = PICKS[(r >> 2 & 3) as usize];
+        let kib4 = PICKS[(r >> 4 & 3) as usize];
+        VirtAddr::new((gib << 30) | (mib2 << 21) | (kib4 << 12) | (r >> 6 & 0xfff))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn arena_matches_the_map_model_op_for_op(
+            ops in prop::collection::vec(any::<u64>(), 1..400)
+        ) {
+            let base = PhysAddr::new(0x80_0000_0000);
+            let mut arena = RadixPageTable::new(base);
+            let mut model = MapRadix::new(base);
+            for (step, op) in ops.into_iter().enumerate() {
+                let mut va = pooled_va(op >> 8);
+                match op & 7 {
+                    0..=2 => {
+                        let size = PageSize::ALL[(op >> 3) as usize % 3];
+                        let mapping = Mapping {
+                            vaddr: va.page_base(size),
+                            paddr: PhysAddr::new((op >> 20) & !0xfff),
+                            page_size: size,
+                        };
+                        prop_assert_eq!(arena.insert(mapping), model.insert(mapping), "step {}", step);
+                    }
+                    3 => prop_assert_eq!(arena.remove(va), model.remove(va), "step {}", step),
+                    _ => {
+                        if op >> 3 & 31 == 0 {
+                            va = VirtAddr::new(va.raw() | 1 << 48);
+                        }
+                        let skip = (op >> 40) as usize % 5;
+                        prop_assert_eq!(arena.walk(va, skip), model.walk(va, skip), "step {}", step);
+                    }
+                }
+                prop_assert_eq!(arena.len(), model.leaves.len(), "step {}", step);
+                prop_assert_eq!(
+                    arena.metadata_bytes(),
+                    model.nodes.len() as u64 * NODE_BYTES,
+                    "step {}", step
+                );
+            }
+        }
     }
 }

@@ -6,12 +6,24 @@
 use serde::{Deserialize, Serialize};
 use vm_types::{Counter, Cycles, FastDiv, VirtAddr};
 
+/// One way of a page-walk cache set.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+struct PwcWay {
+    tag: u64,
+    /// Probe-clock stamp of the way's last use. The clock ticks before it
+    /// stamps, so a live way never reads 0: 0 marks a free way, which also
+    /// makes "first free way, else first least recently used" one search
+    /// for the first minimum.
+    lru: u64,
+}
+
 /// One page-walk cache level (caching entries of one radix level).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct PwcLevel {
-    entries: usize,
+    /// Way-major flat storage: set `s` is `slots[s * ways .. (s + 1) * ways]`
+    /// (a 4-way set is one host cache line).
+    slots: Vec<PwcWay>,
     ways: usize,
-    tags: Vec<Vec<Option<(u64, u64)>>>, // (tag, lru)
     clock: u64,
     hits: Counter,
     misses: Counter,
@@ -23,9 +35,8 @@ impl PwcLevel {
     fn new(entries: usize, ways: usize) -> Self {
         let sets = (entries / ways).max(1);
         PwcLevel {
-            entries,
+            slots: vec![PwcWay::default(); sets * ways],
             ways,
-            tags: vec![vec![None; ways]; sets],
             clock: 0,
             hits: Counter::new(),
             misses: Counter::new(),
@@ -33,35 +44,53 @@ impl PwcLevel {
         }
     }
 
-    fn probe(&mut self, tag: u64) -> bool {
-        self.clock += 1;
-        let set = self.set_div.rem(tag) as usize;
-        for slot in self.tags[set].iter_mut().flatten() {
-            if slot.0 == tag {
-                slot.1 = self.clock;
-                self.hits.inc();
-                return true;
-            }
-        }
-        self.misses.inc();
-        false
+    /// The ways of the set `tag` maps to.
+    fn set_mut(&mut self, tag: u64) -> &mut [PwcWay] {
+        let base = self.set_div.rem(tag) as usize * self.ways;
+        &mut self.slots[base..base + self.ways]
     }
 
+    fn probe(&mut self, tag: u64) -> bool {
+        self.clock += 1;
+        let clock = self.clock;
+        let hit = self
+            .set_mut(tag)
+            .iter_mut()
+            .find(|way| way.tag == tag && way.lru != 0);
+        match hit {
+            Some(way) => {
+                way.lru = clock;
+                self.hits.inc();
+                true
+            }
+            None => {
+                self.misses.inc();
+                false
+            }
+        }
+    }
+
+    /// Installs `tag` without looking for it first: a fill after a walk
+    /// the PWC already shortened leaves a second copy of the tag in the set.
     fn fill(&mut self, tag: u64) {
         self.clock += 1;
-        let set = self.set_div.rem(tag) as usize;
-        let clock = self.clock;
-        let ways = &mut self.tags[set];
-        if let Some(slot) = ways.iter_mut().find(|s| s.is_none()) {
-            *slot = Some((tag, clock));
-            return;
+        let lru = self.clock;
+        // `min_by_key` keeps the first of equal minima.
+        if let Some(victim) = self.set_mut(tag).iter_mut().min_by_key(|way| way.lru) {
+            *victim = PwcWay { tag, lru };
         }
-        if let Some(victim) = ways
-            .iter_mut()
-            .min_by_key(|s| s.map(|(_, lru)| lru).unwrap_or(0))
-        {
-            *victim = Some((tag, clock));
+    }
+
+    /// Frees every way holding `tag`. Returns how many there were.
+    fn invalidate(&mut self, tag: u64) -> usize {
+        let mut dropped = 0;
+        for way in self.set_mut(tag) {
+            if way.tag == tag && way.lru != 0 {
+                way.lru = 0;
+                dropped += 1;
+            }
         }
+        dropped
     }
 }
 
@@ -152,11 +181,7 @@ impl PageWalkCaches {
     /// walks of the incoming address space honest.
     pub fn flush(&mut self) {
         for level in &mut self.levels {
-            for set in &mut level.tags {
-                for slot in set {
-                    *slot = None;
-                }
-            }
+            level.slots.fill(PwcWay::default());
         }
     }
 
@@ -167,19 +192,10 @@ impl PageWalkCaches {
     /// next walk of the region re-descends from the root. Returns the
     /// number of entries dropped.
     pub fn invalidate(&mut self, va: VirtAddr) -> usize {
-        let mut dropped = 0;
-        for i in 0..self.levels.len() {
-            let tag = Self::tag(va, i);
-            let level = &mut self.levels[i];
-            let set = level.set_div.rem(tag) as usize;
-            for slot in &mut level.tags[set] {
-                if matches!(slot, Some((t, _)) if *t == tag) {
-                    *slot = None;
-                    dropped += 1;
-                }
-            }
-        }
-        dropped
+        let levels = self.levels.iter_mut().enumerate();
+        levels
+            .map(|(i, level)| level.invalidate(Self::tag(va, i)))
+            .sum()
     }
 
     /// Total hits across all levels.
@@ -202,6 +218,7 @@ impl Default for PageWalkCaches {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn cold_walk_skips_nothing() {
@@ -265,5 +282,96 @@ mod tests {
         }
         let skipped = pwc.levels_skipped(VirtAddr::new(0x7f00_0000_0000));
         assert!(skipped >= 1, "upper levels should still hit");
+    }
+
+    /// The obvious level the flat one must agree with: a `Vec` of optional
+    /// `(tag, stamp)` ways per set, a pass for the free way and a pass for
+    /// the oldest.
+    struct NaiveLevel {
+        sets: Vec<Vec<Option<(u64, u64)>>>,
+        clock: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl NaiveLevel {
+        fn set_of(&mut self, tag: u64) -> &mut Vec<Option<(u64, u64)>> {
+            let sets = self.sets.len() as u64;
+            &mut self.sets[(tag % sets) as usize]
+        }
+
+        fn probe(&mut self, tag: u64) -> bool {
+            self.clock += 1;
+            let clock = self.clock;
+            match self.set_of(tag).iter_mut().flatten().find(|w| w.0 == tag) {
+                Some(way) => {
+                    way.1 = clock;
+                    self.hits += 1;
+                    true
+                }
+                None => {
+                    self.misses += 1;
+                    false
+                }
+            }
+        }
+
+        fn fill(&mut self, tag: u64) {
+            self.clock += 1;
+            let fresh = Some((tag, self.clock));
+            let set = self.set_of(tag);
+            if let Some(free) = set.iter_mut().find(|w| w.is_none()) {
+                *free = fresh;
+                return;
+            }
+            let oldest = set.iter().flatten().map(|w| w.1).min().expect("full set");
+            let victim = set.iter_mut().find(|w| w.is_some_and(|w| w.1 == oldest));
+            *victim.expect("the minimum is some way's stamp") = fresh;
+        }
+
+        fn invalidate(&mut self, tag: u64) -> usize {
+            let mut dropped = 0;
+            for way in self.set_of(tag) {
+                if way.is_some_and(|w| w.0 == tag) {
+                    *way = None;
+                    dropped += 1;
+                }
+            }
+            dropped
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn flat_level_matches_the_naive_model_op_for_op(
+            ops in prop::collection::vec(any::<u64>(), 1..400),
+            ways in 1usize..5
+        ) {
+            let mut flat = PwcLevel::new(2 * ways, ways);
+            let mut naive = NaiveLevel {
+                sets: vec![vec![None; ways]; 2],
+                clock: 0,
+                hits: 0,
+                misses: 0,
+            };
+            for (step, op) in ops.into_iter().enumerate() {
+                // Few enough tags that fills repeat (a fill never looks for
+                // its tag first, so a set collects duplicates) and that
+                // every set overflows.
+                let tag = op >> 8 & 15;
+                match op & 7 {
+                    0..=2 => {
+                        flat.fill(tag);
+                        naive.fill(tag);
+                    }
+                    3 => prop_assert_eq!(flat.invalidate(tag), naive.invalidate(tag), "step {}", step),
+                    _ => prop_assert_eq!(flat.probe(tag), naive.probe(tag), "step {}", step),
+                }
+                prop_assert_eq!((flat.hits.get(), flat.misses.get()), (naive.hits, naive.misses));
+                let live = |w: &PwcWay| (w.lru != 0).then_some((w.tag, w.lru));
+                let resident: Vec<_> = flat.slots.iter().map(live).collect();
+                prop_assert_eq!(resident, naive.sets.concat(), "step {}", step);
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@
 
 use mimic_os::Mapping;
 use serde::{Deserialize, Serialize};
-use vm_types::{Asid, Counter, Cycles, FastDiv, PageSize, VirtAddr};
+use vm_types::{Asid, Counter, Cycles, FastDiv, PageSize, PhysAddr, VirtAddr};
 
 /// Configuration of a single TLB.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -73,15 +73,6 @@ impl TlbStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct TlbEntry {
-    asid: Asid,
-    vpn: u64,
-    size: PageSize,
-    mapping: Mapping,
-    lru: u64,
-}
-
 /// Dense index of a page size into the per-size resident counts.
 fn size_rank(size: PageSize) -> usize {
     match size {
@@ -91,20 +82,55 @@ fn size_rank(size: PageSize) -> usize {
     }
 }
 
+/// What a probe compares, packed so that one equality test covers the page
+/// number, the page size, the ASID and validity together.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+struct Tag {
+    vpn: u64,
+    /// `VALID | size_rank << 16 | asid`; zero marks a free way.
+    key: u32,
+}
+
+impl Tag {
+    const VALID: u32 = 1 << 31;
+
+    /// The tag an entry of `size` covering `va` carries.
+    fn covering(asid: Asid, size: PageSize, va: VirtAddr) -> Self {
+        Tag {
+            vpn: va.page_number(size).number(),
+            key: Self::VALID | (size_rank(size) as u32) << 16 | u32::from(asid.raw()),
+        }
+    }
+
+    fn is_free(self) -> bool {
+        self.key == 0
+    }
+
+    fn asid(self) -> Asid {
+        Asid::new(self.key as u16)
+    }
+}
+
 /// A set-associative, ASID-tagged TLB.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Tlb {
     config: TlbConfig,
-    /// Way-major flat storage: set `s` occupies
-    /// `slots[s * ways .. (s + 1) * ways]`. One contiguous allocation keeps
-    /// each set on adjacent cache lines; per-set `Vec`s scattered every
-    /// probe across the heap.
-    slots: Vec<Option<TlbEntry>>,
+    /// Way-major flat storage, split by what touches it: a probe scans
+    /// only `tags` (set `s` occupies `tags[s * ways .. (s + 1) * ways]`,
+    /// 16 bytes a way), a hit additionally stamps one `lru` slot and reads
+    /// one `mappings` slot. The same index addresses all three.
+    tags: Vec<Tag>,
+    /// Probe-clock stamp of each way's last use; meaningful for live ways.
+    lru: Vec<u64>,
+    /// Payload of each live way.
+    mappings: Vec<Mapping>,
     ways: usize,
     clock: u64,
     stats: TlbStats,
     /// Precomputed set-count divisor for the per-lookup index.
     set_div: FastDiv,
+    /// `config.page_sizes` as a membership table (indexed by [`size_rank`]).
+    supported: [bool; 3],
     /// Resident-entry count per page size (indexed by [`size_rank`]): a
     /// lookup skips the set probe of any size with no entries at all, so
     /// an all-4K workload pays one probe in the three-size L2 instead of
@@ -116,12 +142,27 @@ impl Tlb {
     /// Builds a TLB from its configuration.
     pub fn new(config: TlbConfig) -> Self {
         let sets = (config.entries / config.ways).max(1);
+        let slots = sets * config.ways;
+        let mut supported = [false; 3];
+        for &size in &config.page_sizes {
+            supported[size_rank(size)] = true;
+        }
         Tlb {
-            slots: vec![None; sets * config.ways],
+            tags: vec![Tag::default(); slots],
+            lru: vec![0; slots],
+            mappings: vec![
+                Mapping {
+                    vaddr: VirtAddr::ZERO,
+                    paddr: PhysAddr::ZERO,
+                    page_size: PageSize::Size4K,
+                };
+                slots
+            ],
             ways: config.ways,
             clock: 0,
             stats: TlbStats::default(),
             set_div: FastDiv::new(sets as u64),
+            supported,
             config,
             present: [0; 3],
         }
@@ -144,11 +185,30 @@ impl Tlb {
 
     /// `true` if this TLB can hold entries of the given page size.
     pub fn supports(&self, size: PageSize) -> bool {
-        self.config.page_sizes.contains(&size)
+        self.supported[size_rank(size)]
     }
 
-    fn set_index(&self, vpn: u64) -> usize {
-        self.set_div.rem(vpn) as usize
+    /// Flat index of the first way of the set `vpn` maps to.
+    fn set_base(&self, vpn: u64) -> usize {
+        self.set_div.rem(vpn) as usize * self.ways
+    }
+
+    /// The flat index of the live way holding `tag`, if any.
+    fn find(&self, tag: Tag) -> Option<usize> {
+        let base = self.set_base(tag.vpn);
+        let set = &self.tags[base..base + self.ways];
+        set.iter().position(|&t| t == tag).map(|way| base + way)
+    }
+
+    /// The flat index an entry covering `va` would hit at, probing the
+    /// supported sizes in configuration order and skipping sizes with no
+    /// resident entry.
+    fn probe(&self, asid: Asid, va: VirtAddr) -> Option<usize> {
+        self.config
+            .page_sizes
+            .iter()
+            .filter(|&&size| self.present[size_rank(size)] != 0)
+            .find_map(|&size| self.find(Tag::covering(asid, size, va)))
     }
 
     /// Looks up `va` in the address space `asid`, probing every supported
@@ -162,25 +222,25 @@ impl Tlb {
     /// index into the way-major storage), for the L0 pointer cache.
     pub(crate) fn lookup_where(&mut self, asid: Asid, va: VirtAddr) -> Option<(Mapping, u32)> {
         self.clock += 1;
-        for size_idx in 0..self.config.page_sizes.len() {
-            let size = self.config.page_sizes[size_idx];
-            if self.present[size_rank(size)] == 0 {
-                continue; // no entry of this size anywhere: skip the probe
+        match self.probe(asid, va) {
+            Some(slot) => {
+                self.lru[slot] = self.clock;
+                self.stats.hits.inc();
+                Some((self.mappings[slot], slot as u32))
             }
-            let vpn = va.page_number(size).number();
-            let base = self.set_index(vpn) * self.ways;
-            for (way, entry) in self.slots[base..base + self.ways].iter_mut().enumerate() {
-                if let Some(entry) = entry {
-                    if entry.asid == asid && entry.size == size && entry.vpn == vpn {
-                        entry.lru = self.clock;
-                        self.stats.hits.inc();
-                        return Some((entry.mapping, (base + way) as u32));
-                    }
-                }
+            None => {
+                self.stats.misses.inc();
+                None
             }
         }
-        self.stats.misses.inc();
-        None
+    }
+
+    /// The mapping of the live entry at flat index `slot`, provided it
+    /// belongs to `asid` and covers `va`.
+    fn live_at(&self, slot: u32, asid: Asid, va: VirtAddr) -> Option<Mapping> {
+        let tag = *self.tags.get(slot as usize)?;
+        let mapping = self.mappings[slot as usize];
+        (tag == Tag::covering(asid, mapping.page_size, va)).then_some(mapping)
     }
 
     /// Replays a [`Tlb::lookup`] hit against the entry at flat index
@@ -193,36 +253,23 @@ impl Tlb {
     /// when the verification fails (the entry was evicted, invalidated,
     /// flushed or replaced since the pointer was recorded).
     pub(crate) fn hit_at(&mut self, slot: u32, asid: Asid, va: VirtAddr) -> Option<Mapping> {
-        let entry = (*self.slots.get(slot as usize)?)?;
-        if entry.asid != asid || entry.vpn != va.page_number(entry.size).number() {
-            return None;
-        }
+        let mapping = self.live_at(slot, asid, va)?;
         // An entry of an earlier-probed size would win the real lookup:
         // stand down to the slow path, which re-records the pointer.
-        for size_idx in 0..self.config.page_sizes.len() {
-            let size = self.config.page_sizes[size_idx];
-            if size == entry.size {
+        for &size in &self.config.page_sizes {
+            if size == mapping.page_size {
                 break;
             }
-            if self.present[size_rank(size)] == 0 {
-                continue;
-            }
-            let vpn = va.page_number(size).number();
-            let base = self.set_index(vpn) * self.ways;
-            if self.slots[base..base + self.ways]
-                .iter()
-                .flatten()
-                .any(|e| e.asid == asid && e.size == size && e.vpn == vpn)
+            if self.present[size_rank(size)] != 0
+                && self.find(Tag::covering(asid, size, va)).is_some()
             {
                 return None;
             }
         }
         self.clock += 1;
-        let clock = self.clock;
-        let entry = self.slots[slot as usize].as_mut().expect("checked above");
-        entry.lru = clock;
+        self.lru[slot as usize] = self.clock;
         self.stats.hits.inc();
-        Some(entry.mapping)
+        Some(mapping)
     }
 
     /// Replays the state effects of a [`Tlb::lookup`] miss (the probe
@@ -235,22 +282,7 @@ impl Tlb {
     /// Whether a [`Tlb::lookup`] would hit, without perturbing any state
     /// (no clock tick, no LRU touch, no statistics).
     pub(crate) fn would_hit(&self, asid: Asid, va: VirtAddr) -> bool {
-        for size_idx in 0..self.config.page_sizes.len() {
-            let size = self.config.page_sizes[size_idx];
-            if self.present[size_rank(size)] == 0 {
-                continue;
-            }
-            let vpn = va.page_number(size).number();
-            let base = self.set_index(vpn) * self.ways;
-            if self.slots[base..base + self.ways]
-                .iter()
-                .flatten()
-                .any(|e| e.asid == asid && e.size == size && e.vpn == vpn)
-            {
-                return true;
-            }
-        }
-        false
+        self.probe(asid, va).is_some()
     }
 
     /// Fills a mapping for address space `asid` into the TLB (after a
@@ -262,7 +294,10 @@ impl Tlb {
 
     /// [`Tlb::fill`] that additionally reports the flat slot index the
     /// mapping landed in (`None` when the page size is unsupported), for
-    /// the L0 pointer cache.
+    /// the L0 pointer cache. Inlined so that a caller using one half of
+    /// the pair (the hierarchy never looks at the evicted mapping) does not
+    /// pay for the other being returned through memory.
+    #[inline]
     pub(crate) fn fill_where(
         &mut self,
         asid: Asid,
@@ -272,53 +307,47 @@ impl Tlb {
             return (None, None);
         }
         self.clock += 1;
-        let vpn = mapping.vaddr.page_number(mapping.page_size).number();
-        let base = self.set_index(vpn) * self.ways;
-        let clock = self.clock;
-        let set = &mut self.slots[base..base + self.ways];
-        // Already present: refresh.
-        for (way, entry) in set.iter_mut().enumerate() {
-            if let Some(entry) = entry {
-                if entry.asid == asid && entry.size == mapping.page_size && entry.vpn == vpn {
-                    entry.mapping = mapping;
-                    entry.lru = clock;
-                    return (Some((base + way) as u32), None);
-                }
+        let tag = Tag::covering(asid, mapping.page_size, mapping.vaddr);
+        let base = self.set_base(tag.vpn);
+        // One pass over the set finds all three candidates: the way that
+        // already holds the page (refresh it), else the first free way,
+        // else the least recently used (ties break to the lowest way).
+        let mut free = None;
+        let mut victim = base;
+        let mut oldest = u64::MAX;
+        for slot in base..base + self.ways {
+            let resident = self.tags[slot];
+            if resident == tag {
+                self.mappings[slot] = mapping;
+                self.lru[slot] = self.clock;
+                return (Some(slot as u32), None);
+            }
+            if resident.is_free() {
+                free = free.or(Some(slot));
+            } else if self.lru[slot] < oldest {
+                oldest = self.lru[slot];
+                victim = slot;
             }
         }
-        // Free way?
-        if let Some(way) = set.iter().position(|e| e.is_none()) {
-            set[way] = Some(TlbEntry {
-                asid,
-                vpn,
-                size: mapping.page_size,
-                mapping,
-                lru: clock,
-            });
-            self.present[size_rank(mapping.page_size)] += 1;
-            return (Some((base + way) as u32), None);
-        }
-        // Evict LRU.
-        let victim_way = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.map(|e| e.lru).unwrap_or(0))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let victim = set[victim_way];
-        set[victim_way] = Some(TlbEntry {
-            asid,
-            vpn,
-            size: mapping.page_size,
-            mapping,
-            lru: clock,
-        });
-        if let Some(victim) = victim {
-            self.present[size_rank(victim.size)] -= 1;
-        }
+        let (slot, evicted) = match free {
+            Some(slot) => (slot, None),
+            None => {
+                self.present[size_rank(self.mappings[victim].page_size)] -= 1;
+                self.stats.evictions.inc();
+                (victim, Some(self.mappings[victim]))
+            }
+        };
+        self.tags[slot] = tag;
+        self.lru[slot] = self.clock;
+        self.mappings[slot] = mapping;
         self.present[size_rank(mapping.page_size)] += 1;
-        self.stats.evictions.inc();
-        (Some((base + victim_way) as u32), victim.map(|e| e.mapping))
+        (Some(slot as u32), evicted)
+    }
+
+    /// Frees the way at flat index `slot`.
+    fn drop_slot(&mut self, slot: usize) {
+        self.tags[slot] = Tag::default();
+        self.present[size_rank(self.mappings[slot].page_size)] -= 1;
     }
 
     /// Invalidates any entry of address space `asid` covering `va` (TLB
@@ -330,16 +359,13 @@ impl Tlb {
             if self.present[size_rank(size)] == 0 {
                 continue;
             }
-            let vpn = va.page_number(size).number();
-            let base = self.set_index(vpn) * self.ways;
-            for slot in &mut self.slots[base..base + self.ways] {
-                if let Some(e) = slot {
-                    if e.asid == asid && e.size == size && e.vpn == vpn {
-                        *slot = None;
-                        self.present[size_rank(size)] -= 1;
-                        removed += 1;
-                        self.stats.invalidations.inc();
-                    }
+            let tag = Tag::covering(asid, size, va);
+            let base = self.set_base(tag.vpn);
+            for slot in base..base + self.ways {
+                if self.tags[slot] == tag {
+                    self.drop_slot(slot);
+                    removed += 1;
+                    self.stats.invalidations.inc();
                 }
             }
         }
@@ -349,18 +375,18 @@ impl Tlb {
     /// Every resident entry as `(asid, mapping)` pairs, for invariant
     /// checking and debugging (not a modeled hardware operation).
     pub fn entries(&self) -> impl Iterator<Item = (Asid, Mapping)> + '_ {
-        self.slots.iter().flatten().map(|e| (e.asid, e.mapping))
+        self.tags
+            .iter()
+            .zip(&self.mappings)
+            .filter(|(tag, _)| !tag.is_free())
+            .map(|(tag, &mapping)| (tag.asid(), mapping))
     }
 
     /// Flushes the entire TLB (a context switch without ASID support).
     /// Returns the number of entries dropped.
     pub fn flush(&mut self) -> usize {
-        let mut dropped = 0;
-        for slot in &mut self.slots {
-            if slot.take().is_some() {
-                dropped += 1;
-            }
-        }
+        let dropped = self.occupancy();
+        self.tags.fill(Tag::default());
         self.present = [0; 3];
         self.stats.flushed_entries.add(dropped as u64);
         dropped
@@ -371,10 +397,10 @@ impl Tlb {
     /// dropped.
     pub fn flush_asid(&mut self, asid: Asid) -> usize {
         let mut dropped = 0;
-        for slot in &mut self.slots {
-            if matches!(slot, Some(e) if e.asid == asid) {
-                let e = slot.take().expect("matched above");
-                self.present[size_rank(e.size)] -= 1;
+        for slot in 0..self.tags.len() {
+            let tag = self.tags[slot];
+            if !tag.is_free() && tag.asid() == asid {
+                self.drop_slot(slot);
                 dropped += 1;
             }
         }
@@ -384,15 +410,12 @@ impl Tlb {
 
     /// Number of valid entries currently resident.
     pub fn occupancy(&self) -> usize {
-        self.slots.iter().filter(|e| e.is_some()).count()
+        self.tags.iter().filter(|tag| !tag.is_free()).count()
     }
 
     /// Number of valid entries belonging to address space `asid`.
     pub fn occupancy_of(&self, asid: Asid) -> usize {
-        self.slots
-            .iter()
-            .filter(|e| matches!(e, Some(e) if e.asid == asid))
-            .count()
+        self.entries().filter(|(a, _)| *a == asid).count()
     }
 }
 
@@ -563,14 +586,11 @@ impl TlbHierarchy {
         } else {
             &self.l1_4k
         };
-        let entry = (*bank.slots.get(s.slot as usize)?)?;
-        if entry.asid != asid || entry.vpn != va.page_number(entry.size).number() {
-            return None;
-        }
+        let mapping = bank.live_at(s.slot, asid, va)?;
         if s.huge_bank && self.l1_4k.would_hit(asid, va) {
             return None;
         }
-        Some(entry.mapping)
+        Some(mapping)
     }
 
     /// Looks up `va` in address space `asid`. On a hit, returns the
@@ -676,7 +696,7 @@ impl TlbHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vm_types::PhysAddr;
+    use proptest::prelude::*;
 
     const A0: Asid = Asid::KERNEL;
 
@@ -957,6 +977,175 @@ mod tests {
         h.fill(A0, base);
         let got = h.l0_lookup(A0, VirtAddr::new(0x20_0123));
         assert_eq!(got, Some((base, Cycles::new(1))));
+    }
+
+    /// The obvious TLB the flat one must agree with: one `Vec` of optional
+    /// entries per set, a separate pass for each question a fill asks.
+    struct NaiveTlb {
+        sizes: Vec<PageSize>,
+        sets: Vec<Vec<Option<NaiveEntry>>>,
+        clock: u64,
+        stats: TlbStats,
+    }
+
+    #[derive(Clone, Copy)]
+    struct NaiveEntry {
+        asid: Asid,
+        mapping: Mapping,
+        lru: u64,
+    }
+
+    impl NaiveEntry {
+        fn covers(&self, asid: Asid, size: PageSize, va: VirtAddr) -> bool {
+            self.asid == asid && self.mapping.page_size == size && self.mapping.covers(va)
+        }
+    }
+
+    impl NaiveTlb {
+        fn new(config: &TlbConfig) -> Self {
+            let sets = (config.entries / config.ways).max(1);
+            NaiveTlb {
+                sizes: config.page_sizes.clone(),
+                sets: vec![vec![None; config.ways]; sets],
+                clock: 0,
+                stats: TlbStats::default(),
+            }
+        }
+
+        fn set_of(&mut self, size: PageSize, va: VirtAddr) -> &mut Vec<Option<NaiveEntry>> {
+            let sets = self.sets.len() as u64;
+            &mut self.sets[(va.page_number(size).number() % sets) as usize]
+        }
+
+        fn lookup(&mut self, asid: Asid, va: VirtAddr) -> Option<Mapping> {
+            self.clock += 1;
+            let clock = self.clock;
+            for size in self.sizes.clone() {
+                let set = self.set_of(size, va);
+                if let Some(e) = set.iter_mut().flatten().find(|e| e.covers(asid, size, va)) {
+                    e.lru = clock;
+                    let mapping = e.mapping;
+                    self.stats.hits.inc();
+                    return Some(mapping);
+                }
+            }
+            self.stats.misses.inc();
+            None
+        }
+
+        fn fill(&mut self, asid: Asid, mapping: Mapping) -> Option<Mapping> {
+            if !self.sizes.contains(&mapping.page_size) {
+                return None;
+            }
+            self.clock += 1;
+            let lru = self.clock;
+            let fresh = Some(NaiveEntry { asid, mapping, lru });
+            let set = self.set_of(mapping.page_size, mapping.vaddr);
+            let resident = |e: &&mut Option<NaiveEntry>| {
+                e.is_some_and(|e| e.covers(asid, mapping.page_size, mapping.vaddr))
+            };
+            if let Some(slot) = set.iter_mut().find(resident) {
+                *slot = fresh;
+                return None;
+            }
+            if let Some(slot) = set.iter_mut().find(|e| e.is_none()) {
+                *slot = fresh;
+                return None;
+            }
+            let oldest = set.iter().flatten().map(|e| e.lru).min().expect("full set");
+            let slot = set.iter_mut().find(|e| e.is_some_and(|e| e.lru == oldest));
+            let slot = slot.expect("the minimum is some way's stamp");
+            let evicted = slot.map(|e| e.mapping);
+            *slot = fresh;
+            self.stats.evictions.inc();
+            evicted
+        }
+
+        fn drop_where(&mut self, doomed: impl Fn(&NaiveEntry) -> bool) -> usize {
+            let mut dropped = 0;
+            for slot in self.sets.iter_mut().flatten() {
+                if slot.as_ref().is_some_and(&doomed) {
+                    *slot = None;
+                    dropped += 1;
+                }
+            }
+            dropped
+        }
+
+        fn invalidate(&mut self, asid: Asid, va: VirtAddr) -> usize {
+            let dropped = self.drop_where(|e| e.covers(asid, e.mapping.page_size, va));
+            self.stats.invalidations.add(dropped as u64);
+            dropped
+        }
+
+        fn flush(&mut self) -> usize {
+            let dropped = self.drop_where(|_| true);
+            self.stats.flushed_entries.add(dropped as u64);
+            dropped
+        }
+
+        fn flush_asid(&mut self, asid: Asid) -> usize {
+            let dropped = self.drop_where(|e| e.asid == asid);
+            self.stats.asid_flushed_entries.add(dropped as u64);
+            dropped
+        }
+
+        fn entries(&self) -> Vec<(Asid, Mapping)> {
+            let live = self.sets.iter().flatten().flatten();
+            live.map(|e| (e.asid, e.mapping)).collect()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn flat_tlb_matches_the_naive_model_op_for_op(
+            ops in prop::collection::vec(any::<u64>(), 1..600),
+            geometry in 0usize..3
+        ) {
+            let sizes = [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G];
+            // 2 sets x 4 ways, fully associative x 3 ways, and a 4K-only
+            // bank that must refuse the huge fills.
+            let config = [
+                TlbConfig::new("T", 8, 4, 1, &sizes),
+                TlbConfig::new("T", 3, 3, 1, &sizes),
+                TlbConfig::new("T", 4, 2, 1, &sizes[..1]),
+            ][geometry].clone();
+            let mut flat = Tlb::new(config.clone());
+            let mut naive = NaiveTlb::new(&config);
+            for (step, op) in ops.into_iter().enumerate() {
+                let asid = Asid::new((op >> 8 & 1) as u16);
+                // A dozen pages, so that sets fill up, entries of different
+                // sizes cover the same address and re-fills find residents.
+                let va = VirtAddr::new(
+                    (op >> 16 & 1) << 30 | (op >> 17 & 1) << 21 | (op >> 18 & 3) << 12 | (op >> 20 & 0xfff),
+                );
+                match op & 15 {
+                    0..=5 => {
+                        let size = sizes[(op >> 4) as usize % 3];
+                        let mut m = mapping(va.raw(), size);
+                        m.paddr = PhysAddr::new(op >> 32 << 12);
+                        prop_assert_eq!(flat.fill(asid, m), naive.fill(asid, m), "step {}", step);
+                    }
+                    6 => prop_assert_eq!(flat.invalidate(asid, va), naive.invalidate(asid, va), "step {}", step),
+                    7 if op >> 4 & 7 == 0 => prop_assert_eq!(flat.flush_asid(asid), naive.flush_asid(asid), "step {}", step),
+                    7 if op >> 4 & 7 == 1 => prop_assert_eq!(flat.flush(), naive.flush(), "step {}", step),
+                    _ => {
+                        prop_assert_eq!(flat.would_hit(asid, va), naive.entries().iter().any(|(a, m)| *a == asid && m.covers(va)));
+                        prop_assert_eq!(flat.lookup(asid, va), naive.lookup(asid, va), "step {}", step);
+                    }
+                }
+                prop_assert_eq!(flat.stats(), &naive.stats, "step {}", step);
+                let resident = naive.entries();
+                prop_assert_eq!(flat.entries().collect::<Vec<_>>(), resident.clone(), "step {}", step);
+                prop_assert_eq!(flat.occupancy(), resident.len());
+                for size in sizes {
+                    let count = resident.iter().filter(|(_, m)| m.page_size == size).count();
+                    prop_assert_eq!(flat.present[size_rank(size)], count as u64, "step {} {}", step, size);
+                }
+            }
+        }
     }
 
     #[test]

@@ -52,6 +52,11 @@ pub struct SpeedCell {
     /// Simulated IPC of the run (sanity anchor: must not change when the
     /// host gets faster).
     pub sim_ipc: f64,
+    /// Epoch telemetry of the last repetition (multi-core rows only): how
+    /// often the loop ran an epoch, why it did not, and what crossed the
+    /// host-thread boundary.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub epoch: Option<virtuoso::EpochStats>,
 }
 
 /// The full report written to `BENCH_simspeed.json`.
@@ -274,6 +279,7 @@ pub fn measure_cell(
         best_elapsed_s: best_elapsed,
         mips: opts.instructions as f64 / best_elapsed / 1e6,
         sim_ipc: report.ipc,
+        epoch: None,
     }
 }
 
@@ -281,7 +287,7 @@ fn run_multicore_once(
     config: SystemConfig,
     spec: &WorkloadSpec,
     cores: usize,
-) -> (f64, virtuoso::MultiProgramReport) {
+) -> (f64, virtuoso::MultiProgramReport, virtuoso::EpochStats) {
     let mut system = System::new(config);
     let mut pids = vec![system.pid()];
     while pids.len() < cores {
@@ -302,7 +308,7 @@ fn run_multicore_once(
         .collect();
     let start = Instant::now();
     let report = system.run_multiprogram(&mut programs, None);
-    (start.elapsed().as_secs_f64(), report)
+    (start.elapsed().as_secs_f64(), report, system.epoch_stats())
 }
 
 /// Measures one multi-core cell: `cores` pinned copies of `spec` on an
@@ -336,13 +342,13 @@ pub fn measure_multicore_cell(
     let mut best_elapsed = f64::INFINITY;
     let mut last_report = None;
     for _ in 0..opts.repetitions.max(1) {
-        let (elapsed, report) = run_multicore_once(config.clone(), &spec, cores);
+        let (elapsed, report, epoch) = run_multicore_once(config.clone(), &spec, cores);
         if elapsed < best_elapsed {
             best_elapsed = elapsed;
         }
-        last_report = Some(report);
+        last_report = Some((report, epoch));
     }
-    let report = last_report.expect("at least one repetition");
+    let (report, epoch) = last_report.expect("at least one repetition");
     SpeedCell {
         workload: spec.name.clone(),
         mode: "detailed".to_string(),
@@ -354,6 +360,7 @@ pub fn measure_multicore_cell(
         best_elapsed_s: best_elapsed,
         mips: total as f64 / best_elapsed / 1e6,
         sim_ipc: report.rollup.ipc,
+        epoch: Some(epoch),
     }
 }
 
@@ -457,6 +464,43 @@ pub fn render(report: &SpeedReport) -> String {
         ]);
     }
     let mut out = table.render();
+    let mut epochs = crate::runner::ExperimentTable::new(
+        "Epoch telemetry of the multi-core rows (stood down: fence / injection / headroom / runt)",
+        &[
+            "workload",
+            "cores",
+            "threads",
+            "epochs",
+            "stood_down",
+            "truncated",
+            "replayed",
+            "jobs",
+        ],
+    );
+    let mut any_epochs = false;
+    for c in &report.cells {
+        let Some(e) = c.epoch else { continue };
+        any_epochs = true;
+        epochs.push_row(vec![
+            c.workload.clone(),
+            c.cores.to_string(),
+            c.threads.to_string(),
+            e.epochs_run.to_string(),
+            format!(
+                "{}/{}/{}/{}",
+                e.stood_down_fence_armed,
+                e.stood_down_fault_injection,
+                e.stood_down_low_headroom,
+                e.stood_down_runt_slice
+            ),
+            e.fault_truncated_slices.to_string(),
+            e.replayed_accesses.to_string(),
+            e.jobs_handed_off.to_string(),
+        ]);
+    }
+    if any_epochs {
+        out.push_str(&epochs.render());
+    }
     out.push_str(&format!(
         "headline (RND/detailed): {:.3} MIPS\n",
         report.headline_mips

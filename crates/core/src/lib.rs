@@ -45,6 +45,7 @@
 
 pub mod channel;
 pub mod config;
+mod epoch;
 pub mod report;
 pub mod system;
 pub mod validation;
@@ -54,6 +55,7 @@ pub use channel::{
     ShootdownIpi,
 };
 pub use config::{SimulationMode, SystemConfig};
+pub use epoch::EpochStats;
 pub use report::{
     CoreIpiStats, MultiProgramReport, OomStats, ProcessExitStatus, ProcessReport, ShootdownStats,
     SimulationReport,

@@ -11,6 +11,7 @@ use crate::channel::{
     FunctionalChannel, InstructionStreamChannel, InterCoreChannel, KernelRequest, KernelResponse,
 };
 use crate::config::{SimulationMode, SystemConfig};
+use crate::epoch::{Attempt, EpochStats, FaultedAccess, Frontend, SliceJob, SliceLog, Workers};
 use crate::report::{
     CoreIpiStats, MultiProgramReport, OomStats, ProcessExitStatus, ProcessReport, ShootdownStats,
     SimulationReport,
@@ -19,9 +20,9 @@ use cache_sim::CacheHierarchy;
 use dram_sim::DramModel;
 use mimic_os::sched::ContextSwitch;
 use mimic_os::{InvalidationBatch, KernelInstructionStream, KernelOp, Mapping, MimicOs, ProcessId};
-use mmu_sim::{InstallInfo, Mmu, TranslationEngine, WalkOutcome};
+use mmu_sim::{InstallInfo, Mmu, TranslationEngine};
 use sim_core::{CoreModel, Instruction, TraceSource};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use vm_types::{
     AccessType, Asid, Cycles, PageSize, PhysAddr, Requestor, VirtAddr, VmError, VmResult,
 };
@@ -39,19 +40,14 @@ struct ProcPerf {
     oom_failures: u64,
 }
 
-/// The architectural state owned by one simulated core: its timing model
-/// and its private translation frontend (TLBs, PWCs, engine state). The
-/// caches, DRAM and MimicOS stay machine-wide.
+/// The architectural state of one simulated core that never leaves the run
+/// loop's thread: its timing model and accounting. Its private translation
+/// frontend (TLBs, PWCs, engine state) is the [`Frontend`] at the same
+/// index of `System::frontends`; the caches, DRAM and MimicOS stay
+/// machine-wide.
 #[derive(Debug)]
 struct CoreState {
     core: CoreModel,
-    /// The TLB hierarchy, page-walk caches and per-address-space page
-    /// tables — the translation infrastructure every engine composes with.
-    mmu: Mmu,
-    /// The design-specific translation state (conventional page table,
-    /// Midgard, RMM or Utopia), selected by [`SystemConfig::engine`]. The
-    /// engine borrows this core's `mmu` on every call.
-    engine: TranslationEngine,
     /// The process currently holding this core.
     current: ProcessId,
     /// Cached index of `current` into `per_proc`, refreshed on context
@@ -65,45 +61,8 @@ struct CoreState {
     instructions_since_housekeeping: u64,
 }
 
-/// The core-local outcome of one memory access's translation: everything
-/// [`CoreState::local_translate`] computed without touching shared machine
-/// state. The walk accesses are *recorded*, not charged — replaying them
-/// through the shared caches/DRAM happens serially (inline on the step
-/// path, at the barrier for parallel epochs).
-#[derive(Debug)]
-struct LocalTranslation {
-    paddr: Option<PhysAddr>,
-    fixed_latency: Cycles,
-    walk: Option<WalkOutcome>,
-}
-
-/// One memory access whose core-local half has run and whose shared-state
-/// half (walk charging, cache/DRAM traffic, retire) is still owed: logged
-/// by a parallel epoch slice for the serial barrier replay, or handed back
-/// by the instruction loop because its translation faulted.
-#[derive(Debug)]
-struct DeferredAccess {
-    pc: VirtAddr,
-    vaddr: VirtAddr,
-    kind: AccessType,
-    translation: LocalTranslation,
-}
-
-/// What one core's local phase of an epoch produced.
-#[derive(Debug, Default)]
-struct SliceLog {
-    /// Instructions fully executed locally (excludes the faulting one).
-    ran: u64,
-    /// Successfully translated memory accesses, in program order.
-    accesses: Vec<DeferredAccess>,
-    /// Set when the slice stopped at a translation fault: the faulting
-    /// access's core-local half. The barrier resumes it mid-instruction
-    /// (the attempt-0 TLB/engine mutations already happened locally).
-    fault: Option<DeferredAccess>,
-}
-
-/// Per-core plan and result of one parallel epoch, reused across epochs so
-/// the steady-state loop allocates nothing.
+/// Per-core plan of one epoch, reused across epochs so the steady-state
+/// loop allocates nothing.
 #[derive(Debug)]
 struct EpochSlice {
     /// Instructions this core's slice may run this epoch, sized by the
@@ -113,22 +72,18 @@ struct EpochSlice {
     pid: ProcessId,
     /// Index into `programs` / the fetched-instruction queues.
     prog: usize,
+    /// Instructions actually fetched for the slice: `cap`, or fewer if the
+    /// trace ran dry.
+    planned: u64,
     /// The core's cycle count when the slice was planned (after its
     /// dispatch context switch), for per-process cycle attribution.
     cycles_before: u64,
     /// The trace source ran dry while filling the slice.
     exhausted: bool,
+    /// The slice's local phase is out on a worker: the core's frontend,
+    /// the program's queue and `log` travel with it.
+    in_flight: bool,
     log: SliceLog,
-}
-
-impl EpochSlice {
-    /// The slice's instructions: the first `cap` (fewer if the trace ran
-    /// dry) at the front of its program's queue, which the fetch pass left
-    /// contiguous.
-    fn instrs<'a>(&self, fetched: &'a [VecDeque<Instruction>]) -> &'a [Instruction] {
-        let (front, _) = fetched[self.prog].as_slices();
-        &front[..front.len().min(self.cap as usize)]
-    }
 }
 
 impl Default for EpochSlice {
@@ -137,10 +92,52 @@ impl Default for EpochSlice {
             cap: 0,
             pid: ProcessId(0),
             prog: 0,
+            planned: 0,
             cycles_before: 0,
             exhausted: false,
+            in_flight: false,
             log: SliceLog::default(),
         }
+    }
+}
+
+/// The instructions an epoch fetched from one program's source and has not
+/// run yet, oldest at `buf[head]`. A slice executes in place at the front,
+/// so a fault-truncated slice leaves its tail where the next epoch — or
+/// fallback turn — of that program finds it first.
+#[derive(Debug, Default)]
+struct FetchQueue {
+    buf: Vec<Instruction>,
+    head: usize,
+}
+
+impl FetchQueue {
+    fn len(&self) -> usize {
+        self.buf.len() - self.head
+    }
+
+    /// Fetches from `source` until `cap` instructions are queued; `false`
+    /// when the source ran dry first.
+    fn top_up(&mut self, cap: usize, source: &mut dyn TraceSource) -> bool {
+        // Reclaim the consumed prefix once it outweighs what is left, so
+        // the copy is amortized over the instructions already run.
+        if self.head >= self.len() {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+        while self.len() < cap {
+            match source.next_instruction() {
+                Some(instr) => self.buf.push(instr),
+                None => return false,
+            }
+        }
+        true
+    }
+
+    fn pop_front(&mut self) -> Option<Instruction> {
+        let instr = self.buf.get(self.head).copied()?;
+        self.head += 1;
+        Some(instr)
     }
 }
 
@@ -149,7 +146,7 @@ impl Default for EpochSlice {
 /// replay before fresh ones, so slicing never reorders or drops trace
 /// instructions.
 struct ReplayFront<'a> {
-    fetched: &'a mut VecDeque<Instruction>,
+    fetched: &'a mut FetchQueue,
     inner: &'a mut dyn TraceSource,
 }
 
@@ -158,66 +155,6 @@ impl TraceSource for ReplayFront<'_> {
         self.fetched
             .pop_front()
             .or_else(|| self.inner.next_instruction())
-    }
-}
-
-impl CoreState {
-    /// The core-local half of one memory access: the L0 fast path, then the
-    /// engine translation. Touches only this core's TLBs/PWCs/engine state,
-    /// so parallel epoch workers can run it without synchronization.
-    fn local_translate(&mut self, asid: Asid, vaddr: VirtAddr) -> LocalTranslation {
-        if self.engine.uses_l0() {
-            if let Some((pa, latency)) = self.mmu.l0_translate(asid, vaddr) {
-                return LocalTranslation {
-                    paddr: Some(pa),
-                    fixed_latency: latency,
-                    walk: None,
-                };
-            }
-        }
-        self.engine_translate(asid, vaddr)
-    }
-
-    /// [`CoreState::local_translate`] without the L0 fast path: the L0
-    /// stands down on the retry after a page fault (the engine refills it
-    /// on this translation).
-    fn engine_translate(&mut self, asid: Asid, vaddr: VirtAddr) -> LocalTranslation {
-        let result = self.engine.translate(&mut self.mmu, asid, vaddr);
-        LocalTranslation {
-            paddr: result.paddr,
-            fixed_latency: result.fixed_latency,
-            walk: result.walk,
-        }
-    }
-
-    /// The parallel phase of one epoch slice: executes `instrs` against
-    /// this core's private state only, logging every memory access for the
-    /// serial barrier replay. Stops at the first translation fault — the
-    /// fault needs the shared kernel, so the barrier resumes it exactly
-    /// where this phase left off. Compute instructions retire here (the
-    /// core model's accumulators are plain integer adds, so splitting them
-    /// from the deferred memory retires cannot change the final counts).
-    fn run_slice_local(&mut self, asid: Asid, instrs: &[Instruction], log: &mut SliceLog) {
-        for instr in instrs {
-            match instr.memory {
-                None => self.core.retire_compute(1),
-                Some((vaddr, kind)) => {
-                    let translation = self.local_translate(asid, vaddr);
-                    let entry = DeferredAccess {
-                        pc: instr.pc,
-                        vaddr,
-                        kind,
-                        translation,
-                    };
-                    if entry.translation.paddr.is_none() {
-                        log.fault = Some(entry);
-                        return;
-                    }
-                    log.accesses.push(entry);
-                }
-            }
-            log.ran += 1;
-        }
     }
 }
 
@@ -240,6 +177,7 @@ impl TraceSource for Fetched<'_> {
 /// housekeeping, the coherence fence — happens between two such borrows.
 struct Datapath<'a> {
     core: &'a mut CoreState,
+    front: &'a mut Frontend,
     perf: &'a mut ProcPerf,
     caches: &'a mut CacheHierarchy,
     dram: &'a mut DramModel,
@@ -256,7 +194,7 @@ impl Datapath<'_> {
         &mut self,
         source: &mut T,
         n: u64,
-    ) -> (u64, Option<DeferredAccess>) {
+    ) -> (u64, Option<FaultedAccess>) {
         let asid = System::asid_of(self.core.current);
         let mut ran = 0u64;
         while ran < n {
@@ -266,9 +204,9 @@ impl Datapath<'_> {
             match instr.memory {
                 None => self.core.core.retire_compute(1),
                 Some((vaddr, kind)) => {
-                    let translation = self.core.local_translate(asid, vaddr);
+                    let translation = self.front.local_translate(asid, vaddr);
                     if translation.paddr.is_none() {
-                        let entry = DeferredAccess {
+                        let entry = FaultedAccess {
                             pc: instr.pc,
                             vaddr,
                             kind,
@@ -276,7 +214,7 @@ impl Datapath<'_> {
                         };
                         return (ran, Some(entry));
                     }
-                    self.complete_access(instr.pc, kind, &translation, Cycles::ZERO);
+                    self.complete_access(instr.pc, kind, translation.attempt(), Cycles::ZERO);
                 }
             }
             ran += 1;
@@ -295,11 +233,11 @@ impl Datapath<'_> {
         &mut self,
         pc: VirtAddr,
         kind: AccessType,
-        translation: &LocalTranslation,
+        attempt: Attempt<'_>,
         carried: Cycles,
     ) {
-        let latency = carried + self.charge_translation(translation);
-        match translation.paddr {
+        let latency = carried + self.charge_translation(attempt);
+        match attempt.paddr {
             Some(paddr) => {
                 let data_latency = self.data_access(pc, paddr, kind);
                 self.core.core.retire_memory(latency + data_latency);
@@ -313,13 +251,13 @@ impl Datapath<'_> {
     /// the cost to the core and the process holding it (one dense-array
     /// slot per memory access; compute instructions never touch these
     /// fields) and returns the latency the attempt exposes.
-    fn charge_translation(&mut self, translation: &LocalTranslation) -> Cycles {
-        let mut latency = translation.fixed_latency;
+    fn charge_translation(&mut self, attempt: Attempt<'_>) -> Cycles {
+        let mut latency = attempt.fixed_latency;
         // Cycles beyond the 1-cycle L1 TLB probe are translation overhead.
-        let mut cycles = translation.fixed_latency.raw().saturating_sub(1);
+        let mut cycles = attempt.fixed_latency.raw().saturating_sub(1);
         let (mut ptw_latency, mut ptw_count) = (0u64, 0u64);
-        if let Some(walk) = &translation.walk {
-            let walk_latency = self.charge_page_walk(walk.parallel, &walk.accesses);
+        if let Some((parallel, accesses)) = attempt.walk {
+            let walk_latency = self.charge_page_walk(parallel, accesses);
             latency += walk_latency;
             cycles += walk_latency.raw();
             ptw_latency = walk_latency.raw();
@@ -415,6 +353,16 @@ impl Datapath<'_> {
     }
 }
 
+/// Why taking a frontend out of `System::frontends` cannot fail outside an
+/// epoch's hand-off window.
+const FRONTEND_HOME: &str = "a core's frontend is out on an epoch worker";
+
+/// Core `core`'s translation frontend, borrowed from the `frontends` field
+/// alone so the caller keeps the rest of [`System`].
+fn front_mut(frontends: &mut [Option<Box<Frontend>>], core: usize) -> &mut Frontend {
+    frontends[core].as_deref_mut().expect(FRONTEND_HOME)
+}
+
 /// The full simulated machine.
 ///
 /// See the [crate-level documentation](crate) for an example.
@@ -423,9 +371,13 @@ pub struct System {
     config: SystemConfig,
     caches: CacheHierarchy,
     dram: DramModel,
-    /// The simulated cores (at least one), each with its private
-    /// translation frontend and timing model.
+    /// The simulated cores (at least one): timing model and accounting.
     cores: Vec<CoreState>,
+    /// Each core's private translation frontend, boxed so a parallel epoch
+    /// can hand it to a worker and take it back by moving a pointer. `None`
+    /// only while the core's slice is out on a worker; every frontend is
+    /// home whenever the run loop is not inside an epoch.
+    frontends: Vec<Option<Box<Frontend>>>,
     /// The core the stepping API and the slow paths act on; the
     /// multiprogram loop rotates it round-robin.
     active: usize,
@@ -457,16 +409,15 @@ pub struct System {
     /// Instructions retired since the coherence fence last ran (only
     /// advanced when [`SystemConfig::invariant_check_interval`] arms it).
     instructions_since_invariant_check: u64,
-    /// `true` while the barrier replay of a parallel epoch is resolving
-    /// faults; guards debug assertions that no cross-core disturbance
-    /// (reclaim shootdowns, OOM kills) slips into an epoch the headroom
-    /// check declared safe.
+    /// `true` while the barrier of a parallel epoch is resolving a fault;
+    /// guards the assertions that no cross-core disturbance (reclaim
+    /// shootdowns, OOM kills) slips into an epoch the headroom check
+    /// declared safe — the other cores' local phases have already run.
     epoch_replay: bool,
-    /// Planned epochs the multiprogram loop executed (as opposed to
-    /// fallback one-`CORE_TICK` rounds). Not part of any report — exposed
-    /// through [`System::epochs_run`] so tests can assert the epoch path
+    /// Telemetry of the epoch machinery. Not part of any report — exposed
+    /// through [`System::epoch_stats`] so tests can assert the epoch path
     /// actually engaged rather than silently falling back.
-    epochs_run: u64,
+    epoch_stats: EpochStats,
 }
 
 impl System {
@@ -480,10 +431,14 @@ impl System {
         let num_cores = config.os.num_cores.max(1);
         let mut os = MimicOs::new(config.os.clone());
         let pid = os.spawn_process();
+        let make_frontend = |_| {
+            Some(Box::new(Frontend {
+                mmu: Mmu::new(config.mmu.clone()),
+                engine: TranslationEngine::new(config.engine),
+            }))
+        };
         let make_core = |c: usize| CoreState {
             core: CoreModel::new(config.core),
-            mmu: Mmu::new(config.mmu.clone()),
-            engine: TranslationEngine::new(config.engine),
             // With `pid % num_cores` pinning, the first process
             // dispatched on core `c` is pid `c`, so seeding `current`
             // this way avoids a spurious boot-time context switch —
@@ -500,6 +455,7 @@ impl System {
             caches: CacheHierarchy::new(config.caches.clone()),
             dram: DramModel::new(config.dram.clone()),
             cores: (0..num_cores).map(make_core).collect(),
+            frontends: (0..num_cores).map(make_frontend).collect(),
             active: 0,
             os,
             primary: pid,
@@ -515,7 +471,7 @@ impl System {
             oom_failures: 0,
             instructions_since_invariant_check: 0,
             epoch_replay: false,
-            epochs_run: 0,
+            epoch_stats: EpochStats::default(),
             config,
         }
     }
@@ -534,22 +490,22 @@ impl System {
     /// statistics). Under the Midgard engine this is the Midgard-space
     /// backend the engine repurposes; see [`mmu_sim::MidgardEngine`].
     pub fn mmu(&self) -> &Mmu {
-        &self.cores[0].mmu
+        &self.front(0).mmu
     }
 
     /// The translation engine of core 0 (for engine-specific statistics).
     pub fn engine(&self) -> &TranslationEngine {
-        &self.cores[0].engine
+        &self.front(0).engine
     }
 
     /// Core `core`'s private TLB-and-page-table state.
     pub fn mmu_of(&self, core: usize) -> &Mmu {
-        &self.cores[core].mmu
+        &self.front(core).mmu
     }
 
     /// Core `core`'s translation engine.
     pub fn engine_of(&self, core: usize) -> &TranslationEngine {
-        &self.cores[core].engine
+        &self.front(core).engine
     }
 
     /// The DRAM model (for row-buffer statistics).
@@ -624,7 +580,20 @@ impl System {
     /// or an armed coherence fence). Diagnostic only; never serialized
     /// into reports.
     pub fn epochs_run(&self) -> u64 {
-        self.epochs_run
+        self.epoch_stats.epochs_run
+    }
+
+    /// Telemetry of the epoch machinery of [`System::run_multiprogram`]:
+    /// epochs run, stand-downs by reason, fault-truncated slices and the
+    /// work that crossed the host-thread boundary. Diagnostic only; never
+    /// serialized into reports.
+    pub fn epoch_stats(&self) -> EpochStats {
+        self.epoch_stats
+    }
+
+    /// Core `core`'s translation frontend.
+    fn front(&self, core: usize) -> &Frontend {
+        self.frontends[core].as_deref().expect(FRONTEND_HOME)
     }
 
     /// Shootdown work applied so far (zero counters on a run without
@@ -725,7 +694,7 @@ impl System {
     fn engine_note_mapped_region(&mut self, pid: ProcessId, start: VirtAddr, len: u64) {
         let asid = Self::asid_of(pid);
         let core = self.core_of(pid);
-        let c = &mut self.cores[core];
+        let c = front_mut(&mut self.frontends, core);
         c.engine.note_vma(asid, start, len);
         c.engine.note_ranges(asid, self.os.ranges(pid));
     }
@@ -750,7 +719,7 @@ impl System {
             while offset < len {
                 let va = start.add(offset);
                 if let Some(existing) = self.os.process(pid).lookup_mapping(va) {
-                    let c = &mut self.cores[home];
+                    let c = front_mut(&mut self.frontends, home);
                     c.engine.handle_fault_install(
                         &mut c.mmu,
                         asid,
@@ -770,7 +739,7 @@ impl System {
                         // time — populate charges nothing by design).
                         self.apply_invalidations_from(home, &outcome.invalidations, false);
                         self.process_oom_kills(false);
-                        let c = &mut self.cores[home];
+                        let c = front_mut(&mut self.frontends, home);
                         c.engine
                             .handle_fault_install(&mut c.mmu, asid, &outcome.mapping, info);
                         for extra in &outcome.additional_mappings {
@@ -913,11 +882,36 @@ impl System {
         max_instructions: Option<u64>,
     ) -> MultiProgramReport {
         let names = self.name_programs(programs);
-
         let limit = max_instructions.unwrap_or(u64::MAX);
         let num_cores = self.num_cores();
         let host_threads = self.config.host_threads.clamp(1, num_cores);
+        if host_threads > 1 {
+            // The workers live for the whole run and borrow nothing: every
+            // job is moved to them and back. The scope is only what joins
+            // them, and surfaces their panics, on the way out.
+            std::thread::scope(|scope| {
+                let workers = Workers::spawn(scope, host_threads - 1, num_cores);
+                self.run_rounds(programs, limit, Some(workers));
+            });
+        } else {
+            self.run_rounds(programs, limit, None);
+        }
+        self.active = 0;
+        self.multiprogram_report(&names)
+    }
 
+    /// The multiprogram loop proper: epochs while they are safe and
+    /// worthwhile, serial `CORE_TICK` rounds otherwise. With `workers`,
+    /// every epoch slice's local phase runs on one of them, pipelined
+    /// against the barrier; without, slices execute inline on this thread
+    /// with no channel and no log.
+    fn run_rounds(
+        &mut self,
+        programs: &mut [(ProcessId, &mut dyn TraceSource)],
+        limit: u64,
+        workers: Option<Workers>,
+    ) {
+        let num_cores = self.num_cores();
         // Dense pid -> program-index map: a per-turn linear scan over
         // `programs` is measurable dispatch overhead at CORE_TICK
         // granularity.
@@ -926,12 +920,8 @@ impl System {
         for (i, (pid, _)) in programs.iter().enumerate() {
             program_of[pid.0] = Some(i);
         }
-        // Per program, the instructions an epoch has fetched from its
-        // source and not yet run. A slice executes in place at the front of
-        // its queue, so a fault-truncated slice leaves its tail where the
-        // next epoch — or fallback turn — of that program finds it first.
-        let mut fetched: Vec<VecDeque<Instruction>> =
-            (0..programs.len()).map(|_| VecDeque::new()).collect();
+        let mut fetched: Vec<FetchQueue> =
+            (0..programs.len()).map(|_| FetchQueue::default()).collect();
         let mut epoch: Vec<EpochSlice> = (0..num_cores).map(|_| EpochSlice::default()).collect();
 
         let mut retired_total = 0u64;
@@ -944,8 +934,9 @@ impl System {
                 // ---- Plan (serial): dispatch and size every core's slice,
                 // in core order, before a single instruction is fetched — a
                 // runt on a later core then abandons the epoch with nothing
-                // to put back. Context switches apply here so the parallel
-                // phase sees post-dispatch translation state.
+                // to put back. Context switches apply here so the local
+                // phases see post-dispatch translation state, and every
+                // frontend is still home.
                 let interval = self.config.housekeeping_interval;
                 let mut budget = limit - retired_total;
                 let mut runt = false;
@@ -983,111 +974,95 @@ impl System {
                     slice.prog = prog;
                 }
 
-                if !runt {
+                if runt {
+                    self.epoch_stats.stood_down_runt_slice += 1;
+                } else {
                     ran_epoch = true;
-                    self.epochs_run += 1;
-                    // ---- Fetch (serial): top every slice's queue up to
-                    // its cap from the source (what a truncated predecessor
-                    // left comes first). The attribution baselines are
-                    // snapshotted here, after every dispatch switch has
-                    // been charged.
+                    self.epoch_stats.epochs_run += 1;
+                    // ---- Fetch (serial) and hand-off: top every slice's
+                    // queue up to its cap from the source (what a truncated
+                    // predecessor left comes first) and, with workers, send
+                    // its local phase off the moment it is fetched — the
+                    // worker translates core k while this thread fetches
+                    // core k+1. The attribution baselines are snapshotted
+                    // here, after every dispatch switch has been charged.
                     for (core, slice) in epoch.iter_mut().enumerate() {
                         if slice.cap == 0 {
                             continue;
                         }
-                        slice.exhausted = false;
-                        slice.log.ran = 0;
-                        slice.log.accesses.clear();
-                        slice.log.fault = None;
                         slice.cycles_before = self.cores[core].core.cycles().raw();
                         let queue = &mut fetched[slice.prog];
-                        while (queue.len() as u64) < slice.cap {
-                            match programs[slice.prog].1.next_instruction() {
-                                Some(instr) => queue.push_back(instr),
-                                None => {
-                                    slice.exhausted = true;
-                                    break;
-                                }
-                            }
+                        slice.exhausted =
+                            !queue.top_up(slice.cap as usize, &mut *programs[slice.prog].1);
+                        slice.planned = slice.cap.min(queue.len() as u64);
+                        if let Some(workers) = &workers {
+                            slice.log.clear();
+                            slice.in_flight = true;
+                            self.epoch_stats.jobs_handed_off += 1;
+                            workers.send(SliceJob {
+                                core,
+                                asid: Self::asid_of(slice.pid),
+                                frontend: self.frontends[core].take().expect(FRONTEND_HOME),
+                                slice: queue.head..queue.head + slice.planned as usize,
+                                instrs: std::mem::take(&mut queue.buf),
+                                log: std::mem::take(&mut slice.log),
+                            });
                         }
-                        queue.make_contiguous();
-                    }
-
-                    // ---- Parallel phase: each active core runs its slice
-                    // against private state only. With one host thread the
-                    // slice instead executes inline during the barrier
-                    // below, which is the same schedule by construction.
-                    if host_threads > 1 {
-                        let mut buckets: Vec<Vec<(&mut CoreState, &mut EpochSlice)>> =
-                            (0..host_threads).map(|_| Vec::new()).collect();
-                        let jobs = self.cores.iter_mut().zip(epoch.iter_mut());
-                        for (i, job) in jobs.filter(|(_, s)| s.cap > 0).enumerate() {
-                            buckets[i % host_threads].push(job);
-                        }
-                        let fetched = &fetched[..];
-                        std::thread::scope(|scope| {
-                            let mut buckets = buckets.into_iter().filter(|b| !b.is_empty());
-                            // The calling thread works too instead of
-                            // blocking at the join.
-                            let local = buckets.next();
-                            for bucket in buckets {
-                                scope.spawn(move || {
-                                    for (state, slice) in bucket {
-                                        let instrs = slice.instrs(fetched);
-                                        let asid = Self::asid_of(slice.pid);
-                                        state.run_slice_local(asid, instrs, &mut slice.log);
-                                    }
-                                });
-                            }
-                            for (state, slice) in local.into_iter().flatten() {
-                                let instrs = slice.instrs(fetched);
-                                let asid = Self::asid_of(slice.pid);
-                                state.run_slice_local(asid, instrs, &mut slice.log);
-                            }
-                        });
                     }
 
                     // ---- Barrier (serial, core-index order): replay the
-                    // logged shared-state work, resolve faults, account and
-                    // reschedule. This is the only place shared machine
-                    // state moves, so its order — and therefore every
-                    // report — is independent of the host-thread count.
-                    for (core, slice) in epoch.iter_mut().enumerate() {
-                        if slice.cap == 0 {
+                    // logged shared-state work as each core's log arrives,
+                    // resolve faults, account and reschedule. This is the
+                    // only place shared machine state moves, and it moves
+                    // in core order whatever order the workers finish in,
+                    // so every report is independent of the host-thread
+                    // count. While core k replays here, a worker is
+                    // already translating core k+1.
+                    for core in 0..num_cores {
+                        if epoch[core].cap == 0 {
                             continue;
                         }
                         self.active = core;
-                        let instrs = slice.instrs(&fetched);
-                        let planned = instrs.len() as u64;
-                        let (mut ran, fault) = if host_threads > 1 {
+                        let planned = epoch[core].planned;
+                        let (mut ran, fault) = if let Some(workers) = &workers {
+                            self.collect(workers, &mut epoch, &mut fetched, Some(core));
+                            let log = &epoch[core].log;
                             let mut path = self.datapath();
-                            for entry in &slice.log.accesses {
-                                path.complete_access(
-                                    entry.pc,
-                                    entry.kind,
-                                    &entry.translation,
-                                    Cycles::ZERO,
-                                );
+                            for _ in 0..log.computes {
+                                path.core.core.retire_compute(1);
                             }
-                            (slice.log.ran, slice.log.fault.take())
+                            for (pc, kind, attempt) in log.replay() {
+                                path.complete_access(pc, kind, attempt, Cycles::ZERO);
+                            }
+                            self.epoch_stats.replayed_accesses += log.logged_accesses();
+                            (log.ran(), log.fault())
                         } else {
                             // Single host thread: execute the slice inline,
                             // stopping at the first fault exactly where a
-                            // parallel worker would have.
+                            // worker would have.
+                            let queue = &fetched[epoch[core].prog];
+                            let instrs = &queue.buf[queue.head..][..planned as usize];
                             self.datapath()
                                 .run_until_fault(&mut Fetched(instrs.iter()), planned)
                         };
                         if let Some(entry) = fault {
                             // The slice resumes mid-instruction and ends.
-                            self.epoch_replay = host_threads > 1;
+                            // The fault path may reach any core's frontend,
+                            // so every outstanding job comes home first.
+                            self.epoch_stats.fault_truncated_slices += 1;
+                            if let Some(workers) = &workers {
+                                self.collect(workers, &mut epoch, &mut fetched, None);
+                            }
+                            self.epoch_replay = workers.is_some();
                             self.finish_faulted_access(&entry);
                             self.epoch_replay = false;
                             ran += 1;
                         }
+                        let slice = &epoch[core];
                         self.attribute_block(ran, slice.cycles_before);
                         // What the slice did not get to stays queued for
                         // the next dispatch of this program.
-                        fetched[slice.prog].drain(..ran as usize);
+                        fetched[slice.prog].head += ran as usize;
 
                         retired_total += ran;
                         let at_limit = retired_total >= limit;
@@ -1099,6 +1074,9 @@ impl System {
                             at_limit,
                         );
                         if at_limit {
+                            if let Some(workers) = &workers {
+                                self.collect(workers, &mut epoch, &mut fetched, None);
+                            }
                             break 'outer;
                         }
                     }
@@ -1140,9 +1118,30 @@ impl System {
                 }
             }
         }
+    }
 
-        self.active = 0;
-        self.multiprogram_report(&names)
+    /// Blocks until core `until`'s job is back from its worker — every
+    /// outstanding job, with `None` — filing what each returning job
+    /// carried: the frontend goes home, the instruction buffer back to its
+    /// program's queue, the log to its slice.
+    fn collect(
+        &mut self,
+        workers: &Workers,
+        epoch: &mut [EpochSlice],
+        fetched: &mut [FetchQueue],
+        until: Option<usize>,
+    ) {
+        while match until {
+            Some(core) => epoch[core].in_flight,
+            None => epoch.iter().any(|slice| slice.in_flight),
+        } {
+            let job = workers.recv();
+            let slice = &mut epoch[job.core];
+            self.frontends[job.core] = Some(job.frontend);
+            fetched[slice.prog].buf = job.instrs;
+            slice.log = job.log;
+            slice.in_flight = false;
+        }
     }
 
     /// The head of one core's turn — schedule, context switch, program
@@ -1205,10 +1204,20 @@ impl System {
     /// - Low headroom means a barrier-serviced fault could trigger
     ///   reclaim, khugepaged-style invalidations or the OOM killer, whose
     ///   cross-core teardown must interleave at `CORE_TICK` granularity.
-    fn epoch_ready(&self) -> bool {
-        self.config.invariant_check_interval == 0
-            && !self.config.os.fault_injection.is_active()
-            && self.epoch_fault_headroom()
+    fn epoch_ready(&mut self) -> bool {
+        let headroom = self.epoch_fault_headroom();
+        let stats = &mut self.epoch_stats;
+        let stood_down = if self.config.invariant_check_interval != 0 {
+            &mut stats.stood_down_fence_armed
+        } else if self.config.os.fault_injection.is_active() {
+            &mut stats.stood_down_fault_injection
+        } else if !headroom {
+            &mut stats.stood_down_low_headroom
+        } else {
+            return true;
+        };
+        *stood_down += 1;
+        false
     }
 
     /// Barrier-serviced faults must stay reclaim-free: if the worst-case
@@ -1241,12 +1250,13 @@ impl System {
             }
         }
         self.ensure_perf_slot(switch.to);
-        let c = &mut self.cores[self.active];
-        let dropped = c
+        let f = front_mut(&mut self.frontends, self.active);
+        let dropped = f
             .engine
-            .context_switch(&mut c.mmu, Self::asid_of(switch.to));
+            .context_switch(&mut f.mmu, Self::asid_of(switch.to));
         self.switch_flushed_entries += dropped as u64;
         self.context_switches += 1;
+        let c = &mut self.cores[self.active];
         c.current = switch.to;
         // Swap the cached accounting slot to the incoming process.
         c.current_slot = switch.to.0;
@@ -1256,7 +1266,7 @@ impl System {
     fn process_report(&self, pid: ProcessId, workload: String) -> ProcessReport {
         let perf = self.per_proc.get(pid.0).copied().unwrap_or_default();
         let home = self.core_of(pid);
-        let asid_stats = self.cores[home].mmu.stats().for_asid(Self::asid_of(pid));
+        let asid_stats = self.front(home).mmu.stats().for_asid(Self::asid_of(pid));
         let process = self.os.process(pid);
         ProcessReport {
             pid: pid.0,
@@ -1366,6 +1376,7 @@ impl System {
         Datapath {
             perf: &mut self.per_proc[core.current_slot],
             core,
+            front: front_mut(&mut self.frontends, self.active),
             caches: &mut self.caches,
             dram: &mut self.dram,
             mode: self.config.mode,
@@ -1426,17 +1437,19 @@ impl System {
     /// fault back) and the epoch barrier (which calls it while resuming a
     /// truncated slice mid-instruction).
     // vmlint: allow(no-alloc-in-hot-path, "fault slow path: runs only when a translation faulted into the kernel, never on the TLB/PTW steady-state hit path the allocator test measures")
-    fn finish_faulted_access(&mut self, entry: &DeferredAccess) {
-        let carried = self.datapath().charge_translation(&entry.translation);
+    fn finish_faulted_access(&mut self, entry: &FaultedAccess) {
+        let carried = self
+            .datapath()
+            .charge_translation(entry.translation.attempt());
         if !self.handle_fault(entry.vaddr, entry.kind.is_write()) {
             // Unresolvable fault: skip the access.
             self.cores[self.active].core.retire_compute(1);
             return;
         }
-        let core = &mut self.cores[self.active];
-        let retry = core.engine_translate(Self::asid_of(core.current), entry.vaddr);
+        let asid = Self::asid_of(self.cores[self.active].current);
+        let retry = front_mut(&mut self.frontends, self.active).engine_translate(asid, entry.vaddr);
         self.datapath()
-            .complete_access(entry.pc, entry.kind, &retry, carried);
+            .complete_access(entry.pc, entry.kind, retry.attempt(), carried);
     }
 
     /// Sends a page-fault request to MimicOS over the functional channel,
@@ -1490,13 +1503,6 @@ impl System {
                     unreachable!("fault requests receive fault responses");
                 };
 
-                // The epoch headroom check promises barrier-serviced
-                // faults never reclaim; a cross-core invalidation here
-                // would reach cores whose local phase already ran.
-                debug_assert!(
-                    !self.epoch_replay || invalidations.is_empty(),
-                    "reclaim fired inside an epoch the headroom check passed"
-                );
                 match self.config.mode {
                     SimulationMode::Detailed => {
                         self.streams.send(stream);
@@ -1525,7 +1531,7 @@ impl System {
                         ..
                     } => {
                         self.apply_invalidations_from(self.active, &invalidations, false);
-                        let c = &mut self.cores[self.active];
+                        let c = front_mut(&mut self.frontends, self.active);
                         c.engine
                             .handle_fault_install(&mut c.mmu, asid, &mapping, install_info);
                         for extra in &additional {
@@ -1536,7 +1542,7 @@ impl System {
                                 InstallInfo::default(),
                             );
                         }
-                        c.core.stall(fixed_fault_latency);
+                        self.cores[self.active].core.stall(fixed_fault_latency);
                     }
                 }
                 self.process_oom_kills(true);
@@ -1595,7 +1601,7 @@ impl System {
         if kills.is_empty() {
             return;
         }
-        debug_assert!(
+        assert!(
             !self.epoch_replay,
             "OOM kill fired inside an epoch the headroom check passed"
         );
@@ -1604,7 +1610,7 @@ impl System {
         for kill in kills {
             let asid = Self::asid_of(kill.victim);
             for core in 0..num_cores {
-                let c = &mut self.cores[core];
+                let c = front_mut(&mut self.frontends, core);
                 let dropped = c.engine.flush_asid(&mut c.mmu, asid);
                 self.shootdowns.tlb_entries_dropped += dropped as u64;
             }
@@ -1649,7 +1655,7 @@ impl System {
         info: InstallInfo,
     ) {
         let accesses = {
-            let c = &mut self.cores[core];
+            let c = front_mut(&mut self.frontends, core);
             c.engine
                 .handle_fault_install(&mut c.mmu, asid, mapping, info)
         };
@@ -1673,7 +1679,7 @@ impl System {
     ) {
         let asid = Self::asid_of(victim.pid);
         let outcome = {
-            let c = &mut self.cores[core];
+            let c = front_mut(&mut self.frontends, core);
             c.engine
                 .invalidate(&mut c.mmu, asid, victim.vaddr, victim.page_size)
         };
@@ -1717,6 +1723,13 @@ impl System {
         if batch.is_empty() {
             return;
         }
+        // The epoch headroom check promises barrier-serviced faults never
+        // reclaim; a cross-core invalidation here would reach cores whose
+        // local phase already ran.
+        assert!(
+            !self.epoch_replay,
+            "reclaim fired inside an epoch the headroom check passed"
+        );
         self.shootdowns.batches += 1;
         let num_cores = self.num_cores();
         let remotes = if num_cores > 1 {
@@ -1778,7 +1791,7 @@ impl System {
             if charge_memory {
                 self.install_mapping_detailed(home, asid, mapping, InstallInfo::default());
             } else {
-                let c = &mut self.cores[home];
+                let c = front_mut(&mut self.frontends, home);
                 c.engine
                     .handle_fault_install(&mut c.mmu, asid, mapping, InstallInfo::default());
             }
@@ -1882,7 +1895,8 @@ impl System {
         // that engine only the ownership checks apply to TLB entries.
         let tlb_holds_native_vas = !matches!(self.config.engine, mmu_sim::EngineConfig::Midgard(_));
 
-        for (core, c) in self.cores.iter().enumerate() {
+        for core in 0..self.num_cores() {
+            let c = self.front(core);
             for (asid, cached) in c.mmu.tlb().entries() {
                 let idx = asid.raw() as usize;
                 if idx >= num_processes {
@@ -2098,9 +2112,11 @@ impl System {
                 app_instructions as f64 / cycles as f64,
             )
         };
-        let walks: u64 = self.cores.iter().map(|c| c.mmu.stats().walks.get()).sum();
-        let l2_tlb_mpki = if let [only] = self.cores.as_slice() {
-            only.mmu.stats().l2_mpki(app_instructions)
+        let walks: u64 = (0..self.num_cores())
+            .map(|c| self.front(c).mmu.stats().walks.get())
+            .sum();
+        let l2_tlb_mpki = if self.num_cores() == 1 {
+            self.front(0).mmu.stats().l2_mpki(app_instructions)
         } else if app_instructions == 0 {
             0.0
         } else {
@@ -2141,7 +2157,7 @@ impl System {
             swap_io_ns: self.os.swap().stats().total_io_ns,
             huge_mappings: os_stats.huge_mappings.get(),
             base_mappings: os_stats.base_mappings.get(),
-            engine: self.cores[0].engine.report(&self.cores[0].mmu),
+            engine: self.front(0).engine.report(&self.front(0).mmu),
             shootdowns: (!self.shootdowns.is_zero()).then(|| self.shootdowns.clone()),
             oom: {
                 let kills = os_stats.oom_kills.get();
@@ -2413,7 +2429,7 @@ mod tests {
             .expect("collapse created a huge mapping");
         let asid = System::asid_of(system.pid());
         let result = {
-            let c = &mut system.cores[0];
+            let c = front_mut(&mut system.frontends, 0);
             c.engine.translate(&mut c.mmu, asid, huge.vaddr)
         };
         assert_eq!(result.paddr, Some(huge.paddr));
@@ -2822,7 +2838,9 @@ mod tests {
             page_size: PageSize::Size4K,
         };
         let asid = System::asid_of(system.pid());
-        system.cores[0].mmu.install_mapping(asid, &bogus);
+        front_mut(&mut system.frontends, 0)
+            .mmu
+            .install_mapping(asid, &bogus);
         let violation = system.check_invariants().unwrap_err();
         assert!(
             violation.contains("stale"),
@@ -2888,6 +2906,146 @@ mod tests {
                     .unwrap_or_else(|v| panic!("{name}/{cores} cores: {v}"));
             }
         }
+    }
+
+    /// A populated system per engine (and, for the page-table engine, per
+    /// walk shape: serial radix or parallel hashed), plus a region that is
+    /// mapped but untouched, so translations into it fault *after* a walk.
+    fn slice_log_system(cell: usize) -> System {
+        use mimic_os::AllocationPolicy;
+        use mmu_sim::{EngineConfig, MidgardConfig, RmmConfig, UtopiaMmuConfig};
+        let mut config = SystemConfig::small_test();
+        match cell {
+            0 => {}
+            1 => config.mmu.page_table = PageTableKind::HashedChained,
+            2 => {
+                config = config.with_engine(EngineConfig::Midgard(MidgardConfig::paper_baseline()))
+            }
+            3 => {
+                config = config.with_engine(EngineConfig::Rmm(RmmConfig::paper_baseline()));
+                config.os.policy = AllocationPolicy::EagerPaging;
+            }
+            _ => {
+                let restseg: u64 = 8 * 1024 * 1024;
+                config = config.with_engine(EngineConfig::Utopia(
+                    UtopiaMmuConfig::paper_baseline().with_restseg_bytes(restseg),
+                ));
+                config.os.policy = AllocationPolicy::Utopia(mimic_os::UtopiaConfig::new(
+                    restseg,
+                    16,
+                    PageSize::Size4K,
+                ));
+            }
+        }
+        let mut system = System::new(config);
+        system
+            .mmap_anonymous(VirtAddr::new(0x1000_0000), 4 * 1024 * 1024)
+            .unwrap();
+        system.populate(system.pid());
+        system
+            .mmap_anonymous(VirtAddr::new(0x4000_0000), 4 * 1024 * 1024)
+            .unwrap();
+        system
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        /// The compact log loses nothing: whatever `(paddr, fixed_latency,
+        /// walk.parallel, walk.accesses)` an engine produces for an access,
+        /// the barrier replays exactly that — for every engine, both walk
+        /// shapes, TLB hits, walks and the fault that ends a slice.
+        #[test]
+        fn the_slice_log_round_trips_every_translation(
+            cell in 0usize..5,
+            seed in 0u64..1_000_000,
+            len in 1usize..600,
+            fault_at in 0usize..900,
+        ) {
+            // Identically built twins: one runs the worker's local phase,
+            // the other translates access by access as the reference.
+            let mut logged = slice_log_system(cell);
+            let mut reference = slice_log_system(cell);
+            let asid = System::asid_of(logged.pid());
+            let mut state = seed;
+            let instrs: Vec<Instruction> = (0..len)
+                .map(|i| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let pc = VirtAddr::new(0x400 + 4 * i as u64);
+                    let offset = (state >> 20) % (4 * 1024 * 1024);
+                    match (i == fault_at, state % 3) {
+                        (true, _) => Instruction::load(pc, VirtAddr::new(0x4000_0000 + offset)),
+                        (false, 0) => Instruction::compute(pc),
+                        (false, 1) => Instruction::store(pc, VirtAddr::new(0x1000_0000 + offset)),
+                        (false, _) => Instruction::load(pc, VirtAddr::new(0x1000_0000 + offset)),
+                    }
+                })
+                .collect();
+
+            let mut log = SliceLog::default();
+            front_mut(&mut logged.frontends, 0).run_slice_local(asid, &instrs, &mut log);
+
+            let front = front_mut(&mut reference.frontends, 0);
+            let mut replay = log.replay();
+            let (mut computes, mut faulted) = (0u64, false);
+            for instr in &instrs {
+                let Some((vaddr, kind)) = instr.memory else {
+                    computes += 1;
+                    continue;
+                };
+                let expected = front.local_translate(asid, vaddr);
+                if expected.paddr.is_none() {
+                    let fault = log.fault().expect("the reference faulted, the log did not");
+                    proptest::prop_assert_eq!(
+                        (fault.pc, fault.vaddr, fault.kind),
+                        (instr.pc, vaddr, kind)
+                    );
+                    proptest::prop_assert_eq!(fault.translation.attempt(), expected.attempt());
+                    faulted = true;
+                    break;
+                }
+                let (pc, logged_kind, attempt) = replay.next().expect("an access went unlogged");
+                proptest::prop_assert_eq!((pc, logged_kind), (instr.pc, kind));
+                proptest::prop_assert_eq!(attempt, expected.attempt());
+            }
+            proptest::prop_assert!(replay.next().is_none(), "the log holds extra accesses");
+            proptest::prop_assert_eq!(log.computes, computes);
+            proptest::prop_assert_eq!(log.fault().is_some(), faulted);
+        }
+    }
+
+    /// A walk longer than `WalkAccessList`'s inline capacity of 8 (a long
+    /// hash chain) is logged and replayed whole, as an access and as the
+    /// fault that ends a slice.
+    #[test]
+    fn a_spilled_walk_survives_the_slice_log() {
+        let addrs: Vec<PhysAddr> = (0..300u64)
+            .map(|i| PhysAddr::new(0x9000 + 64 * i))
+            .collect();
+        let long_walk = |paddr| crate::epoch::LocalTranslation {
+            paddr,
+            fixed_latency: Cycles::new(9),
+            walk: Some(mmu_sim::WalkOutcome {
+                mapping: None,
+                accesses: addrs.iter().copied().collect(),
+                parallel: true,
+            }),
+        };
+        let hit = long_walk(Some(PhysAddr::new(0x7000)));
+        assert!(hit.walk.as_ref().unwrap().accesses.spilled());
+        let miss = long_walk(None);
+        let mut log = SliceLog::default();
+        let pc = VirtAddr::new(0x400);
+        log.push(pc, AccessType::Read, &hit);
+        log.push(pc, AccessType::Write, &hit);
+        log.end_in_fault(pc, VirtAddr::new(0x5000), AccessType::Read, &miss);
+        let replayed: Vec<_> = log.replay().collect();
+        assert_eq!(replayed.len(), 2);
+        assert_eq!(replayed[1], (pc, AccessType::Write, hit.attempt()));
+        assert_eq!(replayed[1].2.walk, Some((true, &addrs[..])));
+        let fault = log.fault().expect("the slice ended in a fault");
+        assert_eq!(fault.vaddr, VirtAddr::new(0x5000));
+        assert_eq!(fault.translation.attempt(), miss.attempt());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! DRAM access statistics with per-requestor attribution.
 
 use serde::{Deserialize, Serialize};
-use vm_types::{Counter, Cycles, Requestor, RunningStats};
+use vm_types::{Counter, Cycles, Requestor};
 
 /// Classification of a DRAM access with respect to the bank's row buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -40,7 +40,9 @@ pub struct DramStats {
     /// `BTreeMap<String, _>` built a fresh `String` key on every single
     /// DRAM access — the hottest allocation in the whole simulator.
     per_requestor: [RequestorStats; 4],
-    latency: RunningStats,
+    /// Summed access latency in cycles; with [`DramStats::total_accesses`]
+    /// as the count it gives the exact mean for one integer add per access.
+    latency_sum: u64,
     /// Read accesses.
     pub reads: Counter,
     /// Write accesses.
@@ -76,7 +78,7 @@ impl DramStats {
             RowBufferOutcome::Miss => entry.misses.inc(),
             RowBufferOutcome::Conflict => entry.conflicts.inc(),
         }
-        self.latency.record(latency.raw() as f64);
+        self.latency_sum += latency.raw();
     }
 
     /// Total row-buffer hits across all requestors.
@@ -128,7 +130,12 @@ impl DramStats {
 
     /// Average access latency in cycles.
     pub fn average_latency_cycles(&self) -> f64 {
-        self.latency.mean()
+        let total = self.total_accesses();
+        if total == 0 {
+            0.0
+        } else {
+            self.latency_sum as f64 / total as f64
+        }
     }
 }
 

@@ -17,8 +17,9 @@
 //! service, housekeeping) are cut out of the hot-path closure.
 //!
 //! There is no R4: "the parallel epoch phase touches core-private state
-//! only" is enforced by the borrow checker (`CoreState::run_slice_local`
-//! receives `&mut CoreState` and a `&mut SliceLog`, never a `System`).
+//! only" is enforced by ownership (`Frontend::run_slice_local` is a method
+//! of the frontend alone, and an epoch worker owns nothing but the
+//! `SliceJob` it was sent — never a `System`).
 
 use crate::scan::{Callee, FileScan, FnInfo};
 use std::collections::{BTreeMap, VecDeque};
@@ -46,7 +47,7 @@ pub const ALL_RULES: &[&str] = &[
 /// The hot-path roots of R1: `(fn name, required impl type)`.
 /// `System::step_block` drives the steady-state instruction loop
 /// (`Datapath::run_until_fault`, one call below it),
-/// `CoreState::run_slice_local` is the parallel epoch phase, and
+/// `Frontend::run_slice_local` is the parallel epoch phase, and
 /// `Mmu::translate` the translation frontend every engine composes with.
 const R1_ROOTS: &[(&str, Option<&str>)] = &[
     ("step_block", None),

@@ -13,7 +13,9 @@
 //! cross-core shootdown IPIs under memory pressure (nonzero per-core
 //! send/receive/stall counters, post-run translation coherence on every
 //! core), bit-identical determinism of N-core runs across repeats and
-//! host-thread counts, and exact retirement of every trace instruction.
+//! host-thread counts (also where faults truncate slices and where the
+//! instruction limit cuts an epoch short), and exact retirement of every
+//! trace instruction.
 //! The core count of the determinism test honours `VIRTUOSO_CORES` so CI
 //! can sweep it.
 
@@ -80,12 +82,23 @@ fn run_mix(
     seed: u64,
 ) -> MultiProgramReport {
     let mut sources: Vec<_> = specs.iter().map(|s| s.build(seed)).collect();
+    run_sources(system, pids, &mut sources, None)
+}
+
+/// Runs process `i` on `sources[i]`, up to `limit` instructions in total;
+/// the sources keep their position for a later call.
+fn run_sources(
+    system: &mut System,
+    pids: &[ProcessId],
+    sources: &mut [virtuoso_suite::vm_workloads::SyntheticWorkload],
+    limit: Option<u64>,
+) -> MultiProgramReport {
     let mut programs: Vec<(ProcessId, &mut dyn TraceSource)> = pids
         .iter()
         .copied()
         .zip(sources.iter_mut().map(|s| s as &mut dyn TraceSource))
         .collect();
-    system.run_multiprogram(&mut programs, None)
+    system.run_multiprogram(&mut programs, limit)
 }
 
 /// The fence itself: the single-core multiprogram report of every engine
@@ -297,26 +310,45 @@ fn per_core_cycles_are_fully_attributed_to_the_pinned_process() {
 }
 
 /// The tentpole determinism contract: the `host_threads` knob trades host
-/// CPU for wall clock and **nothing else** — a 4-core run stepped on 1, 2
-/// or 4 host threads serializes to byte-identical reports, for every
-/// translation engine. The plentiful-memory configuration keeps the epoch
-/// planner engaged (asserted via [`System::epochs_run`]) so the test
-/// exercises the parallel path rather than the serial fallback.
+/// CPU for wall clock and **nothing else** — a 4-core run stepped on 1, 2,
+/// 3 (a worker count that does not divide the core count) or 4 host
+/// threads serializes to byte-identical reports, for every translation
+/// engine and for the hashed page tables, whose walks are charged as
+/// parallel accesses. The plentiful-memory configuration keeps the epoch
+/// planner engaged (asserted via [`System::epoch_stats`]) so the test
+/// exercises the pipelined path rather than the serial fallback.
 #[test]
 fn reports_are_byte_identical_across_host_thread_counts() {
     const CORES: usize = 4;
     let specs = plentiful_specs(CORES, 4_000);
-    for (name, config) in engine_cells() {
+    let mut cells = engine_cells();
+    for kind in [
+        PageTableKind::ElasticCuckoo,
+        PageTableKind::HashedOpenAddressing,
+        PageTableKind::HashedChained,
+    ] {
+        let mut config = SystemConfig::small_test();
+        config.mmu.page_table = kind;
+        cells.push((kind.label(), config));
+    }
+    for (name, config) in cells {
         let config = config.with_cores(CORES);
         let mut baseline = None;
-        for threads in [1usize, 2, CORES] {
+        for threads in [1usize, 2, 3, CORES] {
             let config = config.clone().with_host_threads(threads);
             let (mut system, pids) = build_multiprocess(config, &specs);
             let report = run_mix(&mut system, &pids, &specs, 0x7A4D);
+            let stats = system.epoch_stats();
             assert!(
-                system.epochs_run() > 0,
+                stats.epochs_run > 0,
                 "engine {name}, {threads} host threads: the epoch planner \
                  never engaged — the sweep is not testing the parallel path"
+            );
+            assert_eq!(
+                stats.jobs_handed_off > 0,
+                threads > 1,
+                "engine {name}, {threads} host threads: slices go to a \
+                 worker exactly when there is one"
             );
             let json = serde_json::to_string(&report).unwrap();
             match &baseline {
@@ -356,17 +388,14 @@ fn pressure_runs_are_byte_identical_across_host_thread_counts() {
     }
 }
 
-/// Every instruction pulled from a trace retires, also when an epoch is
-/// planned and then abandoned. Unpopulated processes fault often, faults
+/// The unpopulated 4-core / 8-process mix: processes fault often, faults
 /// truncate slices, and the leftover quanta make some core a runt
-/// (`cap < MIN_EPOCH_SLICE`) in many plans; the planner once fetched the
-/// earlier cores' slices before it found the runt and dropped them with the
-/// epoch (1 187 543 of these 1 600 000 instructions retired).
-#[test]
-fn abandoned_epochs_lose_no_trace_instructions() {
-    const PROCESSES: usize = 8;
-    const PER_PROCESS: u64 = 200_000;
-    let specs: Vec<WorkloadSpec> = (0..PROCESSES)
+/// (`cap < MIN_EPOCH_SLICE`) in many plans.
+fn unpopulated_mix(
+    threads: usize,
+    per_process: u64,
+) -> (System, Vec<ProcessId>, Vec<WorkloadSpec>) {
+    let specs: Vec<WorkloadSpec> = (0..8)
         .map(|p| {
             let spec = if p % 2 == 0 {
                 catalog::gups_randacc()
@@ -374,35 +403,99 @@ fn abandoned_epochs_lose_no_trace_instructions() {
                 catalog::graphbig_pr()
             };
             spec.scaled_footprint(1.0 / 32.0)
-                .with_instructions(PER_PROCESS)
+                .with_instructions(per_process)
         })
         .collect();
-    for threads in [1usize, 2] {
-        let mut config = SystemConfig::small_test()
-            .with_cores(4)
-            .with_host_threads(threads);
-        config.os.policy = AllocationPolicy::BuddyFourK;
-        let (mut system, pids) = build_multiprocess(config, &specs);
+    let mut config = SystemConfig::small_test()
+        .with_cores(4)
+        .with_host_threads(threads);
+    config.os.policy = AllocationPolicy::BuddyFourK;
+    let (system, pids) = build_multiprocess(config, &specs);
+    (system, pids, specs)
+}
+
+/// Every instruction pulled from a trace retires, also when an epoch is
+/// planned and then abandoned: the planner once fetched the earlier cores'
+/// slices before it found the runt and dropped them with the epoch
+/// (1 187 543 of these 1 600 000 instructions retired). On 2 and 3 host
+/// threads the same run is where fault-truncated slices meet jobs still
+/// out on a worker (every fault first brings all of them home), and the
+/// report must not notice.
+#[test]
+fn abandoned_epochs_lose_no_trace_instructions() {
+    const PER_PROCESS: u64 = 200_000;
+    let mut baseline = None;
+    for threads in [1usize, 2, 3] {
+        let (mut system, pids, specs) = unpopulated_mix(threads, PER_PROCESS);
         let mut sources: Vec<_> = specs
             .iter()
             .enumerate()
             .map(|(p, spec)| spec.build(1 + p as u64))
             .collect();
-        let mut programs: Vec<(ProcessId, &mut dyn TraceSource)> = pids
-            .iter()
-            .copied()
-            .zip(sources.iter_mut().map(|s| s as &mut dyn TraceSource))
-            .collect();
-        let report = system.run_multiprogram(&mut programs, None);
+        let report = run_sources(&mut system, &pids, &mut sources, None);
+        let stats = system.epoch_stats();
         assert!(
-            system.epochs_run() > 0,
+            stats.epochs_run > 0,
             "{threads} host threads: the epoch planner never engaged"
+        );
+        assert!(
+            stats.fault_truncated_slices > 0 && stats.stood_down_runt_slice > 0,
+            "{threads} host threads: the mix must truncate slices and \
+             abandon plans ({stats:?})"
         );
         assert_eq!(
             report.rollup.instructions,
-            PROCESSES as u64 * PER_PROCESS,
+            8 * PER_PROCESS,
             "{threads} host threads: trace instructions went missing"
         );
+        let json = serde_json::to_string(&report).unwrap();
+        match &baseline {
+            None => baseline = Some(json),
+            Some(expected) => assert_eq!(
+                expected, &json,
+                "{threads} host threads diverged on the unpopulated mix"
+            ),
+        }
+    }
+}
+
+/// An instruction limit that lands inside an epoch — not on a slice
+/// boundary, so the last epoch's later cores never run — ends the run with
+/// the same report at 1 and 2 host threads, and with every core's frontend
+/// back in the `System`: a second run on the same machine and the same
+/// trace sources continues identically on both, and the fence finds every
+/// core's TLB coherent.
+#[test]
+fn an_instruction_limit_inside_an_epoch_brings_every_frontend_home() {
+    let mut baseline = None;
+    for threads in [1usize, 2] {
+        let (mut system, pids, specs) = unpopulated_mix(threads, 60_000);
+        let mut sources: Vec<_> = specs
+            .iter()
+            .enumerate()
+            .map(|(p, spec)| spec.build(1 + p as u64))
+            .collect();
+        let first = run_sources(&mut system, &pids, &mut sources, Some(41_111));
+        assert_eq!(first.rollup.instructions, 41_111);
+        system.check_invariants().expect("coherent after the limit");
+        let second = run_sources(&mut system, &pids, &mut sources, Some(52_345));
+        assert_eq!(second.rollup.instructions, 41_111 + 52_345);
+        system.check_invariants().expect("coherent after the rerun");
+        assert!(system.epoch_stats().epochs_run > 0);
+        for core in 0..system.num_cores() {
+            assert!(system.mmu_of(core).stats().translations.get() > 0);
+        }
+        let json = (
+            serde_json::to_string(&first).unwrap(),
+            serde_json::to_string(&second).unwrap(),
+        );
+        match &baseline {
+            None => baseline = Some(json),
+            Some(expected) => assert_eq!(
+                expected, &json,
+                "{threads} host threads diverged across a mid-epoch limit"
+            ),
+        }
     }
 }
 

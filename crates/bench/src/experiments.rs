@@ -153,7 +153,8 @@ pub fn fig03_ptw_variation(scale: u64) -> ExperimentTable {
 }
 
 /// Builds the calibrated reference machine for a long-running workload (the
-/// stand-in for the paper's real-system measurement; see DESIGN.md §1).
+/// stand-in for the paper's real-system measurement; see
+/// `docs/ARCHITECTURE.md`, "Substitutions").
 fn reference_for(spec: &WorkloadSpec, scale: u64) -> (ReferenceMachine, f64, f64) {
     // The reference is the detailed simulator itself at the same scale; the
     // two estimators compared against it are the detailed model with a

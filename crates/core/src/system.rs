@@ -2425,7 +2425,6 @@ mod tests {
             .process(system.pid())
             .mappings()
             .find(|m| m.page_size == PageSize::Size2M)
-            .copied()
             .expect("collapse created a huge mapping");
         let asid = System::asid_of(system.pid());
         let result = {

@@ -2,13 +2,12 @@
 //! for the paper's real Intel Xeon Gold 6226R measurements, and the accuracy
 //! metrics used by the validation figures (Figs. 8–10).
 //!
-//! **Substitution note (see DESIGN.md §1):** the paper validates Virtuoso
-//! against hardware performance counters and `ftrace` measurements of a real
-//! server. Without that hardware, this reproduction uses a *reference
-//! machine model*: the detailed simulator run at its highest-fidelity
-//! configuration, with per-workload reference figures calibrated from the
-//! values the paper reports (e.g. PTW latencies between 39 and 180+ cycles,
-//! 2.2 µs mean minor-fault latency under THP). Accuracy numbers are then
+//! **Substitution note (see `docs/ARCHITECTURE.md`, "Substitutions"):** the
+//! paper validates Virtuoso against hardware performance counters and
+//! `ftrace` measurements of a real server. Without that hardware, this
+//! reproduction uses a *reference machine model*: the detailed simulator run
+//! at its highest-fidelity configuration at another seed (that section says
+//! what the accuracy columns then measure). Accuracy numbers are
 //! computed the same way the paper computes them: `1 - |est - ref| / ref`
 //! for scalar metrics and cosine similarity for latency series.
 

@@ -92,6 +92,10 @@ pub enum KernelOp {
 pub struct KernelInstructionStream {
     routine: KernelRoutine,
     ops: Vec<KernelOp>,
+    /// Sum of the `Compute` counts in `ops`.
+    compute_instructions: u64,
+    /// Number of `Memory` entries in `ops`.
+    memory_references: u64,
 }
 
 impl KernelInstructionStream {
@@ -103,6 +107,8 @@ impl KernelInstructionStream {
             // page-table update, zeroing samples); pre-sizing skips the
             // doubling reallocations that otherwise run on every fault.
             ops: Vec::with_capacity(64),
+            compute_instructions: 0,
+            memory_references: 0,
         }
     }
 
@@ -123,26 +129,28 @@ impl KernelInstructionStream {
         }
         // Coalesce with a preceding compute block to keep streams compact.
         if let Some(KernelOp::Compute { count: last }) = self.ops.last_mut() {
-            *last = last.saturating_add(count);
+            let merged = last.saturating_add(count);
+            self.compute_instructions += u64::from(merged - *last);
+            *last = merged;
         } else {
             self.ops.push(KernelOp::Compute { count });
+            self.compute_instructions += u64::from(count);
         }
+    }
+
+    fn memory(&mut self, paddr: PhysAddr, kind: AccessType) {
+        self.ops.push(KernelOp::Memory { paddr, kind });
+        self.memory_references += 1;
     }
 
     /// Appends a kernel load from `paddr`.
     pub fn load(&mut self, paddr: PhysAddr) {
-        self.ops.push(KernelOp::Memory {
-            paddr,
-            kind: AccessType::Read,
-        });
+        self.memory(paddr, AccessType::Read);
     }
 
     /// Appends a kernel store to `paddr`.
     pub fn store(&mut self, paddr: PhysAddr) {
-        self.ops.push(KernelOp::Memory {
-            paddr,
-            kind: AccessType::Write,
-        });
+        self.memory(paddr, AccessType::Write);
     }
 
     /// Appends every operation of `other` to this stream (used when a
@@ -152,28 +160,19 @@ impl KernelInstructionStream {
         for op in &other.ops {
             match *op {
                 KernelOp::Compute { count } => self.compute(count),
-                KernelOp::Memory { .. } => self.ops.push(*op),
+                KernelOp::Memory { paddr, kind } => self.memory(paddr, kind),
             }
         }
     }
 
     /// Total number of instructions (memory + non-memory) in the stream.
     pub fn instruction_count(&self) -> u64 {
-        self.ops
-            .iter()
-            .map(|op| match op {
-                KernelOp::Compute { count } => *count as u64,
-                KernelOp::Memory { .. } => 1,
-            })
-            .sum()
+        self.compute_instructions + self.memory_references
     }
 
     /// Number of memory references in the stream.
     pub fn memory_references(&self) -> u64 {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, KernelOp::Memory { .. }))
-            .count() as u64
+        self.memory_references
     }
 
     /// `true` if the stream contains no instructions.
@@ -186,16 +185,9 @@ impl KernelInstructionStream {
     /// non-memory instructions retire at `ipc` instructions per cycle and
     /// every memory reference costs `mem_latency_cycles`, at a 2.9 GHz clock.
     pub fn estimate_latency_ns(&self, ipc: f64, mem_latency_cycles: f64) -> f64 {
-        let compute: u64 = self
-            .ops
-            .iter()
-            .map(|op| match op {
-                KernelOp::Compute { count } => *count as u64,
-                KernelOp::Memory { .. } => 0,
-            })
-            .sum();
-        let mem = self.memory_references() as f64;
-        let cycles = compute as f64 / ipc.max(0.1) + mem * mem_latency_cycles;
+        let compute = self.compute_instructions as f64;
+        let mem = self.memory_references as f64;
+        let cycles = compute / ipc.max(0.1) + mem * mem_latency_cycles;
         cycles / 2.9
     }
 }
@@ -254,5 +246,81 @@ mod tests {
             big.store(PhysAddr::new(i * 64));
         }
         assert!(big.estimate_latency_ns(2.0, 50.0) > small.estimate_latency_ns(2.0, 50.0));
+    }
+
+    /// The three O(1) totals against the slow way: a fold over `ops()`.
+    fn assert_totals_match_ops(s: &KernelInstructionStream) {
+        let (mut compute, mut memory) = (0u64, 0u64);
+        for op in s.ops() {
+            match op {
+                KernelOp::Compute { count } => compute += u64::from(*count),
+                KernelOp::Memory { .. } => memory += 1,
+            }
+        }
+        assert_eq!(s.instruction_count(), compute + memory);
+        assert_eq!(s.memory_references(), memory);
+        let cycles = compute as f64 / 2.0 + memory as f64 * 60.0;
+        assert_eq!(s.estimate_latency_ns(2.0, 60.0), cycles / 2.9);
+    }
+
+    #[test]
+    fn running_totals_equal_a_fold_over_the_ops() {
+        let mut rng = vm_types::DetRng::new(21);
+        let mut inner = KernelInstructionStream::new(KernelRoutine::BuddyAlloc);
+        let mut outer = KernelInstructionStream::new(KernelRoutine::PageFaultHandler);
+        for step in 0..2_000u64 {
+            let s = if step % 3 == 0 {
+                &mut inner
+            } else {
+                &mut outer
+            };
+            match rng.gen_range(0, 8) {
+                0 => s.compute(0),
+                1 | 2 => s.compute(rng.gen_range(1, 500) as u32),
+                // Two of these in a row saturate the coalesced block.
+                3 => s.compute(u32::MAX - 7),
+                4 | 5 => s.load(PhysAddr::new(step * 64)),
+                6 => s.store(PhysAddr::new(step * 64)),
+                _ => outer.append(&inner),
+            }
+            assert_totals_match_ops(&inner);
+            assert_totals_match_ops(&outer);
+        }
+        assert!(outer.ops().contains(&KernelOp::Compute { count: u32::MAX }));
+    }
+
+    #[test]
+    fn saturated_blocks_count_what_the_ops_hold() {
+        let mut s = KernelInstructionStream::new(KernelRoutine::PageZeroing);
+        s.compute(u32::MAX - 1);
+        s.compute(5);
+        assert_eq!(s.ops(), [KernelOp::Compute { count: u32::MAX }]);
+        assert_eq!(s.instruction_count(), u64::from(u32::MAX));
+        let mut appended = KernelInstructionStream::new(KernelRoutine::PageZeroing);
+        appended.compute(3);
+        appended.append(&s);
+        assert_totals_match_ops(&appended);
+    }
+
+    #[test]
+    fn streams_with_equal_ops_are_equal_however_they_were_built() {
+        let mut piecewise = KernelInstructionStream::new(KernelRoutine::Swap);
+        piecewise.compute(10);
+        piecewise.compute(0);
+        piecewise.compute(5);
+        piecewise.load(PhysAddr::new(0x40));
+        let mut tail = KernelInstructionStream::new(KernelRoutine::Swap);
+        tail.compute(7);
+        tail.store(PhysAddr::new(0x80));
+        piecewise.append(&tail);
+
+        let mut direct = KernelInstructionStream::new(KernelRoutine::Swap);
+        direct.compute(15);
+        direct.load(PhysAddr::new(0x40));
+        direct.compute(7);
+        direct.store(PhysAddr::new(0x80));
+
+        assert_eq!(piecewise.ops(), direct.ops());
+        assert_eq!(piecewise, direct);
     }
 }

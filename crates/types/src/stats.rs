@@ -270,26 +270,37 @@ impl LatencyStats {
         &self.samples
     }
 
-    /// The value at the given quantile `q` in `[0, 1]`, by nearest-rank on the
-    /// sorted samples. Returns 0 for an empty recorder.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
+    /// The samples in ascending order.
+    fn sorted(&self) -> Vec<f64> {
         let mut sorted = self.samples.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("latency samples must not be NaN"));
+        sorted
+    }
+
+    /// Nearest-rank quantile of ascending `sorted`; 0 when it is empty.
+    fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+        if sorted.is_empty() {
+            return 0.0;
+        }
         let idx = ((sorted.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
         sorted[idx]
     }
 
-    /// Standard percentile summary (25/50/75/90/99/max).
+    /// The value at the given quantile `q` in `[0, 1]`, by nearest-rank on the
+    /// sorted samples. Returns 0 for an empty recorder.
+    pub fn quantile(&self, q: f64) -> f64 {
+        Self::nearest_rank(&self.sorted(), q)
+    }
+
+    /// Standard percentile summary (25/50/75/90/99/max), from one sort.
     pub fn percentiles(&self) -> Percentiles {
+        let sorted = self.sorted();
         Percentiles {
-            p25: self.quantile(0.25),
-            p50: self.quantile(0.50),
-            p75: self.quantile(0.75),
-            p90: self.quantile(0.90),
-            p99: self.quantile(0.99),
+            p25: Self::nearest_rank(&sorted, 0.25),
+            p50: Self::nearest_rank(&sorted, 0.50),
+            p75: Self::nearest_rank(&sorted, 0.75),
+            p90: Self::nearest_rank(&sorted, 0.90),
+            p99: Self::nearest_rank(&sorted, 0.99),
             max: self.max(),
         }
     }
@@ -514,6 +525,27 @@ mod tests {
         assert!(p.p25 <= p.p50 && p.p50 <= p.p75 && p.p75 <= p.p90 && p.p90 <= p.p99);
         assert_eq!(p.max, 100.0);
         assert!((p.p50 - 50.0).abs() <= 1.0);
+    }
+
+    #[test]
+    fn percentiles_agree_with_the_per_quantile_answers() {
+        let mut rng = crate::DetRng::new(19);
+        let random: Vec<f64> = (0..10_000).map(|_| rng.next_f64() * 1e6).collect();
+        for samples in [&[][..], &[42.0][..], &random[..]] {
+            let mut lat = LatencyStats::new();
+            for &v in samples {
+                lat.record(v);
+            }
+            let expected = Percentiles {
+                p25: lat.quantile(0.25),
+                p50: lat.quantile(0.50),
+                p75: lat.quantile(0.75),
+                p90: lat.quantile(0.90),
+                p99: lat.quantile(0.99),
+                max: lat.max(),
+            };
+            assert_eq!(lat.percentiles(), expected, "{} samples", samples.len());
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Synthetic workload generators imitating the benchmark suites used in the
 //! Virtuoso paper's evaluation (Table 5).
 //!
-//! **Substitution note (DESIGN.md §1):** the paper runs real binaries
-//! (GraphBIG, XSBench, GUPS, FaaS functions, llama.cpp inference, image
-//! kernels). The VM subsystem, however, only observes their *address and
-//! allocation behaviour*. Each generator here produces an instruction/access
-//! stream with the published characteristics of its suite — footprint,
-//! locality, TLB pressure, allocation pattern and VMA structure — which is
-//! what the paper's experiments exercise.
+//! **Substitution note (`docs/ARCHITECTURE.md`, "Substitutions"):** the
+//! paper runs real binaries (GraphBIG, XSBench, GUPS, FaaS functions,
+//! llama.cpp inference, image kernels). The VM subsystem, however, only
+//! observes their *address and allocation behaviour*. Each generator here
+//! produces an instruction/access stream with the published characteristics
+//! of its suite — footprint, locality, TLB pressure, allocation pattern and
+//! VMA structure — which is what the paper's experiments exercise.
 //!
 //! Two kinds of artifacts are produced:
 //!

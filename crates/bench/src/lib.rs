@@ -7,6 +7,10 @@
 //! whole suite regenerates on a laptop in minutes. Pass larger budgets
 //! through the `*_with_scale` variants for higher-fidelity runs.
 
+// The harness measures host wall time on purpose (simspeed, Figs. 11/12);
+// `clippy.toml`'s clock ban is for crates that hold simulation state.
+#![allow(clippy::disallowed_types)]
+
 pub mod experiments;
 pub mod runner;
 pub mod simspeed;

@@ -1411,7 +1411,6 @@ impl System {
     /// the region to a *new* huge frame and frees the old base frames, so
     /// its invalidation batch is applied just like a reclaim shootdown —
     /// before the fix, the TLBs kept translating into the freed frames.
-    // vmlint: allow(no-alloc-in-hot-path, "periodic slow path: runs once per housekeeping interval, not per access; the counting-allocator test brackets it out of the steady-state window")
     fn housekeeping(&mut self) {
         let current = self.cores[self.active].current;
         self.functional
@@ -1436,7 +1435,6 @@ impl System {
     /// step path (which calls it as soon as the instruction loop hands the
     /// fault back) and the epoch barrier (which calls it while resuming a
     /// truncated slice mid-instruction).
-    // vmlint: allow(no-alloc-in-hot-path, "fault slow path: runs only when a translation faulted into the kernel, never on the TLB/PTW steady-state hit path the allocator test measures")
     fn finish_faulted_access(&mut self, entry: &FaultedAccess) {
         let carried = self
             .datapath()
@@ -1851,7 +1849,6 @@ impl System {
     ///
     /// Panics with the violation message when
     /// [`System::check_invariants`] fails.
-    // vmlint: allow(no-alloc-in-hot-path, "diagnostic slow path: the coherence fence only runs when invariant_check_interval arms it, and its diagnostics format on the failure path")
     fn assert_invariants(&self) {
         if let Err(violation) = self.check_invariants() {
             panic!("coherence fence violated: {violation}");

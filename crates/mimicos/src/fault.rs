@@ -23,7 +23,7 @@ use vm_types::{PageSize, PhysAddr, VirtAddr};
 /// };
 /// assert_eq!(m.translate(VirtAddr::new(0x20_1234)).raw(), 0x4000_1234);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Mapping {
     /// Base virtual address of the page (aligned to `page_size`).
     pub vaddr: VirtAddr,

@@ -758,7 +758,6 @@ pub struct UtopiaEngine {
     /// picks buckets from the *low* bits — unshifted keys collapse the
     /// whole resident set into a few probe chains (a measured ~40% of
     /// the Utopia cell's host time before the rekey).
-    // vmlint: allow(fx-keying, "keyed (asid, va >> 12): the u64 is the virtual page number, shifted at every insert/lookup site in this file")
     resident: vm_types::FxHashMap<(u16, u64), Mapping>,
     /// Resident-page counts per page size (4K/2M/1G), so the per-miss
     /// residency probe can skip hash lookups for sizes with no entries.

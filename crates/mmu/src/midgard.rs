@@ -137,7 +137,6 @@ pub struct MidgardMmu {
 impl MidgardMmu {
     /// Creates a Midgard MMU; frontend/backend tables live at
     /// `metadata_base`.
-    // vmlint: allow(no-alloc-in-hot-path, "lazy first-touch construction: MidgardEngine::frontend_for builds one frontend per address space on its first translation, never per access")
     pub fn new(config: MidgardConfig, metadata_base: PhysAddr) -> Self {
         MidgardMmu {
             config,

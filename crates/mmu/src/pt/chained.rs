@@ -28,7 +28,7 @@ struct Bucket {
 pub struct ChainedHashPageTable {
     metadata_base: PhysAddr,
     buckets: FastDiv,
-    // vmlint: allow(fx-keying, "keyed by bucket index (hash of vpn modulo bucket count), a dense small integer, not a page-aligned address")
+    /// Keyed by bucket index (hash of the VPN modulo the bucket count).
     storage: FxHashMap<u64, Bucket>,
     occupied: usize,
     /// Resident leaves per page size (4K/2M/1G); lets walks skip empty

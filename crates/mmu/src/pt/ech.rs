@@ -90,10 +90,11 @@ impl ElasticCuckooPageTable {
         self.occupied as f64 / (self.ways.len() * self.entries_per_way) as f64
     }
 
-    // vmlint: allow(no-alloc-in-hot-path, "structural rehash event: elastic cuckoo resizing rebuilds every way by design and runs amortized-rarely, not per access")
     fn resize(&mut self) {
         // Double every way and re-insert all entries (the accesses of the
-        // background resize are not charged to any single fault).
+        // background resize are not charged to any single fault). The one
+        // place this table allocates: reached only while inserting (load
+        // factor tripped or kick budget spent), never from `walk`.
         let old: Vec<Slot> = self
             .ways
             .iter()

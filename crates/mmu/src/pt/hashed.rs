@@ -36,7 +36,7 @@ pub struct OpenAddressingPageTable {
     clusters: FastDiv,
     /// Sparse cluster storage: only clusters that hold at least one PTE are
     /// materialized (the table itself is 4 GB of physical address space).
-    // vmlint: allow(fx-keying, "keyed by cluster index (hash of vpn modulo cluster count), a dense small integer, not a page-aligned address")
+    /// Keyed by cluster index (hash of the VPN modulo the cluster count).
     storage: FxHashMap<u64, [Option<Pte>; PTES_PER_CLUSTER]>,
     occupied: usize,
     /// Resident leaves per page size (4K/2M/1G), maintained by

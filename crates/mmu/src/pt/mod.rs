@@ -151,7 +151,6 @@ pub trait PageTable {
 
 /// Builds a boxed page table of the requested kind with default geometry,
 /// placing its metadata at `metadata_base`.
-// vmlint: allow(no-alloc-in-hot-path, "lazy first-touch construction: runs once per (asid, table kind) when Mmu::table_for finds no table, never on the per-access walk path")
 pub fn build_page_table(kind: PageTableKind, metadata_base: PhysAddr) -> Box<dyn PageTable + Send> {
     match kind {
         PageTableKind::Radix => Box::new(RadixPageTable::new(metadata_base)),

@@ -206,7 +206,6 @@ pub struct RmmMmu {
 
 impl RmmMmu {
     /// Creates the RMM hardware with its range table at `metadata_base`.
-    // vmlint: allow(no-alloc-in-hot-path, "lazy first-touch construction: RmmEngine::rmm_for builds one RmmMmu per address space on its first translation, never per access")
     pub fn new(config: RmmConfig, metadata_base: PhysAddr) -> Self {
         RmmMmu {
             rlb: RangeTlb::new(config.rlb_entries),

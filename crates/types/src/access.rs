@@ -101,7 +101,7 @@ impl fmt::Display for Requestor {
 /// );
 /// assert!(!access.kind.is_write());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemoryAccess {
     /// Virtual address of the access (zero for accesses with no virtual
     /// counterpart, e.g. physically-indexed page-table fetches).

@@ -95,9 +95,11 @@ impl fmt::Display for PageSize {
 macro_rules! addr_newtype {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
+        // No `Hash`: a raw address must not key a hash map (see
+        // `FxHashMap`'s docs); key by page number or a shifted `u64`.
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Serialize,
+            Deserialize,
         )]
         pub struct $name(u64);
 

@@ -104,8 +104,11 @@ impl<T, const N: usize> FixedVec<T, N> {
             self.len += 1;
             return;
         }
-        // Spill: move the inline elements into a heap vector.
-        // vmlint: allow(no-alloc-in-hot-path, "designed spill slow path: allocation-free until the inline capacity N is exceeded, which the counting-allocator test pins never happens in steady state")
+        // Spill: move the inline elements into a heap vector — the designed
+        // slow path. `tests/alloc_free_hot_path.rs` runs every engine and
+        // page-table design (HT's overflow chains included) under a
+        // counting allocator, so a steady-state list outgrowing `N` fails
+        // there.
         let mut v = Vec::with_capacity(N * 2 + 1);
         for slot in &mut self.inline[..self.len] {
             // SAFETY: slots `..len` are initialized; after this loop `len`

@@ -18,8 +18,6 @@
 //! assert_eq!(m.get(&42), Some(&"walk"));
 //! ```
 
-// vmlint: allow(determinism, "defining site of the sanctioned alias: the std container is re-exported with a fixed-seed hasher, which is exactly what makes it deterministic")
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The Fx multiplication constant (golden-ratio derived, as in rustc).
@@ -87,9 +85,36 @@ impl Hasher for FxHasher {
 /// `BuildHasher` producing [`FxHasher`]s (deterministic: no random seed).
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// A `HashMap` keyed with the deterministic Fx hasher.
-// vmlint: allow(determinism, "defining site of the sanctioned alias: FxBuildHasher replaces the random seed, so iteration order is process-independent")
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+/// A `HashMap` keyed with the deterministic Fx hasher — the only hash map
+/// simulation code may use (`clippy.toml` disallows the std containers;
+/// this alias is their one sanctioned use).
+///
+/// # Raw addresses cannot be keys
+///
+/// [`VirtAddr`](crate::VirtAddr), [`PhysAddr`](crate::PhysAddr),
+/// [`MemoryAccess`](crate::MemoryAccess) and `mimic_os::Mapping` do not
+/// implement `Hash`. Fx's single multiply keeps a key's entropy in the
+/// *high* bits of the hash while hashbrown picks the bucket from the *low*
+/// ones, so page-aligned keys (low 12+ bits zero) pile into a few buckets:
+/// that was the 1.8x Utopia slowdown PR 7 found. Key by
+/// [`PageNumber`](crate::PageNumber) or by a shifted `u64` and say at the
+/// field what the integer is.
+///
+/// ```compile_fail,E0277
+/// use vm_types::{FxHashMap, VirtAddr};
+/// let mut m: FxHashMap<VirtAddr, u8> = FxHashMap::default();
+/// m.insert(VirtAddr::new(0x1000), 1); // error: `VirtAddr: Hash` is not satisfied
+/// ```
+///
+/// The std containers reject them for the same reason:
+///
+/// ```compile_fail,E0277
+/// use vm_types::PhysAddr;
+/// let mut s = std::collections::HashSet::new();
+/// s.insert(PhysAddr::new(0x2000)); // error: `PhysAddr: Hash` is not satisfied
+/// ```
+#[allow(clippy::disallowed_types)]
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -1,59 +1,110 @@
-//! Pins the PR-3 tentpole: the steady-state instruction loop performs
-//! **zero heap allocations** — for all four translation engines
-//! (page-table, Midgard, RMM, Utopia), in emulation mode, and on the
+//! The allocation fence: the steady-state instruction loop performs
+//! **zero heap allocations** on every translation path a configuration
+//! can select — the page-table engine over each [`PageTableKind`] (Radix,
+//! ECH, HDC, HT), Midgard, RMM, Utopia, emulation mode, and the
 //! multi-core stepping path.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
 //! populated address space and a warmup segment (which fills the dense
-//! accounting tables, TLBs and caches), a measured segment of the
-//! workload must not allocate at all. Every `Vec` that used to sit on the
-//! per-instruction path — `HierarchyAccess::{dram_fetches,writebacks}`,
-//! `WalkOutcome::accesses`, the replacement-victim scratch list, the
-//! DRAM stats' string keys — would trip this test if it ever came back.
+//! accounting tables, TLBs and caches), a measured segment of GUPS-style
+//! accesses must not allocate at all — a `Vec` coming back into
+//! `HierarchyAccess`, `WalkOutcome::accesses`, the replacement-victim
+//! scratch list or the DRAM stats' keys trips it.
 //!
-//! The counter is **per-thread**: `System::step`/`step_on` do all their
-//! work on the calling thread, and a process-global counter also charges
-//! the libtest harness's main thread, which lazily initializes its
-//! result-channel machinery (`std::sync::mpmc` thread-local contexts)
-//! while parked in `recv` — at a point in time that races with the armed
-//! windows here. The file still contains a single `#[test]` so the
-//! measured segments never share the thread with anything else.
+//! THP is off, so the footprint is thousands of 4 KiB pages and most
+//! translations miss both TLB levels: the window runs the walk, the PWCs
+//! and walk charging through the caches and DRAM. The test **asserts
+//! `walks > 0`** inside the window for every design that walks, so a zero
+//! can never again mean "the path did not run" (under THP `Always` the
+//! footprint was 16 huge pages, the window performed no walk, and rows A,
+//! B, C and E below passed unseen).
+//!
+//! There is no static twin: a source-level reachability rule sees only
+//! what it can name, and the fence for a path no configuration here
+//! executes is to add that configuration to [`cases`].
+//!
+//! # Mutation table
+//!
+//! Each change was planted, observed and reverted; none is committed.
+//! "Parent" is the commit before this test walked, which still carried a
+//! hand-rolled source analyzer (a name-level call graph with
+//! no-alloc-in-hot-path, determinism and report-stability rules); "now"
+//! is this test, `cargo clippy --workspace -- -D warnings` with the root
+//! `clippy.toml`, and `tests/golden_reports.rs`.
+//!
+//! | planted change | at the parent | now |
+//! |---|---|---|
+//! | A: `Vec::with_capacity(4)` in `ElasticCuckooPageTable::walk` | analyzer only (via a false `RmmMmu::translate` edge; written `Vec::<u64>::with_capacity` it saw nothing); this test passed | this test, ECH: 19 876 allocations |
+//! | B: a growing `self.history.push(va)` on a new field, same walk | nothing | this test, ECH: 2 (growth reallocations) |
+//! | C: `format!` in `Datapath::charge_page_walk` | analyzer only; this test passed | this test, Radix: 19 876 |
+//! | D: `Vec::new()` + `push` in `Cache::fill` | analyzer and this test (59 732) | this test, Radix: 98 816 |
+//! | E: `to_vec()` in `RadixPageTable::walk` | analyzer only; this test passed | this test, Radix: 19 876 |
+//! | `use std::collections::HashMap` in `crates/mmu/src/mmu.rs` | analyzer | clippy `disallowed_types` |
+//! | `std::time::Instant::now()` in `crates/core/src/system.rs` | analyzer | clippy `disallowed_types` |
+//! | `std::thread::current()` in `crates/core/src/system.rs` | analyzer | clippy `disallowed_methods` |
+//! | `skip_serializing_if` dropped from `SimulationReport::oom` | analyzer, 13 goldens | `optional_report_sections_never_serialize_as_null`, 13 goldens |
+//!
+//! # Why the counter is per-thread
+//!
+//! `System::step`/`step_on` do all their work on the calling thread, and
+//! a process-global counter also charges the libtest harness's main
+//! thread, which lazily initializes its result-channel machinery
+//! (`std::sync::mpmc` thread-local contexts) while parked in `recv` — at
+//! a point in time that races with the armed windows here. The file still
+//! contains a single `#[test]` so the measured segments never share the
+//! thread with anything else.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 use virtuoso_suite::prelude::*;
 
-/// The per-engine configs mirror `virtuoso_bench`'s simspeed cells: each
-/// alternative engine paired with the allocation policy its design
-/// expects (eager paging feeds RMM's ranges, the Utopia policy places
-/// pages in the RestSeg). Housekeeping is disabled because periodic
-/// background OS work legitimately builds kernel instruction streams.
-fn engine_config(engine: &str) -> SystemConfig {
+/// One configuration under test: its label, the machine, and whether its
+/// measured window must contain page walks.
+type Case = (&'static str, SystemConfig, bool);
+
+/// The base machine: `small_test` with 4 KiB pages only (see the module
+/// doc) and no housekeeping — periodic background OS work legitimately
+/// builds kernel instruction streams, and the instruction loop is what is
+/// measured.
+fn base_config() -> SystemConfig {
     let mut config = SystemConfig::small_test();
-    match engine {
-        "page-table" => {}
-        "midgard" => {
-            config = config.with_engine(EngineConfig::Midgard(MidgardConfig::paper_baseline()));
-        }
-        "rmm" => {
-            config = config.with_engine(EngineConfig::Rmm(RmmConfig::paper_baseline()));
-            config.os.policy = AllocationPolicy::EagerPaging;
-        }
-        "utopia" => {
-            let restseg_bytes: u64 = 64 * 1024 * 1024;
-            config = config.with_engine(EngineConfig::Utopia(
-                UtopiaMmuConfig::paper_baseline().with_restseg_bytes(restseg_bytes),
-            ));
-            config.os.policy = AllocationPolicy::Utopia(mimic_os::UtopiaConfig::new(
-                restseg_bytes,
-                16,
-                PageSize::Size4K,
-            ));
-        }
-        other => unreachable!("unknown engine {other}"),
-    }
+    config.os.thp = mimic_os::ThpConfig::disabled();
     config.housekeeping_interval = 0;
     config
+}
+
+/// Every translation path the steady state can take: the page-table
+/// engine over each [`PageTableKind`], then Midgard, RMM and Utopia (each
+/// paired with the allocation policy its design expects, as in
+/// `virtuoso_bench`'s simspeed cells), then emulation mode. RMM's ranges
+/// and Utopia's RestSeg translate without a walk, so those two are not
+/// required to walk.
+fn cases() -> Vec<Case> {
+    let mut cases: Vec<Case> = PageTableKind::ALL
+        .into_iter()
+        .map(|kind| (kind.label(), base_config().with_page_table(kind), true))
+        .collect();
+
+    let midgard = EngineConfig::Midgard(MidgardConfig::paper_baseline());
+    cases.push(("midgard", base_config().with_engine(midgard), true));
+
+    let mut rmm = base_config().with_engine(EngineConfig::Rmm(RmmConfig::paper_baseline()));
+    rmm.os.policy = AllocationPolicy::EagerPaging;
+    cases.push(("rmm", rmm, false));
+
+    let restseg_bytes: u64 = 64 * 1024 * 1024;
+    let mut utopia = base_config().with_engine(EngineConfig::Utopia(
+        UtopiaMmuConfig::paper_baseline().with_restseg_bytes(restseg_bytes),
+    ));
+    utopia.os.policy = AllocationPolicy::Utopia(mimic_os::UtopiaConfig::new(
+        restseg_bytes,
+        16,
+        PageSize::Size4K,
+    ));
+    cases.push(("utopia", utopia, false));
+
+    cases.push(("emulation", base_config().with_emulation_baseline(), true));
+    cases
 }
 
 /// Counts allocations (and growth reallocations) while armed.
@@ -100,7 +151,9 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCATIONS.get(), result)
 }
 
-fn steady_state_allocations(mode_label: &str, config: SystemConfig) -> u64 {
+/// Allocations and page walks inside the measured window of one
+/// single-core configuration.
+fn steady_state(label: &str, config: SystemConfig) -> (u64, u64) {
     const FOOTPRINT: u64 = 32 * 1024 * 1024;
     const WARMUP: u64 = 20_000;
     const MEASURED: u64 = 50_000;
@@ -115,8 +168,8 @@ fn steady_state_allocations(mode_label: &str, config: SystemConfig) -> u64 {
     // but takes no page faults.
     system.populate(pid);
 
-    // GUPS-style uniform random accesses: the paper's worst-case
-    // translation-bound pattern, constantly missing the small-test TLB.
+    // GUPS-style uniform random accesses over 8192 base pages: most
+    // translations miss both TLB levels and walk.
     let spec = WorkloadSpec::simple(
         "alloc-free",
         WorkloadClass::LongRunning,
@@ -137,24 +190,25 @@ fn steady_state_allocations(mode_label: &str, config: SystemConfig) -> u64 {
     // fills, DRAM bank state.
     step(WARMUP, &mut system);
 
+    let walks_before = system.report().page_walks;
     let (allocations, ()) = allocations_during(|| step(MEASURED, &mut system));
-    eprintln!("{mode_label}: {allocations} allocations over {MEASURED} steady-state instructions");
-    allocations
+    let walks = system.report().page_walks - walks_before;
+    eprintln!("{label}: {allocations} allocations, {walks} walks over {MEASURED} steady-state instructions");
+    (allocations, walks)
 }
 
 /// The multi-core variant: four cores, one populated process pinned to
 /// each, stepped round-robin through the per-core stepping API. The
 /// sharded frontend (per-core TLBs/PWCs/engines, the active-core
 /// indirection) must not reintroduce allocations into the steady state.
-fn multicore_steady_state_allocations() -> u64 {
+/// Returns the allocations and the fewest walks any one core performed.
+fn multicore_steady_state() -> (u64, u64) {
     const CORES: usize = 4;
     const FOOTPRINT: u64 = 16 * 1024 * 1024;
     const WARMUP: u64 = 20_000;
     const MEASURED: u64 = 50_000;
 
-    let mut config = SystemConfig::small_test().with_cores(CORES);
-    config.housekeeping_interval = 0;
-    let mut system = System::new(config);
+    let mut system = System::new(base_config().with_cores(CORES));
     let mut pids = vec![system.pid()];
     while pids.len() < CORES {
         pids.push(system.spawn_process());
@@ -184,24 +238,22 @@ fn multicore_steady_state_allocations() -> u64 {
             system.step_on(core, &instr);
         }
     };
+    let walks_on = |system: &System, core: usize| system.mmu_of(core).stats().walks.get();
 
     step(WARMUP, &mut system);
+    let before: Vec<u64> = (0..CORES).map(|core| walks_on(&system, core)).collect();
     let (allocations, ()) = allocations_during(|| step(MEASURED, &mut system));
+    let walks: Vec<u64> = (0..CORES)
+        .map(|core| walks_on(&system, core) - before[core])
+        .collect();
     eprintln!(
-        "multicore: {allocations} allocations over {MEASURED} steady-state instructions on {CORES} cores"
+        "multicore: {allocations} allocations, {walks:?} walks per core over {MEASURED} steady-state instructions"
     );
-    allocations
+    (allocations, walks.into_iter().min().unwrap_or(0))
 }
 
 #[test]
 fn steady_state_instructions_allocate_nothing() {
-    // Housekeeping (khugepaged, pool refill) is periodic background OS
-    // work that legitimately builds kernel instruction streams; the
-    // steady-state *instruction loop* itself is what must be
-    // allocation-free.
-    let mut emulation = SystemConfig::small_test().with_emulation_baseline();
-    emulation.housekeeping_interval = 0;
-
     // Sanity-check the counter itself before trusting the zero results.
     let (sanity, _) = allocations_during(|| std::hint::black_box(Vec::<u64>::with_capacity(16)));
     assert!(
@@ -209,23 +261,19 @@ fn steady_state_instructions_allocate_nothing() {
         "the counting allocator must observe allocations"
     );
 
-    // All four translation engines: the Utopia cell is the one that would
-    // have caught the per-translation `Vec<PhysAddr>` allocation that sat
-    // in `UtopiaMmu::translate` until the simspeed cliff was profiled.
-    for engine in ["page-table", "midgard", "rmm", "utopia"] {
-        let allocs = steady_state_allocations(engine, engine_config(engine));
-        assert_eq!(allocs, 0, "{engine} steady state must not allocate");
+    for (label, config, must_walk) in cases() {
+        let (allocations, walks) = steady_state(label, config);
+        assert_eq!(allocations, 0, "{label} steady state must not allocate");
+        assert!(
+            walks > 0 || !must_walk,
+            "{label}: no page walk in the measured window, the zero above proves nothing"
+        );
     }
 
-    let emulation_allocs = steady_state_allocations("emulation", emulation);
-    let multicore_allocs = multicore_steady_state_allocations();
-
-    assert_eq!(
-        emulation_allocs, 0,
-        "emulation-mode steady state must not allocate"
-    );
-    assert_eq!(
-        multicore_allocs, 0,
-        "four-core steady state must not allocate"
+    let (allocations, fewest_walks) = multicore_steady_state();
+    assert_eq!(allocations, 0, "four-core steady state must not allocate");
+    assert!(
+        fewest_walks > 0,
+        "four-core: a core performed no page walk in the measured window"
     );
 }

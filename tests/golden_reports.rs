@@ -175,6 +175,34 @@ fn golden_runs_are_reproducible_within_a_process() {
     }
 }
 
+/// The report-stability rule: an `Option` field on a serialized report
+/// carries `#[serde(skip_serializing_if = "Option::is_none")]`, so adding a
+/// section never moves the bytes of a run that does not use it. An ungated
+/// field serializes as `null` — into every golden, and into the reports of
+/// a healthy run (no reclaim, no OOM), where every optional section is off.
+#[test]
+fn optional_report_sections_never_serialize_as_null() {
+    let golden_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&golden_dir).expect("list goldens") {
+        let path = entry.expect("golden entry").path();
+        let golden = std::fs::read_to_string(&path).expect("read golden");
+        assert!(!golden.contains("null"), "{} holds a null", path.display());
+        checked += 1;
+    }
+    assert!(checked >= 14, "only {checked} goldens found");
+
+    let (_, config, spec) = golden_cells().swap_remove(0);
+    let single = serde_json::to_string(&run_cell(config, &spec)).expect("serialize report");
+    assert!(!single.contains("null"), "SimulationReport: {single}");
+
+    let specs = [spec.clone(), spec];
+    let multi = run_multicore_cell(SystemConfig::small_test(), &specs);
+    assert!(multi.rollup.oom.is_none() && multi.rollup.shootdowns.is_none());
+    let multi = serde_json::to_string(&multi).expect("serialize report");
+    assert!(!multi.contains("null"), "MultiProgramReport: {multi}");
+}
+
 /// A memory-pressure base configuration for the multi-core goldens: small
 /// memory, big swap, descending reclaim pressure — so every cell's
 /// shootdowns cross cores and the per-core IPI counters are nonzero.

@@ -175,6 +175,37 @@ fn golden_runs_are_reproducible_within_a_process() {
     }
 }
 
+/// Boot-time fragmentation under THP: `small_test` with 95 % of its 2 MiB
+/// regions broken by one pinned 4 KiB frame each, so the fault path has to
+/// mix huge and base mappings. Pins `BuddyAllocator::fragment`'s end state
+/// (every free list and the kernel RNG's position after it) through a whole
+/// run; no other golden boots a fragmented machine.
+#[test]
+fn fragmented_thp_report_is_byte_stable() {
+    let mut config = SystemConfig::small_test();
+    config.os.fragmentation_target = Some(0.05);
+    let spec = WorkloadSpec::simple(
+        "FRG",
+        WorkloadClass::LongRunning,
+        16 * 1024 * 1024,
+        AccessPattern::UniformRandom,
+        4_000,
+    );
+    let report = run_cell(config, &spec);
+    assert!(
+        report.huge_mappings > 0 && report.base_mappings > 0,
+        "a fragmented THP run must map both sizes: {} huge, {} base",
+        report.huge_mappings,
+        report.base_mappings
+    );
+    let actual = serde_json::to_string(&report).expect("serialize report");
+    assert!(
+        golden_matches("fragmented_thp", &actual),
+        "fragmented_thp golden drifted — if the behaviour change is \
+         intentional, regenerate with VIRTUOSO_BLESS_GOLDEN=1"
+    );
+}
+
 /// The report-stability rule: an `Option` field on a serialized report
 /// carries `#[serde(skip_serializing_if = "Option::is_none")]`, so adding a
 /// section never moves the bytes of a run that does not use it. An ungated

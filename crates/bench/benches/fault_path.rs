@@ -5,11 +5,13 @@
 //! back in). Each iteration builds its machine afresh — populate is
 //! one-shot — which costs tens of microseconds against milliseconds of
 //! faults. Divide the printed time by the page count in the id for ns/page.
+//! The `boot` group times the paper machine's fragmented boot on its own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mimic_os::buddy::BuddyAllocator;
 use mimic_os::{AllocationPolicy, MimicOs, OsConfig, ThpConfig};
 use virtuoso::{System, SystemConfig};
-use vm_types::{PageSize, VirtAddr};
+use vm_types::{DetRng, PageSize, VirtAddr};
 
 const MIB: u64 = 1 << 20;
 const PAGE: u64 = PageSize::Size4K.bytes();
@@ -78,5 +80,41 @@ fn swap_round_trip(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, populate, swap_round_trip);
+/// Boot of the paper's Table 4 machine: 256 GiB with 80 % of its 2 MiB
+/// regions left free. `mimic_os/paper_baseline` is the whole `MimicOs::new`;
+/// `fragment/256GiB_0.8` is `BuddyAllocator::fragment` alone on a fresh
+/// allocator, which is nearly all of it.
+fn boot(c: &mut Criterion) {
+    let config = OsConfig::paper_baseline();
+    let target = config
+        .fragmentation_target
+        .expect("the paper machine is fragmented");
+    let assert_on_target = |availability: f64| {
+        assert!(
+            (availability - target).abs() <= 0.01,
+            "huge-page availability {availability} missed the target {target}"
+        );
+        availability
+    };
+    let mut group = c.benchmark_group("boot");
+    group.bench_function(BenchmarkId::new("mimic_os", "paper_baseline"), |b| {
+        b.iter(|| {
+            assert_on_target(
+                MimicOs::new(config.clone())
+                    .buddy()
+                    .huge_page_availability(),
+            )
+        })
+    });
+    group.bench_function(BenchmarkId::new("fragment", "256GiB_0.8"), |b| {
+        b.iter(|| {
+            let mut buddy = BuddyAllocator::new(config.memory_bytes);
+            buddy.fragment(target, &mut DetRng::new(config.seed));
+            assert_on_target(buddy.huge_page_availability())
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, populate, swap_round_trip, boot);
 criterion_main!(benches);

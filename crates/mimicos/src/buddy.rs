@@ -68,12 +68,11 @@ pub struct BuddyAllocator {
     total_frames: u64,
     /// Free lists: for each order, the set of free block start frames.
     free_lists: Vec<BTreeSet<u64>>,
-    /// Allocated blocks: start frame → order (for validation on free).
+    /// Allocated blocks: start frame → order (for validation on free). The
+    /// frames pinned by [`BuddyAllocator::fragment`] are order-0 entries.
     allocated: BTreeMap<u64, u32>,
     free_frames: u64,
     stats: BuddyStats,
-    /// Frames pinned by fragmentation injection (never freed by callers).
-    pinned: Vec<u64>,
 }
 
 impl BuddyAllocator {
@@ -97,7 +96,6 @@ impl BuddyAllocator {
             allocated: BTreeMap::new(),
             free_frames: total_frames,
             stats: BuddyStats::default(),
-            pinned: Vec::new(),
         };
         // Seed the free lists with the largest blocks that fit.
         let mut frame = 0;
@@ -168,21 +166,6 @@ impl BuddyAllocator {
             return 0.0;
         }
         self.available_2mb_regions() as f64 / self.total_2mb_regions() as f64
-    }
-
-    /// The sizes (in bytes) of the `n` largest free contiguous regions,
-    /// in descending order — used by RMM's eager-paging fragmentation metric.
-    pub fn largest_free_regions(&self, n: usize) -> Vec<u64> {
-        let mut sizes: Vec<u64> = (0..=MAX_ORDER)
-            .flat_map(|o| {
-                self.free_lists[o as usize]
-                    .iter()
-                    .map(move |_| (1u64 << o) * FRAME_BYTES)
-            })
-            .collect();
-        sizes.sort_unstable_by(|a, b| b.cmp(a));
-        sizes.truncate(n);
-        sizes
     }
 
     /// Allocates a block of `2^order` frames, splitting larger blocks as
@@ -364,70 +347,106 @@ impl BuddyAllocator {
     ///
     /// Fragmentation can only be increased (the fraction can only go down);
     /// calling with a fraction above the current availability is a no-op.
+    ///
+    /// The victims are every fully free region in free-list order, shuffled
+    /// once; each then draws its pinned frame's offset, in victim order. The
+    /// end state is the one pinning the frames one at a time would reach,
+    /// which does not depend on their order, so it is built directly (by
+    /// `pin_frames`) rather than by splitting frame by frame.
     pub fn fragment(&mut self, target_free_fraction: f64, rng: &mut DetRng) {
         let target_free_fraction = target_free_fraction.clamp(0.0, 1.0);
         let total = self.total_2mb_regions();
         let target_free = (total as f64 * target_free_fraction).round() as u64;
-        // Candidate regions: all currently fully-free 2 MiB regions.
-        let mut candidates: Vec<u64> = Vec::new();
+        // Candidate regions, as 2 MiB region indices: all currently fully
+        // free 2 MiB regions.
+        let mut candidates: Vec<u32> = Vec::with_capacity(self.available_2mb_regions() as usize);
         for order in ORDER_2M..=MAX_ORDER {
             for &start in &self.free_lists[order as usize] {
-                let regions = 1u64 << (order - ORDER_2M);
-                for r in 0..regions {
-                    candidates.push(start + r * (1 << ORDER_2M));
-                }
+                let first = start >> ORDER_2M;
+                let regions = first..first + (1 << (order - ORDER_2M));
+                candidates
+                    .extend(regions.map(|r| u32::try_from(r).expect("region index fits u32")));
             }
         }
         let currently_free = candidates.len() as u64;
         if currently_free <= target_free {
             return;
         }
-        let to_break = (currently_free - target_free) as usize;
         rng.shuffle(&mut candidates);
-        let victims: Vec<u64> = candidates.into_iter().take(to_break).collect();
-        for region_start in victims {
-            // Pin one 4 KiB frame at a random offset inside the region.
-            let offset = rng.gen_range(0, 512);
-            if let Some(addr) = self.alloc_specific_frame(region_start + offset) {
-                self.pinned.push(addr.raw() / FRAME_BYTES);
-            }
-        }
+        candidates.truncate((currently_free - target_free) as usize);
+        // Pin one 4 KiB frame at a random offset inside each victim region.
+        let mut pinned: Vec<u64> = candidates
+            .iter()
+            .map(|&region| (u64::from(region) << ORDER_2M) + rng.gen_range(0, 512))
+            .collect();
+        drop(candidates);
+        pinned.sort_unstable();
+        self.pin_frames(&pinned);
     }
 
-    /// Allocates one specific 4 KiB frame by splitting whatever free block
-    /// contains it. Returns `None` if the frame is not currently free.
-    fn alloc_specific_frame(&mut self, frame: u64) -> Option<PhysAddr> {
-        // Find the free block containing `frame`.
-        let mut containing: Option<(u32, u64)> = None;
-        for order in 0..=MAX_ORDER {
-            let block = 1u64 << order;
-            let start = frame & !(block - 1);
-            if self.free_lists[order as usize].contains(&start) {
-                containing = Some((order, start));
-                break;
+    /// Allocates the given 4 KiB frames as order-0 blocks. `pinned` is
+    /// sorted, and each frame lies in its own fully free 2 MiB region.
+    ///
+    /// A free block holding pinned frames is split exactly where splitting
+    /// one frame at a time would split it: every block on a pinned frame's
+    /// path is broken into halves, and a half holding no pinned frame stays
+    /// free. So for each order `o`, every block of order `o + 1` that holds
+    /// a pinned frame (and lies inside a broken free block) is one split and
+    /// leaves at most one free half at order `o`. Below 2 MiB that half is
+    /// the sibling on the frame's path. Walking the sorted frames yields
+    /// each order's new free blocks in ascending order, so each free list,
+    /// and `allocated`, is extended by one bulk build.
+    fn pin_frames(&mut self, pinned: &[u64]) {
+        // Take each broken free block off its list. `runs` holds, for each
+        // one, its order and the index of its first pinned frame.
+        let mut runs: Vec<(usize, u32)> = Vec::new();
+        let mut block_end = 0;
+        for (i, &frame) in pinned.iter().enumerate() {
+            if frame < block_end {
+                continue;
             }
+            let (start, order) = (ORDER_2M..=MAX_ORDER)
+                .map(|order| (frame & !((1u64 << order) - 1), order))
+                .find(|(start, order)| self.free_lists[*order as usize].remove(start))
+                .expect("a pinned frame lies in a free 2 MiB region");
+            block_end = start + (1 << order);
+            runs.push((i, order));
         }
-        let (order, start) = containing?;
-        self.free_lists[order as usize].remove(&start);
-        // Split repeatedly, keeping the half that contains `frame`.
-        let mut cur_order = order;
-        let mut cur_start = start;
-        while cur_order > 0 {
-            cur_order -= 1;
-            let half = 1u64 << cur_order;
-            let (keep, give) = if frame < cur_start + half {
-                (cur_start, cur_start + half)
-            } else {
-                (cur_start + half, cur_start)
-            };
-            self.free_lists[cur_order as usize].insert(give);
-            self.stats.splits.inc();
-            cur_start = keep;
+        for order in 0..ORDER_2M {
+            let mut freed: BTreeSet<u64> = pinned
+                .iter()
+                .map(|&f| ((f >> order) ^ 1) << order)
+                .collect();
+            self.free_lists[order as usize].append(&mut freed);
         }
-        debug_assert_eq!(cur_start, frame);
-        self.allocated.insert(frame, 0);
-        self.free_frames -= 1;
-        Some(PhysAddr::new(frame * FRAME_BYTES))
+        self.stats
+            .splits
+            .add(u64::from(ORDER_2M) * pinned.len() as u64);
+        for order in ORDER_2M..MAX_ORDER {
+            let mut freed = Vec::new();
+            for (r, &(first, block_order)) in runs.iter().enumerate() {
+                if block_order <= order {
+                    continue;
+                }
+                let end = runs.get(r + 1).map_or(pinned.len(), |&(next, _)| next);
+                let same_parent = |a: &u64, b: &u64| a >> (order + 1) == b >> (order + 1);
+                for siblings in pinned[first..end].chunk_by(same_parent) {
+                    self.stats.splits.inc();
+                    let parent = siblings[0] & !((2u64 << order) - 1);
+                    let upper = parent + (1 << order);
+                    if siblings[0] >= upper {
+                        freed.push(parent);
+                    } else if siblings[siblings.len() - 1] < upper {
+                        freed.push(upper);
+                    }
+                }
+            }
+            let mut freed: BTreeSet<u64> = freed.into_iter().collect();
+            self.free_lists[order as usize].append(&mut freed);
+        }
+        let mut frames: BTreeMap<u64, u32> = pinned.iter().map(|&f| (f, ORDER_4K)).collect();
+        self.allocated.append(&mut frames);
+        self.free_frames -= pinned.len() as u64;
     }
 
     /// Physical address of the free-list node metadata for a block starting
@@ -606,22 +625,237 @@ mod tests {
     }
 
     #[test]
-    fn largest_free_regions_sorted_descending() {
-        let mut b = BuddyAllocator::new(64 * MB);
-        let _ = b.alloc(0).unwrap();
-        let regions = b.largest_free_regions(5);
-        assert!(!regions.is_empty());
-        for w in regions.windows(2) {
-            assert!(w[0] >= w[1]);
-        }
-    }
-
-    #[test]
     fn available_2mb_counts_larger_blocks() {
         let b = BuddyAllocator::new(64 * MB);
         // 64 MB entirely free => 32 available 2MB regions.
         assert_eq!(b.available_2mb_regions(), 32);
         assert_eq!(b.total_2mb_regions(), 32);
+    }
+
+    /// The reference `fragment` is checked against: the per-victim loop it
+    /// replaced, which pins each victim's frame by splitting whatever free
+    /// block holds it, one victim at a time.
+    impl BuddyAllocator {
+        fn fragment_per_victim(&mut self, target_free_fraction: f64, rng: &mut DetRng) {
+            let target_free_fraction = target_free_fraction.clamp(0.0, 1.0);
+            let total = self.total_2mb_regions();
+            let target_free = (total as f64 * target_free_fraction).round() as u64;
+            // Candidate regions: all currently fully-free 2 MiB regions.
+            let mut candidates: Vec<u64> = Vec::new();
+            for order in ORDER_2M..=MAX_ORDER {
+                for &start in &self.free_lists[order as usize] {
+                    let regions = 1u64 << (order - ORDER_2M);
+                    for r in 0..regions {
+                        candidates.push(start + r * (1 << ORDER_2M));
+                    }
+                }
+            }
+            let currently_free = candidates.len() as u64;
+            if currently_free <= target_free {
+                return;
+            }
+            let to_break = (currently_free - target_free) as usize;
+            rng.shuffle(&mut candidates);
+            let victims: Vec<u64> = candidates.into_iter().take(to_break).collect();
+            for region_start in victims {
+                // Pin one 4 KiB frame at a random offset inside the region.
+                let offset = rng.gen_range(0, 512);
+                self.alloc_specific_frame(region_start + offset)
+                    .expect("a victim region is fully free");
+            }
+        }
+
+        /// Allocates one specific 4 KiB frame by splitting whatever free
+        /// block contains it. Returns `None` if the frame is not free.
+        fn alloc_specific_frame(&mut self, frame: u64) -> Option<PhysAddr> {
+            // Find the free block containing `frame`.
+            let mut containing: Option<(u32, u64)> = None;
+            for order in 0..=MAX_ORDER {
+                let block = 1u64 << order;
+                let start = frame & !(block - 1);
+                if self.free_lists[order as usize].contains(&start) {
+                    containing = Some((order, start));
+                    break;
+                }
+            }
+            let (order, start) = containing?;
+            self.free_lists[order as usize].remove(&start);
+            // Split repeatedly, keeping the half that contains `frame`.
+            let mut cur_order = order;
+            let mut cur_start = start;
+            while cur_order > 0 {
+                cur_order -= 1;
+                let half = 1u64 << cur_order;
+                let (keep, give) = if frame < cur_start + half {
+                    (cur_start, cur_start + half)
+                } else {
+                    (cur_start + half, cur_start)
+                };
+                self.free_lists[cur_order as usize].insert(give);
+                self.stats.splits.inc();
+                cur_start = keep;
+            }
+            debug_assert_eq!(cur_start, frame);
+            self.allocated.insert(frame, 0);
+            self.free_frames -= 1;
+            Some(PhysAddr::new(frame * FRAME_BYTES))
+        }
+    }
+
+    /// Asserts that `fast` and `reference` hold the same state and keep
+    /// answering alike: every order's free list, `allocated`, the stats, the
+    /// free bytes, the RNG's next draw, and the results of 64 follow-on
+    /// `alloc` / `free` calls (made on copies, drawn from `ops_seed`).
+    fn assert_same_allocator(
+        (fast, fast_rng): (&BuddyAllocator, &DetRng),
+        (reference, reference_rng): (&BuddyAllocator, &DetRng),
+        ops_seed: u64,
+        context: &str,
+    ) {
+        for order in 0..=MAX_ORDER as usize {
+            assert_eq!(
+                fast.free_lists[order], reference.free_lists[order],
+                "free list of order {order} {context}"
+            );
+        }
+        assert_eq!(fast.allocated, reference.allocated, "allocated {context}");
+        assert_eq!(fast.stats(), reference.stats(), "stats() {context}");
+        assert_eq!(
+            fast.free_bytes(),
+            reference.free_bytes(),
+            "free_bytes() {context}"
+        );
+        assert_eq!(
+            fast_rng.clone().next_u64(),
+            reference_rng.clone().next_u64(),
+            "the RNG's next draw {context}"
+        );
+        let (mut fast, mut reference) = (fast.clone(), reference.clone());
+        let mut ops = DetRng::new(ops_seed);
+        let mut held: Vec<(PhysAddr, u32)> = Vec::new();
+        for step in 0..64 {
+            if !held.is_empty() && ops.gen_bool(0.4) {
+                let (addr, order) = held.swap_remove(ops.gen_range(0, held.len() as u64) as usize);
+                assert_eq!(
+                    fast.free(addr, order),
+                    reference.free(addr, order),
+                    "follow-on free {step} {context}"
+                );
+            } else {
+                let order = ops.gen_range(0, 11) as u32;
+                let addr = fast.alloc(order);
+                assert_eq!(
+                    addr,
+                    reference.alloc(order),
+                    "follow-on alloc {step} {context}"
+                );
+                held.extend(addr.ok().map(|a| (a, order)));
+            }
+        }
+        assert_eq!(
+            fast.stats(),
+            reference.stats(),
+            "stats() after the follow-ons {context}"
+        );
+    }
+
+    /// Buddy capacities with non-power-of-two tails: 4 + 2 MiB; 1 GiB +
+    /// 6 MiB; 2 + 1 GiB; `small_test`'s 224 MiB FlexSeg beside a 32 MiB
+    /// Utopia RestSeg; and 10 MiB + 20 KiB, whose last 2 MiB region is
+    /// partial and never a candidate.
+    const CAPACITIES: [u64; 5] = [
+        6 * MB,
+        1024 * MB + 6 * MB,
+        3 * 1024 * MB,
+        224 * MB,
+        10 * MB + 20 * 1024,
+    ];
+    /// Fixed targets; the proptest also draws a random one.
+    const TARGETS: [f64; 4] = [0.0, 0.25, 0.8, 1.0];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        /// Differential test of `fragment` against `fragment_per_victim`,
+        /// the frame-by-frame loop it replaced: fresh or already-used
+        /// allocators (up to 200 random `alloc`s of orders 0–10 and `free`s,
+        /// as `MimicOs::buddy_mut` callers could leave it), a fixed or random
+        /// target, then a second call at a lower target; every piece of
+        /// state compared after each call. The paper-scale case is
+        /// `fragment_matches_the_per_victim_reference_at_paper_scale`.
+        ///
+        /// Seeded mutations of `fragment` / `pin_frames`, each shown to fail
+        /// this test and then reverted (the assertion that fired first):
+        ///
+        /// | mutation | assertion that fired |
+        /// |---|---|
+        /// | splits counted as 9 per victim (no split above 2 MiB) | "stats() after call 0" (paper scale: 235 926 vs 308 653) |
+        /// | the broken free block left on its list (`contains`, not `remove`) | "free list of order 10 after call 0" |
+        /// | offsets drawn before the shuffle | "free list of order 0 after call 0" |
+        /// | the upper half freed when the last frame is its first (`<=`) | "free list of order 9 after call 0" |
+        /// | a free list above 2 MiB replaced, not appended to | "free list of order 11 after call 0" (needs prior allocations) |
+        /// | `allocated` not extended | "allocated after call 0" |
+        /// | candidates gathered from the largest order down | "free list of order 0 after call 0" (needs prior allocations) |
+        #[test]
+        fn fragment_matches_the_per_victim_reference(
+            capacity in 0..CAPACITIES.len(),
+            prior in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..201),
+            target in 0..TARGETS.len() + 1,
+            random_target in 0.0f64..1.0,
+            lower in 0.0f64..1.0,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut base = BuddyAllocator::new(CAPACITIES[capacity]);
+            let mut held = Vec::new();
+            for word in prior {
+                if word >> 63 == 1 && !held.is_empty() {
+                    let (addr, order) = held.swap_remove(word as usize % held.len());
+                    base.free(addr, order).expect("a held block frees");
+                } else if let Ok(addr) = base.alloc((word % 11) as u32) {
+                    held.push((addr, (word % 11) as u32));
+                }
+            }
+            let target = TARGETS.get(target).copied().unwrap_or(random_target);
+            let (mut fast, mut reference) = (base.clone(), base);
+            let (mut fast_rng, mut reference_rng) = (DetRng::new(seed), DetRng::new(seed));
+            for (call, target) in [target, target * lower].into_iter().enumerate() {
+                fast.fragment(target, &mut fast_rng);
+                reference.fragment_per_victim(target, &mut reference_rng);
+                let context = format!(
+                    "after call {call} (capacity {}, target {target}, seed {seed})",
+                    CAPACITIES[capacity]
+                );
+                assert_same_allocator(
+                    (&fast, &fast_rng),
+                    (&reference, &reference_rng),
+                    seed ^ call as u64,
+                    &context,
+                );
+            }
+        }
+    }
+
+    /// The paper's Table 4 machine, as `MimicOs::new` boots it: 256 GiB with
+    /// 80 % of its 2 MiB regions left free (26 214 victims).
+    #[test]
+    fn fragment_matches_the_per_victim_reference_at_paper_scale() {
+        let config = crate::OsConfig::paper_baseline();
+        let target = config
+            .fragmentation_target
+            .expect("the paper machine is fragmented");
+        let mut fast = BuddyAllocator::new(config.memory_bytes);
+        let mut reference = fast.clone();
+        let (mut fast_rng, mut reference_rng) =
+            (DetRng::new(config.seed), DetRng::new(config.seed));
+        fast.fragment(target, &mut fast_rng);
+        reference.fragment_per_victim(target, &mut reference_rng);
+        assert!((fast.huge_page_availability() - target).abs() < 1e-4);
+        assert_same_allocator(
+            (&fast, &fast_rng),
+            (&reference, &reference_rng),
+            config.seed,
+            "at paper scale",
+        );
     }
 
     #[test]

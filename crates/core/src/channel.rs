@@ -114,9 +114,11 @@ impl FunctionalChannel {
     /// Returns [`VmError::ChannelProtocol`] if no response is pending, which
     /// indicates a protocol violation (the kernel never answered).
     pub fn take_response(&mut self) -> VmResult<KernelResponse> {
-        self.responses.pop_front().ok_or(VmError::ChannelProtocol {
-            reason: "response read before the kernel posted one".to_string(),
-        })
+        self.responses
+            .pop_front()
+            .ok_or_else(|| VmError::ChannelProtocol {
+                reason: "response read before the kernel posted one".to_string(),
+            })
     }
 
     /// Number of requests the kernel has not yet consumed.

@@ -702,7 +702,8 @@ impl System {
     /// Pre-faults every page of every VMA of `pid` (the equivalent of
     /// `MAP_POPULATE`): mappings are established functionally and installed
     /// in the MMU, but no simulated time is charged and no kernel streams
-    /// are injected. Used to measure steady-state behaviour of long-running
+    /// are injected (each fault's stream goes straight back to MimicOS for
+    /// reuse). Used to measure steady-state behaviour of long-running
     /// workloads without their cold first-touch phase.
     pub fn populate(&mut self, pid: ProcessId) {
         let asid = Self::asid_of(pid);
@@ -756,6 +757,7 @@ impl System {
                             .add(outcome.mapping.page_size.bytes())
                             .raw()
                             - start.raw();
+                        self.os.recycle_stream(outcome.stream);
                     }
                     Err(_) => {
                         // Out of memory (or swap): leave the rest untouched,
@@ -1528,6 +1530,7 @@ impl System {
                         fixed_fault_latency,
                         ..
                     } => {
+                        self.os.recycle_stream(stream);
                         self.apply_invalidations_from(self.active, &invalidations, false);
                         let c = front_mut(&mut self.frontends, self.active);
                         c.engine
@@ -1798,10 +1801,12 @@ impl System {
     }
 
     /// Injects every pending kernel instruction stream into the core model,
-    /// sending its memory references through the cache hierarchy and DRAM.
+    /// sending its memory references through the cache hierarchy and DRAM,
+    /// then hands it back to MimicOS, whose next fault reuses its buffer.
     fn drain_kernel_streams(&mut self) {
         while let Some(stream) = self.streams.receive() {
             self.inject_stream(&stream);
+            self.os.recycle_stream(stream);
         }
     }
 

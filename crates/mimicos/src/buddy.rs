@@ -31,6 +31,21 @@ pub const ORDER_1G: u32 = 18;
 pub const MAX_ORDER: u32 = ORDER_1G;
 
 const FRAME_BYTES: u64 = 4096;
+/// Low bits of an `allocated` value holding its run's block order; the
+/// bits above them hold the run's block count.
+const ORDER_BITS: u32 = 5;
+/// Most blocks one `allocated` run holds (the largest count that fits).
+const MAX_RUN: u32 = u32::MAX >> ORDER_BITS;
+
+/// An `allocated` value: a run of `count` blocks of `order`.
+const fn pack_run(count: u32, order: u32) -> u32 {
+    count << ORDER_BITS | order
+}
+
+/// The block count and order an `allocated` value packs.
+const fn unpack_run(run: u32) -> (u32, u32) {
+    (run >> ORDER_BITS, run & ((1 << ORDER_BITS) - 1))
+}
 
 /// Statistics maintained by the buddy allocator.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -68,8 +83,14 @@ pub struct BuddyAllocator {
     total_frames: u64,
     /// Free lists: for each order, the set of free block start frames.
     free_lists: Vec<BTreeSet<u64>>,
-    /// Allocated blocks: start frame → order (for validation on free). The
-    /// frames pinned by [`BuddyAllocator::fragment`] are order-0 entries.
+    /// Allocated blocks, run-length encoded (for validation on free): each
+    /// entry is a run of blocks of one order at consecutive addresses,
+    /// keyed by its first frame, its value packing the block count and the
+    /// order (`pack_run`). An allocation that continues the run ending at
+    /// its frame extends that run in place, so sequential 4 KiB faults cost
+    /// one entry per stretch rather than one per frame, and an isolated
+    /// block costs one entry, as in a block map. The frames pinned by
+    /// [`BuddyAllocator::fragment`] are one-block order-0 runs.
     allocated: BTreeMap<u64, u32>,
     free_frames: u64,
     stats: BuddyStats,
@@ -220,7 +241,7 @@ impl BuddyAllocator {
                 s.store(self.freelist_node_addr(buddy));
             }
         }
-        self.allocated.insert(frame, order);
+        self.record_block(frame, order);
         self.free_frames -= 1 << order;
         self.stats.allocations.inc();
         Ok(PhysAddr::new(frame * FRAME_BYTES))
@@ -266,21 +287,16 @@ impl BuddyAllocator {
     /// `addr` (e.g. a Utopia RestSeg frame outside the buddy's memory).
     pub fn split_allocated(&mut self, addr: PhysAddr) -> VmResult<()> {
         let frame = addr.raw() / FRAME_BYTES;
-        let Some((&start, &order)) = self
-            .allocated
-            .range(..=frame)
-            .next_back()
-            .filter(|(&start, &order)| frame < start + (1u64 << order))
-        else {
+        let Some((start, run)) = self.covering_run(frame) else {
             return Err(VmError::InvalidFree { paddr: addr });
         };
-        if order == 0 {
+        let order = unpack_run(run).1;
+        if order == ORDER_4K {
             return Ok(()); // already a base frame
         }
-        self.allocated.remove(&start);
-        for i in 0..(1u64 << order) {
-            self.allocated.insert(start + i, 0);
-        }
+        let block = frame & !((1u64 << order) - 1);
+        self.cut_run(start, run, block);
+        self.allocated.insert(block, pack_run(1 << order, ORDER_4K));
         // Shattering an order-k block into base frames is 2^k - 1 buddy
         // splits, mirroring the 2^k - 1 merges the frees will record.
         self.stats.splits.add((1u64 << order) - 1);
@@ -306,11 +322,29 @@ impl BuddyAllocator {
         mut stream: Option<&mut KernelInstructionStream>,
     ) -> VmResult<()> {
         let frame = addr.raw() / FRAME_BYTES;
-        match self.allocated.get(&frame) {
-            Some(&o) if o == order => {}
-            _ => return Err(VmError::InvalidFree { paddr: addr }),
+        // Reclaim frees in address order, so the block usually starts its
+        // run: take the run out by its key and put its tail back, with no
+        // covering lookup.
+        if let Some(run) = self.allocated.remove(&frame) {
+            let (count, run_order) = unpack_run(run);
+            if run_order != order {
+                self.allocated.insert(frame, run);
+                return Err(VmError::InvalidFree { paddr: addr });
+            }
+            if count > 1 {
+                self.allocated
+                    .insert(frame + (1 << order), pack_run(count - 1, order));
+            }
+        } else {
+            match self.covering_run(frame) {
+                Some((start, run))
+                    if unpack_run(run).1 == order && frame & ((1u64 << order) - 1) == 0 =>
+                {
+                    self.cut_run(start, run, frame);
+                }
+                _ => return Err(VmError::InvalidFree { paddr: addr }),
+            }
         }
-        self.allocated.remove(&frame);
         self.free_frames += 1 << order;
         self.stats.frees.inc();
         if let Some(s) = stream.as_deref_mut() {
@@ -444,9 +478,52 @@ impl BuddyAllocator {
             let mut freed: BTreeSet<u64> = freed.into_iter().collect();
             self.free_lists[order as usize].append(&mut freed);
         }
-        let mut frames: BTreeMap<u64, u32> = pinned.iter().map(|&f| (f, ORDER_4K)).collect();
+        let mut frames: BTreeMap<u64, u32> =
+            pinned.iter().map(|&f| (f, pack_run(1, ORDER_4K))).collect();
         self.allocated.append(&mut frames);
         self.free_frames -= pinned.len() as u64;
+    }
+
+    /// The `allocated` run holding the block that covers `frame`: its first
+    /// frame and its packed value.
+    fn covering_run(&self, frame: u64) -> Option<(u64, u32)> {
+        let (&start, &run) = self.allocated.range(..=frame).next_back()?;
+        let (count, order) = unpack_run(run);
+        (frame < start + (u64::from(count) << order)).then_some((start, run))
+    }
+
+    /// Records the newly allocated block of `order` at `frame`: extends the
+    /// run ending at `frame` if it holds blocks of the same order and has
+    /// room, else starts a run.
+    fn record_block(&mut self, frame: u64, order: u32) {
+        if let Some((&start, run)) = self.allocated.range_mut(..frame).next_back() {
+            let (count, run_order) = unpack_run(*run);
+            if run_order == order && count < MAX_RUN && start + (u64::from(count) << order) == frame
+            {
+                *run = pack_run(count + 1, order);
+                return;
+            }
+        }
+        self.allocated.insert(frame, pack_run(1, order));
+    }
+
+    /// Cuts the block starting at `block` out of the `allocated` run
+    /// `(start, run)` that holds it: the blocks before it stay in the entry
+    /// at `start` (which goes if there are none), the blocks after it move
+    /// to an entry of their own.
+    fn cut_run(&mut self, start: u64, run: u32, block: u64) {
+        let (count, order) = unpack_run(run);
+        let before = ((block - start) >> order) as u32;
+        if before == 0 {
+            self.allocated.remove(&start);
+        } else {
+            self.allocated.insert(start, pack_run(before, order));
+        }
+        let after = count - before - 1;
+        if after > 0 {
+            self.allocated
+                .insert(block + (1 << order), pack_run(after, order));
+        }
     }
 
     /// Physical address of the free-list node metadata for a block starting
@@ -696,16 +773,35 @@ mod tests {
                 cur_start = keep;
             }
             debug_assert_eq!(cur_start, frame);
-            self.allocated.insert(frame, 0);
+            self.record_block(frame, ORDER_4K);
             self.free_frames -= 1;
             Some(PhysAddr::new(frame * FRAME_BYTES))
         }
     }
 
+    impl BuddyAllocator {
+        /// Every allocated block as `(start frame, order)`, in address
+        /// order: `allocated` with its runs expanded. Two allocators that
+        /// built the same blocks through different histories may hold
+        /// different runs (a bulk-appended pinned frame is a run of its
+        /// own, one allocated next to its neighbour extends that run), so
+        /// this, not `allocated`, is what they are compared on.
+        fn allocated_blocks(&self) -> Vec<(u64, u32)> {
+            self.allocated
+                .iter()
+                .flat_map(|(&start, &run)| {
+                    let (count, order) = unpack_run(run);
+                    (0..u64::from(count)).map(move |i| (start + (i << order), order))
+                })
+                .collect()
+        }
+    }
+
     /// Asserts that `fast` and `reference` hold the same state and keep
-    /// answering alike: every order's free list, `allocated`, the stats, the
-    /// free bytes, the RNG's next draw, and the results of 64 follow-on
-    /// `alloc` / `free` calls (made on copies, drawn from `ops_seed`).
+    /// answering alike: every order's free list, the allocated blocks, the
+    /// stats, the free bytes, the RNG's next draw, and the results of 64
+    /// follow-on `alloc` / `free` calls (made on copies, drawn from
+    /// `ops_seed`).
     fn assert_same_allocator(
         (fast, fast_rng): (&BuddyAllocator, &DetRng),
         (reference, reference_rng): (&BuddyAllocator, &DetRng),
@@ -718,7 +814,11 @@ mod tests {
                 "free list of order {order} {context}"
             );
         }
-        assert_eq!(fast.allocated, reference.allocated, "allocated {context}");
+        assert_eq!(
+            fast.allocated_blocks(),
+            reference.allocated_blocks(),
+            "allocated blocks {context}"
+        );
         assert_eq!(fast.stats(), reference.stats(), "stats() {context}");
         assert_eq!(
             fast.free_bytes(),
@@ -794,7 +894,7 @@ mod tests {
         /// | offsets drawn before the shuffle | "free list of order 0 after call 0" |
         /// | the upper half freed when the last frame is its first (`<=`) | "free list of order 9 after call 0" |
         /// | a free list above 2 MiB replaced, not appended to | "free list of order 11 after call 0" (needs prior allocations) |
-        /// | `allocated` not extended | "allocated after call 0" |
+        /// | `allocated` not extended | "allocated blocks after call 0" |
         /// | candidates gathered from the largest order down | "free list of order 0 after call 0" (needs prior allocations) |
         #[test]
         fn fragment_matches_the_per_victim_reference(
@@ -856,6 +956,251 @@ mod tests {
             config.seed,
             "at paper scale",
         );
+    }
+
+    impl BuddyAllocator {
+        /// The allocated block covering `frame`, as `(start frame, order)`.
+        fn covering_block(&self, frame: u64) -> Option<(u64, u32)> {
+            let order = unpack_run(self.covering_run(frame)?.1).1;
+            Some((frame & !((1u64 << order) - 1), order))
+        }
+    }
+
+    /// The representation runs replaced, kept as the oracle: one entry per
+    /// allocated block, start frame → order.
+    #[derive(Default)]
+    struct BlockMap(BTreeMap<u64, u32>);
+
+    impl BlockMap {
+        fn covering(&self, frame: u64) -> Option<(u64, u32)> {
+            let (&start, &order) = self.0.range(..=frame).next_back()?;
+            (frame < start + (1u64 << order)).then_some((start, order))
+        }
+
+        /// Records a block the allocator handed out, which must not
+        /// overlap one already allocated.
+        fn allocate(&mut self, frame: u64, order: u32) {
+            let end = frame + (1u64 << order);
+            assert!(
+                self.covering(frame).is_none() && self.0.range(frame..end).next().is_none(),
+                "block ({frame}, {order}) overlaps an allocated block"
+            );
+            self.0.insert(frame, order);
+        }
+
+        fn free(&mut self, frame: u64, order: u32) -> bool {
+            self.0.get(&frame) == Some(&order) && self.0.remove(&frame).is_some()
+        }
+
+        fn split(&mut self, frame: u64) -> bool {
+            let Some((start, order)) = self.covering(frame) else {
+                return false;
+            };
+            for i in 0..1u64 << order {
+                self.0.insert(start + i, ORDER_4K);
+            }
+            true
+        }
+
+        fn blocks(&self) -> Vec<(u64, u32)> {
+            self.0
+                .iter()
+                .map(|(&start, &order)| (start, order))
+                .collect()
+        }
+
+        /// Some allocated block, picked by `pick`.
+        fn pick(&self, pick: u64) -> Option<(u64, u32)> {
+            let len = self.0.len() as u64;
+            let (&start, &order) = self.0.iter().nth((pick % len.max(1)) as usize)?;
+            Some((start, order))
+        }
+    }
+
+    /// Asserts that `fast`'s runs describe exactly `reference`'s blocks: the
+    /// expanded block list, then the block order at and the block covering
+    /// each of 24 probe frames (around allocated blocks and anywhere),
+    /// drawn from `probe_seed`.
+    fn assert_runs_match(fast: &BuddyAllocator, reference: &BlockMap, probe_seed: u64, step: &str) {
+        assert_eq!(
+            fast.allocated_blocks(),
+            reference.blocks(),
+            "allocated blocks after {step}"
+        );
+        let mut probes = DetRng::new(probe_seed);
+        for probe in 0..24 {
+            let near = if probe % 2 == 0 {
+                reference.pick(probes.next_u64())
+            } else {
+                None
+            };
+            let frame = match near {
+                Some((start, order)) => match probes.gen_range(0, 4) {
+                    0 => start.saturating_sub(1),
+                    1 => start,
+                    2 => start + probes.gen_range(0, 1 << order),
+                    _ => start + (1 << order),
+                },
+                _ => probes.gen_range(0, fast.total_frames + 2),
+            };
+            let covering = fast.covering_block(frame);
+            assert_eq!(
+                covering,
+                reference.covering(frame),
+                "block covering frame {frame} after {step}"
+            );
+            assert_eq!(
+                covering
+                    .filter(|&(start, _)| start == frame)
+                    .map(|(_, order)| order),
+                reference.0.get(&frame).copied(),
+                "block order at frame {frame} after {step}"
+            );
+        }
+    }
+
+    /// Applies `fragment(target)` to `fast` and the frames it pins to
+    /// `reference`. Those are read off the free lists, not `allocated`: a
+    /// pinned frame's buddy is the only free order-0 block of a 2 MiB
+    /// region that was fully free before the call.
+    fn fragment_both(
+        fast: &mut BuddyAllocator,
+        reference: &mut BlockMap,
+        target: f64,
+        rng: &mut DetRng,
+    ) {
+        let before = fast.free_lists.clone();
+        let was_free = |frame: u64| {
+            (ORDER_2M..=MAX_ORDER)
+                .any(|order| before[order as usize].contains(&(frame & !((1u64 << order) - 1))))
+        };
+        fast.fragment(target, rng);
+        for &buddy in fast.free_lists[ORDER_4K as usize]
+            .iter()
+            .filter(|&&f| was_free(f))
+        {
+            reference.allocate(buddy ^ 1, ORDER_4K);
+        }
+    }
+
+    /// The frame `offset` (modulo the block's size) into `block`.
+    fn frame_in(block: (u64, u32), offset: u64) -> u64 {
+        block.0 + offset % (1u64 << block.1)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Differential test of the run-length `allocated` against
+        /// [`BlockMap`], the one-entry-per-block map it replaced: random
+        /// `alloc`s and `alloc_with_fallback`s of orders 0–10 (half of them
+        /// order 0, so runs form), valid and invalid `free`s (wrong order,
+        /// interior frame, never allocated), `split_allocated` on block
+        /// starts, interiors and free frames, and `fragment`. After every
+        /// op, its result and `assert_runs_match`. The paper-scale case is
+        /// `allocated_runs_match_the_block_map_at_paper_scale`.
+        ///
+        /// Seeded mutations of the run bookkeeping, each shown to fail this
+        /// test and then reverted (the assertion that fired first):
+        ///
+        /// | mutation | assertion that fired |
+        /// |---|---|
+        /// | `record_block` extends a run of another order | "allocated blocks after step 20" |
+        /// | `cut_run` moves the blocks after the cut one block late (`block + (2 << order)`) | "allocated blocks after step 45" |
+        /// | `covering_run` ignores the run's end | "block covering frame 11181 after step 0" (paper scale: "… after the boot") |
+        /// | `free_traced` accepts an interior frame (no alignment check) | "free result at step 30" |
+        /// | `record_block` extends a same-order run that does not end at its frame | "allocated blocks after step 8" (paper scale: "… after allocation 4096") |
+        #[test]
+        fn allocated_runs_match_the_block_map(
+            capacity in 0..2usize,
+            ops in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..200),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut fast = BuddyAllocator::new([6 * MB, 64 * MB + 20 * 1024][capacity]);
+            let mut reference = BlockMap::default();
+            let mut rng = DetRng::new(seed);
+            for (step, word) in ops.into_iter().enumerate() {
+                let order = if word >> 60 & 1 == 0 { ORDER_4K } else { (word >> 8) as u32 % 11 };
+                let block = reference.pick(word >> 16);
+                let step_name = format!("step {step} (op {word:#x})");
+                match (word % 16, block) {
+                    (0..=5, _) | (8..=14, None) => {
+                        if let Ok(addr) = fast.alloc(order) {
+                            reference.allocate(addr.raw() / FRAME_BYTES, order);
+                        }
+                    }
+                    (6 | 7, _) => {
+                        let min_order = (word >> 20) as u32 % (order + 1);
+                        if let Ok((addr, got)) = fast.alloc_with_fallback(order, min_order, None) {
+                            assert!((min_order..=order).contains(&got));
+                            reference.allocate(addr.raw() / FRAME_BYTES, got);
+                        }
+                    }
+                    (8..=12, Some(block)) => {
+                        // A valid free, then the three invalid ones: wrong
+                        // order, interior frame, never allocated.
+                        let (frame, order) = match word % 16 {
+                            8 | 9 => block,
+                            10 => (block.0, (block.1 + 1 + (word >> 40) as u32 % 3) % 11),
+                            11 => (frame_in(block, word >> 40), block.1),
+                            _ => ((word >> 40) % (fast.total_frames + 2), (word >> 24) as u32 % 11),
+                        };
+                        let freed = reference.free(frame, order);
+                        assert_eq!(
+                            fast.free(PhysAddr::new(frame * FRAME_BYTES), order).is_ok(),
+                            freed,
+                            "free result at {}", step_name
+                        );
+                    }
+                    (13 | 14, Some(block)) => {
+                        let frame = match word >> 40 & 3 {
+                            0 => block.0,
+                            1 => frame_in(block, word >> 42),
+                            _ => (word >> 42) % (fast.total_frames + 2),
+                        };
+                        let split = reference.split(frame);
+                        assert_eq!(
+                            fast.split_allocated(PhysAddr::new(frame * FRAME_BYTES)).is_ok(),
+                            split,
+                            "split_allocated result at {}", step_name
+                        );
+                    }
+                    _ => {
+                        let target = ((word >> 8) % 101) as f64 / 100.0;
+                        fragment_both(&mut fast, &mut reference, target, &mut rng);
+                    }
+                }
+                assert_runs_match(&fast, &reference, word, &step_name);
+            }
+        }
+    }
+
+    /// The paper machine's boot (256 GiB, 80 % of its 2 MiB regions left
+    /// free) and then 64 k sequential order-0 allocations, each landing
+    /// beside a pinned frame or in a fresh stretch.
+    #[test]
+    fn allocated_runs_match_the_block_map_at_paper_scale() {
+        let config = crate::OsConfig::paper_baseline();
+        let target = config
+            .fragmentation_target
+            .expect("the paper machine is fragmented");
+        let mut fast = BuddyAllocator::new(config.memory_bytes);
+        let mut reference = BlockMap::default();
+        let mut rng = DetRng::new(config.seed);
+        fragment_both(&mut fast, &mut reference, target, &mut rng);
+        assert_runs_match(&fast, &reference, 1, "the boot");
+        // One run per pinned frame: the sparse boot costs a block map's
+        // entries, not more.
+        assert_eq!(fast.allocated.len(), reference.0.len());
+        for i in 0..64 * 1024 {
+            let addr = fast.alloc(ORDER_4K).expect("the paper machine has room");
+            reference.allocate(addr.raw() / FRAME_BYTES, ORDER_4K);
+            if i % 4096 == 0 {
+                assert_runs_match(&fast, &reference, i, &format!("allocation {i}"));
+            }
+        }
+        assert_runs_match(&fast, &reference, 2, "64 k allocations");
+        assert!(fast.allocated.len() < reference.0.len());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::alloc_policy::AllocationPolicy;
 use crate::buddy::{order_for, BuddyAllocator, ORDER_1G, ORDER_2M};
 use crate::fault::{FaultKind, InvalidationBatch, Mapping, PageFaultOutcome};
 use crate::inject::{FaultInjectionConfig, FaultInjector};
-use crate::kernel_stream::{KernelInstructionStream, KernelRoutine};
+use crate::kernel_stream::{KernelInstructionStream, KernelOp, KernelRoutine};
 use crate::page_cache::PageCache;
 use crate::process::{ExitReason, Process};
 use crate::sched::{ContextSwitch, Scheduler};
@@ -342,6 +342,9 @@ pub struct MimicOs {
     /// Pids of killed processes whose slots (and ASIDs) are free for reuse
     /// by [`MimicOs::spawn_process`].
     free_pids: Vec<usize>,
+    /// The (empty) op buffer of a stream the framework handed back with
+    /// [`MimicOs::recycle_stream`]; the next page fault's stream takes it.
+    spare_ops: Vec<KernelOp>,
     injector: FaultInjector,
     rng: DetRng,
     stats: OsStats,
@@ -426,6 +429,7 @@ impl MimicOs {
             pending_invalidations: InvalidationBatch::default(),
             oom_kill_log: Vec::new(),
             free_pids: Vec::new(),
+            spare_ops: Vec::new(),
             injector: FaultInjector::new(config.fault_injection.clone()),
             rng,
             stats: OsStats::default(),
@@ -898,6 +902,18 @@ impl MimicOs {
         std::mem::take(&mut self.oom_kill_log)
     }
 
+    /// Takes back a kernel stream the framework has injected or discarded.
+    /// Its op buffer is kept (the larger one, if a buffer is already
+    /// spare) for the next page fault's stream, so a fault allocates no
+    /// buffer of its own.
+    pub fn recycle_stream(&mut self, stream: KernelInstructionStream) {
+        let mut ops = stream.into_buffer();
+        if ops.capacity() > self.spare_ops.capacity() {
+            ops.clear();
+            self.spare_ops = ops;
+        }
+    }
+
     /// Extra stall cycles for one remote core's shootdown IPI delivery,
     /// when fault injection decides the IPI arrives late. Returns 0 with
     /// injection disabled (without consuming injector randomness).
@@ -939,7 +955,10 @@ impl MimicOs {
         is_write: bool,
         invalidations: &mut InvalidationBatch,
     ) -> VmResult<PageFaultOutcome> {
-        let mut stream = KernelInstructionStream::new(KernelRoutine::PageFaultHandler);
+        let mut stream = KernelInstructionStream::with_buffer(
+            KernelRoutine::PageFaultHandler,
+            std::mem::take(&mut self.spare_ops),
+        );
         // Exception entry, register save, mmap_lock acquisition.
         stream.compute(220);
 
@@ -1785,6 +1804,24 @@ mod tests {
             assert_eq!(outcome.mapping.page_size, PageSize::Size4K);
         }
         assert_eq!(os.stats().huge_mappings.get(), 0);
+    }
+
+    #[test]
+    fn a_recycled_stream_backs_the_next_fault_with_the_same_ops() {
+        let mut os = os_with_policy(AllocationPolicy::BuddyFourK);
+        let pid = os.spawn_process();
+        os.mmap_anonymous(pid, VirtAddr::new(0x4000_0000), 16 * MB, false)
+            .unwrap();
+        let mut fresh = os.clone();
+        let first = touch(&mut os, pid, 0x4000_0000).stream;
+        let buffer = first.ops().as_ptr();
+        os.recycle_stream(first);
+        let reused = touch(&mut os, pid, 0x4000_1000).stream;
+        assert_eq!(reused.ops().as_ptr(), buffer, "the spare buffer is taken");
+        // Recycling changes where the ops live, never what they are.
+        touch(&mut fresh, pid, 0x4000_0000);
+        assert_eq!(reused, touch(&mut fresh, pid, 0x4000_1000).stream);
+        assert_eq!(os.stats(), fresh.stats());
     }
 
     #[test]

@@ -101,15 +101,32 @@ pub struct KernelInstructionStream {
 impl KernelInstructionStream {
     /// Creates an empty stream for the given routine.
     pub fn new(routine: KernelRoutine) -> Self {
+        KernelInstructionStream::with_buffer(routine, Vec::new())
+    }
+
+    /// Creates an empty stream for the given routine that records into
+    /// `buffer`'s storage, discarding its contents: how the page-fault path
+    /// reuses the buffer of a stream the framework has finished with (see
+    /// [`KernelInstructionStream::into_buffer`]).
+    pub(crate) fn with_buffer(routine: KernelRoutine, mut buffer: Vec<KernelOp>) -> Self {
+        buffer.clear();
+        // A page fault emits a few dozen ops (VMA walk, buddy, slab,
+        // page-table update, zeroing samples); pre-sizing a fresh buffer
+        // skips the doubling reallocations its first fault would run. A
+        // reused buffer is already at least this large.
+        buffer.reserve(64);
         KernelInstructionStream {
             routine,
-            // A page fault emits a few dozen ops (VMA walk, buddy, slab,
-            // page-table update, zeroing samples); pre-sizing skips the
-            // doubling reallocations that otherwise run on every fault.
-            ops: Vec::with_capacity(64),
+            ops: buffer,
             compute_instructions: 0,
             memory_references: 0,
         }
+    }
+
+    /// The stream's op buffer, for reuse by
+    /// [`KernelInstructionStream::with_buffer`].
+    pub(crate) fn into_buffer(self) -> Vec<KernelOp> {
+        self.ops
     }
 
     /// The routine that produced this stream.

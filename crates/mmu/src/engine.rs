@@ -40,7 +40,7 @@
 
 use crate::midgard::{MidgardConfig, MidgardMmu};
 use crate::mmu::{Mmu, RemovedTranslation, TranslationResult};
-use crate::pt::WalkOutcome;
+use crate::pt::{WalkAccessList, WalkOutcome};
 use crate::rmm::{RmmConfig, RmmMmu};
 use crate::utopia_mmu::{UtopiaMmu, UtopiaMmuConfig};
 use mimic_os::kernel::RangeMapping;
@@ -110,7 +110,7 @@ pub struct InstallInfo {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InvalidationOutcome {
     /// Translation-metadata update accesses (page-table leaf removal).
-    pub accesses: Vec<PhysAddr>,
+    pub accesses: WalkAccessList,
     /// TLB entries dropped across the hierarchy.
     pub tlb_entries_dropped: usize,
     /// Page-walk-cache entries dropped (radix only).
@@ -274,7 +274,7 @@ impl TranslationEngine {
         asid: Asid,
         mapping: &Mapping,
         info: InstallInfo,
-    ) -> Vec<PhysAddr> {
+    ) -> WalkAccessList {
         match self {
             TranslationEngine::PageTable => mmu.install_mapping(asid, mapping),
             other => other.install_alternative(mmu, asid, mapping, info),
@@ -292,7 +292,7 @@ impl TranslationEngine {
         asid: Asid,
         mapping: &Mapping,
         info: InstallInfo,
-    ) -> Vec<PhysAddr> {
+    ) -> WalkAccessList {
         match self {
             TranslationEngine::PageTable => mmu.install_mapping(asid, mapping),
             TranslationEngine::Midgard(e) => e.install(mmu, asid, mapping),
@@ -561,7 +561,7 @@ impl MidgardEngine {
 
     /// Remaps a kernel-established mapping into the Midgard space and
     /// installs it in the backend.
-    fn install(&mut self, backend: &mut Mmu, asid: Asid, mapping: &Mapping) -> Vec<PhysAddr> {
+    fn install(&mut self, backend: &mut Mmu, asid: Asid, mapping: &Mapping) -> WalkAccessList {
         let frontend = self.frontend_for(asid);
         let mva = match frontend.midgard_of(mapping.vaddr) {
             Some(mva) => mva,
@@ -897,7 +897,7 @@ impl UtopiaEngine {
         asid: Asid,
         mapping: &Mapping,
         info: InstallInfo,
-    ) -> Vec<PhysAddr> {
+    ) -> WalkAccessList {
         if info.restseg_placed {
             if let Some(old) = self
                 .resident

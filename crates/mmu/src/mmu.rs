@@ -8,7 +8,7 @@
 //! performs the full flush of an ASID-less machine — the comparison the
 //! multi-process experiments read out.
 
-use crate::pt::{build_page_table, PageTable, PageTableKind, WalkOutcome};
+use crate::pt::{build_page_table, PageTable, PageTableKind, WalkAccessList, WalkOutcome};
 use crate::pwc::PageWalkCaches;
 use crate::tlb::{TlbHierarchy, TlbHierarchyConfig, TlbLevel};
 use mimic_os::Mapping;
@@ -182,7 +182,7 @@ impl MmuStats {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RemovedTranslation {
     /// Page-table update accesses performed by the removal.
-    pub accesses: Vec<PhysAddr>,
+    pub accesses: WalkAccessList,
     /// TLB entries dropped across the hierarchy.
     pub tlb_entries_dropped: usize,
     /// Page-walk-cache entries dropped (radix only).
@@ -471,7 +471,7 @@ impl Mmu {
     /// Installs a mapping produced by the kernel (after a page fault) into
     /// the address space's page table and the TLB. Returns the page-table
     /// update accesses (to be charged as kernel memory traffic).
-    pub fn install_mapping(&mut self, asid: Asid, mapping: &Mapping) -> Vec<PhysAddr> {
+    pub fn install_mapping(&mut self, asid: Asid, mapping: &Mapping) -> WalkAccessList {
         let accesses = self.table_for(asid).insert(*mapping);
         self.stats.insert_accesses.add(accesses.len() as u64);
         self.tlb.fill(asid, *mapping);

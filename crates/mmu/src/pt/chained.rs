@@ -118,10 +118,11 @@ impl PageTable for ChainedHashPageTable {
         }
     }
 
-    fn insert(&mut self, mapping: Mapping) -> Vec<PhysAddr> {
+    fn insert(&mut self, mapping: Mapping) -> WalkAccessList {
         let vpn = Self::vpn_of(mapping.vaddr, mapping.page_size);
         let idx = self.hash(vpn, mapping.page_size);
-        let mut accesses = vec![self.bucket_addr(idx, 0)];
+        let mut accesses = WalkAccessList::new();
+        accesses.push(self.bucket_addr(idx, 0));
         let bucket = self.storage.entry(idx).or_default();
         let pte = Pte {
             vpn,
@@ -148,8 +149,8 @@ impl PageTable for ChainedHashPageTable {
         accesses
     }
 
-    fn remove(&mut self, va: VirtAddr) -> Vec<PhysAddr> {
-        let mut accesses = Vec::new();
+    fn remove(&mut self, va: VirtAddr) -> WalkAccessList {
+        let mut accesses = WalkAccessList::new();
         for size in [PageSize::Size1G, PageSize::Size2M, PageSize::Size4K] {
             let vpn = Self::vpn_of(va, size);
             let idx = self.hash(vpn, size);

@@ -107,11 +107,11 @@ impl ElasticCuckooPageTable {
         self.occupied = 0;
         self.resizes += 1;
         for slot in old {
-            self.place(slot, &mut Vec::new());
+            self.place(slot, &mut WalkAccessList::new());
         }
     }
 
-    fn place(&mut self, mut slot: Slot, accesses: &mut Vec<PhysAddr>) {
+    fn place(&mut self, mut slot: Slot, accesses: &mut WalkAccessList) {
         for _kick in 0..MAX_CUCKOO_KICKS {
             // Try every way for a free slot at the hashed position.
             for way in 0..self.ways.len() {
@@ -176,8 +176,8 @@ impl PageTable for ElasticCuckooPageTable {
         }
     }
 
-    fn insert(&mut self, mapping: Mapping) -> Vec<PhysAddr> {
-        let mut accesses = Vec::new();
+    fn insert(&mut self, mapping: Mapping) -> WalkAccessList {
+        let mut accesses = WalkAccessList::new();
         if self.load_factor() > RESIZE_LOAD_FACTOR {
             self.resize();
         }
@@ -202,8 +202,8 @@ impl PageTable for ElasticCuckooPageTable {
         accesses
     }
 
-    fn remove(&mut self, va: VirtAddr) -> Vec<PhysAddr> {
-        let mut accesses = Vec::new();
+    fn remove(&mut self, va: VirtAddr) -> WalkAccessList {
+        let mut accesses = WalkAccessList::new();
         for size in [PageSize::Size1G, PageSize::Size2M, PageSize::Size4K] {
             let vpn = Self::vpn_of(va, size);
             for way in 0..self.ways.len() {

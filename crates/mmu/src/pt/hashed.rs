@@ -122,10 +122,10 @@ impl PageTable for OpenAddressingPageTable {
         }
     }
 
-    fn insert(&mut self, mapping: Mapping) -> Vec<PhysAddr> {
+    fn insert(&mut self, mapping: Mapping) -> WalkAccessList {
         let vpn = Self::vpn_of(mapping.vaddr, mapping.page_size);
         let home = self.hash(vpn, mapping.page_size);
-        let mut accesses = Vec::new();
+        let mut accesses = WalkAccessList::new();
         let pte = Pte {
             vpn,
             size: mapping.page_size,
@@ -167,8 +167,8 @@ impl PageTable for OpenAddressingPageTable {
         accesses
     }
 
-    fn remove(&mut self, va: VirtAddr) -> Vec<PhysAddr> {
-        let mut accesses = Vec::new();
+    fn remove(&mut self, va: VirtAddr) -> WalkAccessList {
+        let mut accesses = WalkAccessList::new();
         for size in [PageSize::Size1G, PageSize::Size2M, PageSize::Size4K] {
             let vpn = Self::vpn_of(va, size);
             let home = self.hash(vpn, size);

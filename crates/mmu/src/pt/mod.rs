@@ -14,9 +14,11 @@
 //!
 //! Every design implements the [`PageTable`] trait: a *walk* returns the
 //! physical memory accesses the hardware walker performs plus the mapping it
-//! finds; an *insert* returns the accesses the kernel performs to update the
-//! structure. The framework replays those accesses through the cache/DRAM
-//! models, which is how page-table-induced memory interference is captured.
+//! finds; an *insert* or *remove* returns the accesses the kernel performs to
+//! update the structure. All three lists are inline [`WalkAccessList`]s, so
+//! neither a walk nor a fault-time update allocates. The framework replays
+//! those accesses through the cache/DRAM models, which is how
+//! page-table-induced memory interference is captured.
 
 pub mod chained;
 pub mod ech;
@@ -33,11 +35,12 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use vm_types::{FixedVec, PhysAddr, VirtAddr};
 
-/// The per-walk list of page-table accesses. Radix walks touch at most 5
-/// entries and the hash designs' typical probe sequences are shorter
-/// still, so the inline capacity of 8 keeps every ordinary walk
-/// allocation-free; pathological collision chains spill to the heap
-/// transparently (see [`vm_types::FixedVec`]).
+/// The list of page-table accesses of one walk, insert or remove. Radix
+/// walks and updates touch at most 5 entries and the hash designs' typical
+/// probe sequences are shorter still, so the inline capacity of 8 keeps
+/// every ordinary walk and update allocation-free; pathological collision
+/// chains and cuckoo relocations spill to the heap transparently (see
+/// [`vm_types::FixedVec`]).
 pub type WalkAccessList = FixedVec<PhysAddr, 8>;
 
 /// Which page-table design is in use.
@@ -121,10 +124,10 @@ pub trait PageTable {
 
     /// Inserts (or updates) a translation, returning the physical addresses
     /// of the page-table data written or read by the kernel while doing so.
-    fn insert(&mut self, mapping: Mapping) -> Vec<PhysAddr>;
+    fn insert(&mut self, mapping: Mapping) -> WalkAccessList;
 
     /// Removes the translation covering `va`, returning the accesses made.
-    fn remove(&mut self, va: VirtAddr) -> Vec<PhysAddr>;
+    fn remove(&mut self, va: VirtAddr) -> WalkAccessList;
 
     /// Enables (or disables) skipping walk probes for page sizes with no
     /// resident leaves. Hash-based designs track per-size resident counts

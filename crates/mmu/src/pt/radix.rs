@@ -144,7 +144,7 @@ impl PageTable for RadixPageTable {
         outcome
     }
 
-    fn insert(&mut self, mapping: Mapping) -> Vec<PhysAddr> {
+    fn insert(&mut self, mapping: Mapping) -> WalkAccessList {
         let va = mapping.vaddr;
         assert!(
             va.raw() >> VA_BITS == 0 && mapping.paddr != NO_LEAF,
@@ -152,7 +152,7 @@ impl PageTable for RadixPageTable {
         );
         debug_assert!(va.is_aligned(mapping.page_size), "unaligned {mapping:?}");
         let leaf_level = Self::leaf_level(mapping.page_size);
-        let mut accesses = Vec::with_capacity(4 - leaf_level);
+        let mut accesses = WalkAccessList::new();
         let mut node = ROOT;
         // Touch (and allocate if needed) every node down to the leaf's, then
         // keep following existing tables below it: a leaf of another size at
@@ -186,15 +186,15 @@ impl PageTable for RadixPageTable {
         accesses
     }
 
-    fn remove(&mut self, va: VirtAddr) -> Vec<PhysAddr> {
+    fn remove(&mut self, va: VirtAddr) -> WalkAccessList {
         let mut path = [ROOT; 4];
         let (level, Some(_)) = self.descend(va, &mut path) else {
-            return Vec::new();
+            return WalkAccessList::new();
         };
         let idx = Self::index(va, level);
         self.nodes[path[level] as usize].leaves[idx] = NO_LEAF;
         self.len -= 1;
-        vec![self.entry_addr(path[level], idx)]
+        [self.entry_addr(path[level], idx)].into_iter().collect()
     }
 
     fn kind(&self) -> PageTableKind {
@@ -497,9 +497,9 @@ mod tests {
                             paddr: PhysAddr::new((op >> 20) & !0xfff),
                             page_size: size,
                         };
-                        prop_assert_eq!(arena.insert(mapping), model.insert(mapping), "step {}", step);
+                        prop_assert_eq!(arena.insert(mapping).as_slice(), model.insert(mapping), "step {}", step);
                     }
-                    3 => prop_assert_eq!(arena.remove(va), model.remove(va), "step {}", step),
+                    3 => prop_assert_eq!(arena.remove(va).as_slice(), model.remove(va), "step {}", step),
                     _ => {
                         if op >> 3 & 31 == 0 {
                             va = VirtAddr::new(va.raw() | 1 << 48);

@@ -268,6 +268,55 @@ impl<'a, T, const N: usize> IntoIterator for &'a FixedVec<T, N> {
     }
 }
 
+/// Iterating by value, for `Copy` elements: each element is copied out of
+/// the vector, which is dropped with the iterator.
+///
+/// ```
+/// use vm_types::FixedVec;
+///
+/// let inline: FixedVec<u64, 4> = [1, 2].into_iter().collect();
+/// let spilled: FixedVec<u64, 2> = [3, 4, 5].into_iter().collect();
+/// assert!(spilled.spilled());
+/// let mut seen = Vec::new();
+/// for x in inline {
+///     seen.push(x);
+/// }
+/// seen.extend(spilled);
+/// assert_eq!(seen, [1, 2, 3, 4, 5]);
+/// ```
+impl<T: Copy, const N: usize> IntoIterator for FixedVec<T, N> {
+    type Item = T;
+    type IntoIter = IntoIter<T, N>;
+
+    fn into_iter(self) -> IntoIter<T, N> {
+        IntoIter { vec: self, next: 0 }
+    }
+}
+
+/// The by-value iterator of a [`FixedVec`] of `Copy` elements.
+pub struct IntoIter<T: Copy, const N: usize> {
+    vec: FixedVec<T, N>,
+    /// Index of the next element to yield.
+    next: usize,
+}
+
+impl<T: Copy, const N: usize> Iterator for IntoIter<T, N> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        let item = self.vec.get(self.next).copied()?;
+        self.next += 1;
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.vec.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl<T: Copy, const N: usize> ExactSizeIterator for IntoIter<T, N> {}
+
 impl<T: serde::Serialize, const N: usize> serde::Serialize for FixedVec<T, N> {
     fn write_json(&self, out: &mut String) {
         out.push('[');

@@ -322,28 +322,13 @@ impl BuddyAllocator {
         mut stream: Option<&mut KernelInstructionStream>,
     ) -> VmResult<()> {
         let frame = addr.raw() / FRAME_BYTES;
-        // Reclaim frees in address order, so the block usually starts its
-        // run: take the run out by its key and put its tail back, with no
-        // covering lookup.
-        if let Some(run) = self.allocated.remove(&frame) {
-            let (count, run_order) = unpack_run(run);
-            if run_order != order {
-                self.allocated.insert(frame, run);
-                return Err(VmError::InvalidFree { paddr: addr });
+        match self.covering_run(frame) {
+            Some((start, run))
+                if unpack_run(run).1 == order && frame & ((1u64 << order) - 1) == 0 =>
+            {
+                self.cut_run(start, run, frame);
             }
-            if count > 1 {
-                self.allocated
-                    .insert(frame + (1 << order), pack_run(count - 1, order));
-            }
-        } else {
-            match self.covering_run(frame) {
-                Some((start, run))
-                    if unpack_run(run).1 == order && frame & ((1u64 << order) - 1) == 0 =>
-                {
-                    self.cut_run(start, run, frame);
-                }
-                _ => return Err(VmError::InvalidFree { paddr: addr }),
-            }
+            _ => return Err(VmError::InvalidFree { paddr: addr }),
         }
         self.free_frames += 1 << order;
         self.stats.frees.inc();

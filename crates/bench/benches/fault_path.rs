@@ -5,7 +5,8 @@
 //! back in). Each iteration builds its machine afresh — populate is
 //! one-shot — which costs tens of microseconds against milliseconds of
 //! faults. Divide the printed time by the page count in the id for ns/page.
-//! The `boot` group times the paper machine's fragmented boot on its own.
+//! The `boot` group times the paper machine's fragmented boot on its own,
+//! and the `fence` group the coherence fence on a populated machine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mimic_os::buddy::BuddyAllocator;
@@ -116,5 +117,39 @@ fn boot(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, populate, swap_round_trip, boot);
+/// `System::check_invariants` on `fault_touch`'s machine (1 GiB, 4 KiB
+/// pages) with 640 MiB populated: 163 840 mappings, as many as the fence
+/// sees after a `fault_touch` run. The machine is built once; only the
+/// fence is timed.
+fn fence(c: &mut Criterion) {
+    const FOOTPRINT: u64 = 640 * MIB;
+    let mut config =
+        SystemConfig::small_test().with_allocation_policy(AllocationPolicy::BuddyFourK);
+    config.os.thp = ThpConfig::disabled();
+    config.os.memory_bytes = 1024 * MIB;
+    let mut system = System::new(config);
+    system
+        .mmap_anonymous(VirtAddr::new(VA_BASE), FOOTPRINT)
+        .expect("the bench VMA is fresh");
+    system.populate(system.pid());
+    let mappings = system.os().process(system.pid()).mapping_count();
+    assert_eq!(
+        mappings as u64,
+        FOOTPRINT / PAGE,
+        "populate must map the footprint"
+    );
+    let mut group = c.benchmark_group("fence");
+    group.sample_size(20);
+    let id = BenchmarkId::new("check_invariants", format!("{mappings}_mappings"));
+    group.bench_function(id, |b| {
+        b.iter(|| {
+            system
+                .check_invariants()
+                .expect("a populated machine is coherent")
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, populate, swap_round_trip, boot, fence);
 criterion_main!(benches);

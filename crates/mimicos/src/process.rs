@@ -144,6 +144,14 @@ impl Process {
         self.lookup_huge(addr).or_else(|| self.lookup_base(addr))
     }
 
+    /// The mapping (of any size) whose base address is exactly `base`.
+    pub fn mapping_at(&self, base: VirtAddr) -> Option<Mapping> {
+        match self.huge.get(&base.raw()) {
+            Some(huge) => Some(*huge),
+            None => self.lookup_base(base).filter(|m| m.vaddr == base),
+        }
+    }
+
     /// The 4 KiB mapping of the page containing `addr`.
     fn lookup_base(&self, addr: VirtAddr) -> Option<Mapping> {
         let (region, slot) = (region_of(addr), slot_of(addr));

@@ -373,6 +373,12 @@ impl Mmu {
         self.tlb.l0_peek(asid, va).map(|m| m.translate(va))
     }
 
+    /// Every `(asid, va)` at which [`Mmu::l0_peek`] would serve a
+    /// translation (see [`TlbHierarchy::l0_pointers`]).
+    pub fn l0_pointers(&self) -> impl Iterator<Item = (Asid, VirtAddr)> + '_ {
+        self.tlb.l0_pointers()
+    }
+
     /// First half of a translation: the TLB hierarchy probe. On a hit the
     /// completed [`TranslationResult`] is returned; on a miss the
     /// accumulated probe latency is returned so the caller can either walk

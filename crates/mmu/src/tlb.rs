@@ -593,6 +593,17 @@ impl TlbHierarchy {
         Some(mapping)
     }
 
+    /// Every `(asid, va)` at which [`TlbHierarchy::l0_peek`] would serve
+    /// a mapping, `va` being the base of the pointer's 4 KiB page (a peek
+    /// anywhere inside that page serves the same mapping). At most one
+    /// pair per L0 slot, in slot order; for invariant checking.
+    pub fn l0_pointers(&self) -> impl Iterator<Item = (Asid, VirtAddr)> + '_ {
+        self.l0.iter().flatten().filter_map(|s| {
+            let va = VirtAddr::new(s.vpn4k << PageSize::Size4K.shift());
+            self.l0_peek(s.asid, va).map(|_| (s.asid, va))
+        })
+    }
+
     /// Looks up `va` in address space `asid`. On a hit, returns the
     /// mapping, the level that hit and the accumulated lookup latency; on a
     /// full miss returns the latency of probing both levels.
@@ -960,6 +971,49 @@ mod tests {
         if let Some((m, _)) = h.l0_lookup(A0, VirtAddr::new(0x5000)) {
             assert_eq!(m, mapping(0x5000, PageSize::Size4K));
         }
+    }
+
+    /// `l0_pointers` yields exactly the page-base pairs `l0_peek` serves:
+    /// over two address spaces, 4 KiB and 2 MiB mappings, slot reuse,
+    /// evictions and a shootdown, probing every page of the touched range.
+    #[test]
+    fn l0_pointers_are_exactly_what_l0_peek_serves() {
+        let mut h = TlbHierarchy::new(TlbHierarchyConfig::small_test());
+        let (a, b) = (Asid::new(1), Asid::new(2));
+        const PAGES: u64 = 2048;
+        let mut state = 0x1234_5678u64;
+        for i in 0..600u64 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let asid = if state >> 63 == 0 { a } else { b };
+            let va = (state >> 20) % PAGES * 0x1000;
+            let size = if va < 0x40_0000 {
+                PageSize::Size2M
+            } else {
+                PageSize::Size4K
+            };
+            if h.lookup(asid, VirtAddr::new(va)).0.is_none() {
+                h.fill(asid, mapping(va, size));
+            }
+            if i % 97 == 0 {
+                h.invalidate(asid, VirtAddr::new(va));
+            }
+        }
+        let mut yielded: Vec<(Asid, VirtAddr)> = h.l0_pointers().collect();
+        let mut served: Vec<(Asid, VirtAddr)> = [a, b]
+            .into_iter()
+            .flat_map(|asid| (0..PAGES).map(move |p| (asid, VirtAddr::new(p * 0x1000))))
+            .filter(|&(asid, va)| h.l0_peek(asid, va).is_some())
+            .collect();
+        assert!(
+            served.len() > 8,
+            "too few live pointers to test: {}",
+            served.len()
+        );
+        // `served` holds each pair once, so equality also rules out a pair
+        // yielded twice.
+        yielded.sort_by_key(|&(asid, va)| (asid.raw(), va.raw()));
+        served.sort_by_key(|&(asid, va)| (asid.raw(), va.raw()));
+        assert_eq!(yielded, served);
     }
 
     #[test]

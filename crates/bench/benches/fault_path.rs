@@ -6,7 +6,8 @@
 //! one-shot — which costs tens of microseconds against milliseconds of
 //! faults. Divide the printed time by the page count in the id for ns/page.
 //! The `boot` group times the paper machine's fragmented boot on its own,
-//! and the `fence` group the coherence fence on a populated machine.
+//! the `fence` group the coherence fence on a populated machine, and the
+//! `report` group report assembly on the same machine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mimic_os::buddy::BuddyAllocator;
@@ -117,11 +118,10 @@ fn boot(c: &mut Criterion) {
     group.finish();
 }
 
-/// `System::check_invariants` on `fault_touch`'s machine (1 GiB, 4 KiB
-/// pages) with 640 MiB populated: 163 840 mappings, as many as the fence
-/// sees after a `fault_touch` run. The machine is built once; only the
-/// fence is timed.
-fn fence(c: &mut Criterion) {
+/// `fault_touch`'s machine (1 GiB, 4 KiB pages) with 640 MiB populated:
+/// 163 840 mappings and as many faults, about what a `fault_touch` run
+/// ends with.
+fn fault_touch_machine() -> System {
     const FOOTPRINT: u64 = 640 * MIB;
     let mut config =
         SystemConfig::small_test().with_allocation_policy(AllocationPolicy::BuddyFourK);
@@ -132,12 +132,19 @@ fn fence(c: &mut Criterion) {
         .mmap_anonymous(VirtAddr::new(VA_BASE), FOOTPRINT)
         .expect("the bench VMA is fresh");
     system.populate(system.pid());
-    let mappings = system.os().process(system.pid()).mapping_count();
     assert_eq!(
-        mappings as u64,
+        system.os().process(system.pid()).mapping_count() as u64,
         FOOTPRINT / PAGE,
         "populate must map the footprint"
     );
+    system
+}
+
+/// `System::check_invariants` on [`fault_touch_machine`]. The machine is
+/// built once; only the fence is timed.
+fn fence(c: &mut Criterion) {
+    let system = fault_touch_machine();
+    let mappings = system.os().process(system.pid()).mapping_count();
     let mut group = c.benchmark_group("fence");
     group.sample_size(20);
     let id = BenchmarkId::new("check_invariants", format!("{mappings}_mappings"));
@@ -151,5 +158,23 @@ fn fence(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, populate, swap_round_trip, boot, fence);
+/// `System::report` on [`fault_touch_machine`], whose kernel holds one
+/// latency sample per fault: what assembling a report costs once a run
+/// has taken 163 840 faults. Built once; only the report is timed.
+fn report(c: &mut Criterion) {
+    let system = fault_touch_machine();
+    let faults = system.os().stats().fault_latency_ns.count();
+    let mut group = c.benchmark_group("report");
+    let id = BenchmarkId::new("system_report", format!("{faults}_faults"));
+    group.bench_function(id, |b| {
+        b.iter(|| {
+            let report = system.report();
+            assert_eq!(report.fault_latency_ns.count(), faults);
+            report
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, populate, swap_round_trip, boot, fence, report);
 criterion_main!(benches);

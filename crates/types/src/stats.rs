@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A simple monotonically increasing event counter.
 ///
@@ -202,9 +203,14 @@ pub struct Percentiles {
 /// queries.
 ///
 /// The recorder stores every sample (the experiments record at most a few
-/// hundred thousand page faults, so this is cheap) which lets it answer the
+/// hundred thousand page faults, 8 bytes each) which lets it answer the
 /// paper's distribution questions exactly: percentiles for the box plots of
 /// Fig. 2 / Fig. 16, and "contribution of outliers to total latency".
+///
+/// The samples live in one shared buffer. `clone` hands out another
+/// reference to it, so a report built from a live recorder copies no
+/// sample; the next `record` into a shared buffer copies it once
+/// (copy-on-write), so a clone never sees later samples.
 ///
 /// # Examples
 ///
@@ -221,7 +227,7 @@ pub struct Percentiles {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LatencyStats {
-    samples: Vec<f64>,
+    samples: Arc<Vec<f64>>,
     stats: RunningStats,
 }
 
@@ -229,14 +235,14 @@ impl LatencyStats {
     /// Creates an empty recorder.
     pub fn new() -> Self {
         LatencyStats {
-            samples: Vec::new(),
+            samples: Arc::default(),
             stats: RunningStats::new(),
         }
     }
 
     /// Records one latency sample.
     pub fn record(&mut self, value: f64) {
-        self.samples.push(value);
+        Arc::make_mut(&mut self.samples).push(value);
         self.stats.record(value);
     }
 
@@ -272,7 +278,7 @@ impl LatencyStats {
 
     /// The samples in ascending order.
     fn sorted(&self) -> Vec<f64> {
-        let mut sorted = self.samples.clone();
+        let mut sorted = self.samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("latency samples must not be NaN"));
         sorted
     }
@@ -324,7 +330,7 @@ impl LatencyStats {
 
     /// Merges another recorder's samples into this one.
     pub fn merge(&mut self, other: &LatencyStats) {
-        self.samples.extend_from_slice(&other.samples);
+        Arc::make_mut(&mut self.samples).extend_from_slice(&other.samples);
         self.stats.merge(&other.stats);
     }
 }
@@ -567,6 +573,34 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.mean(), 2.0);
+    }
+
+    #[test]
+    fn clones_share_the_samples_until_one_records() {
+        let mut live = LatencyStats::new();
+        live.record(1.0);
+        live.record(2.0);
+        let snapshot = live.clone();
+        assert_eq!(live.samples().as_ptr(), snapshot.samples().as_ptr());
+        live.record(3.0);
+        assert_eq!(snapshot.samples(), &[1.0, 2.0]);
+        assert_eq!(snapshot.count(), 2);
+        assert_eq!(live.samples(), &[1.0, 2.0, 3.0]);
+
+        // Shared or not, the JSON is the plain sample list's.
+        let json = |lat: &LatencyStats| {
+            let mut out = String::new();
+            serde::Serialize::write_json(lat, &mut out);
+            out
+        };
+        let mut samples = String::new();
+        serde::Serialize::write_json(&vec![1.0, 2.0], &mut samples);
+        assert!(json(&snapshot).starts_with(&format!("{{\"samples\":{samples},\"stats\":")));
+        let mut fed = LatencyStats::new();
+        fed.record(1.0);
+        fed.record(2.0);
+        assert_eq!(json(&snapshot), json(&fed));
+        assert_eq!(snapshot, fed);
     }
 
     #[test]

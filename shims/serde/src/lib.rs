@@ -17,6 +17,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
@@ -112,6 +113,14 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+/// A shared value serializes as the value itself (real serde's `rc`
+/// feature), so sharing a buffer never changes a report's bytes.
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
     fn write_json(&self, out: &mut String) {
         (**self).write_json(out);
     }

@@ -10,7 +10,7 @@
 //! (`WalkAccessList`), the error is built only on a protocol violation,
 //! and the buddy allocator extends one run per stretch of consecutive
 //! frames. What is left is amortized growth: a 512-slot page-map chunk
-//! per 2 MiB, a `LatencyStats` sample vector doubling, a `BTreeMap` node
+//! per 2 MiB, the fault-latency sample vector doubling, a `BTreeMap` node
 //! now and then. The bound, one allocation per 64 faults, leaves room for
 //! that and for nothing per fault.
 //!

@@ -4,15 +4,15 @@
 //!
 //! Virtuoso couples a lightweight userspace kernel ([`mimic_os::MimicOs`])
 //! with an architectural simulator (core model, cache hierarchy, DRAM and
-//! SSD models, MMU) through two channels:
+//! SSD models, MMU). In the paper the two run as separate processes and
+//! talk over shared-memory channels; here they share one address space,
+//! so the kernel boundary is a plain call:
 //!
-//! * the **functional channel** ([`channel::FunctionalChannel`]) carries
-//!   functional events — page faults, mmap requests — from the simulator to
-//!   MimicOS and the functional results back;
-//! * the **instruction-stream channel**
-//!   ([`channel::InstructionStreamChannel`]) carries the kernel's dynamically
-//!   generated instruction streams into the simulator's core model, so the
-//!   OS work is charged for latency, cache pollution and DRAM contention.
+//! * **functional** — [`mimic_os::MimicOs::handle_page_fault`] returns a
+//!   [`mimic_os::PageFaultOutcome`] with the established mappings;
+//! * **timing** — the outcome's [`mimic_os::KernelInstructionStream`] is
+//!   injected into the core model, so the OS work is charged for latency,
+//!   cache pollution and DRAM contention.
 //!
 //! The [`System`] type assembles the full simulated machine and runs
 //! workloads expressed as [`sim_core::TraceSource`]s. Two simulation modes
@@ -43,17 +43,12 @@
 //! assert!(report.ipc > 0.0);
 //! ```
 
-pub mod channel;
 pub mod config;
 mod epoch;
 pub mod report;
 pub mod system;
 pub mod validation;
 
-pub use channel::{
-    FunctionalChannel, InstructionStreamChannel, InterCoreChannel, KernelRequest, KernelResponse,
-    ShootdownIpi,
-};
 pub use config::{SimulationMode, SystemConfig};
 pub use epoch::EpochStats;
 pub use report::{

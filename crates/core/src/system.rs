@@ -1,5 +1,6 @@
-//! The assembled simulated system: core + caches + DRAM + MMU + MimicOS,
-//! wired together through the functional and instruction-stream channels.
+//! The assembled simulated system: core + caches + DRAM + MMU + MimicOS.
+//! Page faults call [`MimicOs::handle_page_fault`] directly, and the kernel
+//! instruction stream of each outcome is injected into the core model.
 //!
 //! The system runs one process ([`System::run`]) or several
 //! ([`System::run_multiprogram`]): the MimicOS scheduler time-slices the
@@ -7,9 +8,6 @@
 //! is tagged with the process's ASID, and context switches apply the
 //! configured TLB policy (ASID-tagged survival vs full flush).
 
-use crate::channel::{
-    FunctionalChannel, InstructionStreamChannel, InterCoreChannel, KernelRequest, KernelResponse,
-};
 use crate::config::{SimulationMode, SystemConfig};
 use crate::epoch::{Attempt, EpochStats, FaultedAccess, Frontend, SliceJob, SliceLog, Workers};
 use crate::report::{
@@ -19,7 +17,10 @@ use crate::report::{
 use cache_sim::CacheHierarchy;
 use dram_sim::DramModel;
 use mimic_os::sched::ContextSwitch;
-use mimic_os::{InvalidationBatch, KernelInstructionStream, KernelOp, Mapping, MimicOs, ProcessId};
+use mimic_os::{
+    InvalidationBatch, KernelInstructionStream, KernelOp, Mapping, MimicOs, PageFaultOutcome,
+    ProcessId,
+};
 use mmu_sim::{InstallInfo, Mmu, TranslationEngine};
 use sim_core::{CoreModel, Instruction, TraceSource};
 use std::collections::BTreeMap;
@@ -395,10 +396,6 @@ pub struct System {
     switch_flushed_entries: u64,
     /// Shootdown work applied on behalf of kernel invalidation batches.
     shootdowns: ShootdownStats,
-    functional: FunctionalChannel,
-    streams: InstructionStreamChannel,
-    /// Shootdown IPIs and acks between the simulated cores.
-    ipi: InterCoreChannel,
     workload_name: String,
     /// Segmentation faults observed (accesses outside any VMA are skipped).
     segfaults: u64,
@@ -463,9 +460,6 @@ impl System {
             context_switches: 0,
             switch_flushed_entries: 0,
             shootdowns: ShootdownStats::default(),
-            functional: FunctionalChannel::new(),
-            streams: InstructionStreamChannel::new(),
-            ipi: InterCoreChannel::new(num_cores),
             workload_name: String::new(),
             segfaults: 0,
             oom_failures: 0,
@@ -1240,8 +1234,7 @@ impl System {
         let stream = self.os.context_switch_stream(switch);
         match self.config.mode {
             SimulationMode::Detailed => {
-                self.streams.send(stream);
-                self.drain_kernel_streams();
+                self.inject_stream(stream);
             }
             SimulationMode::Emulation { .. } => {
                 // Emulation mode charges the switch as a fixed stall instead
@@ -1415,17 +1408,11 @@ impl System {
     /// before the fix, the TLBs kept translating into the freed frames.
     fn housekeeping(&mut self) {
         let current = self.cores[self.active].current;
-        self.functional
-            .post_request(KernelRequest::BackgroundTick { pid: current });
-        let _ = self.functional.take_request();
         self.os.background_tick();
         let (stream, invalidations) = self.os.khugepaged_tick(current);
-        self.functional.post_response(KernelResponse::TickDone);
-        let _ = self.functional.take_response();
         let detailed = self.config.mode.is_detailed();
         if detailed && !stream.is_empty() {
-            self.streams.send(stream);
-            self.drain_kernel_streams();
+            self.inject_stream(stream);
         }
         self.apply_invalidations_from(self.active, &invalidations, detailed);
     }
@@ -1452,61 +1439,31 @@ impl System {
             .complete_access(entry.pc, entry.kind, retry.attempt(), carried);
     }
 
-    /// Sends a page-fault request to MimicOS over the functional channel,
-    /// injects the returned kernel stream, installs the new mappings and
-    /// charges the fault latency. Returns `false` when the fault could not
-    /// be resolved (segmentation fault).
+    /// Asks MimicOS to handle a page fault, injects the returned kernel
+    /// stream, installs the new mappings and charges the fault latency.
+    /// Returns `false` when the fault could not be resolved (segmentation
+    /// fault).
     fn handle_fault(&mut self, vaddr: VirtAddr, is_write: bool) -> bool {
-        self.functional.post_request(KernelRequest::PageFault {
-            pid: self.cores[self.active].current,
-            vaddr,
-            is_write,
-        });
-        let request = self.functional.take_request().expect("request just posted");
-        let KernelRequest::PageFault {
-            pid,
-            vaddr,
-            is_write,
-        } = request
-        else {
-            unreachable!("only page-fault requests are posted here");
-        };
+        let pid = self.cores[self.active].current;
         let asid = Self::asid_of(pid);
 
         match self.os.handle_page_fault(pid, vaddr, is_write) {
-            Ok(outcome) => {
+            Ok(PageFaultOutcome {
+                mapping,
+                additional_mappings: additional,
+                device_latency_ns,
+                stream,
+                invalidations,
+                restseg_placed,
+                ..
+            }) => {
                 // Engine-specific install metadata travels with the fault
                 // outcome (e.g. Utopia RestSeg placement).
-                let install_info = InstallInfo {
-                    restseg_placed: outcome.restseg_placed,
-                };
-                // Move the mappings into the response instead of cloning
-                // them: the fault path allocates nothing beyond what the
-                // kernel already built.
-                let stream = outcome.stream;
-                let invalidations = outcome.invalidations;
-                self.functional.post_response(KernelResponse::FaultHandled {
-                    mapping: outcome.mapping,
-                    additional: outcome.additional_mappings,
-                    device_latency_ns: outcome.device_latency_ns,
-                });
-                let response = self
-                    .functional
-                    .take_response()
-                    .expect("response just posted");
-                let KernelResponse::FaultHandled {
-                    mapping,
-                    additional,
-                    device_latency_ns,
-                } = response
-                else {
-                    unreachable!("fault requests receive fault responses");
-                };
+                let install_info = InstallInfo { restseg_placed };
 
                 match self.config.mode {
                     SimulationMode::Detailed => {
-                        self.streams.send(stream);
-                        self.drain_kernel_streams();
+                        self.inject_stream(stream);
                         // Mirror the kernel's order: reclaim (and its
                         // shootdowns) happened before the new mapping was
                         // established.
@@ -1549,36 +1506,22 @@ impl System {
                 self.process_oom_kills(true);
                 true
             }
-            Err(VmError::SegmentationFault { .. }) => {
-                self.functional.post_response(KernelResponse::FaultFailed {
-                    error: VmError::SegmentationFault { vaddr },
-                });
-                let _ = self.functional.take_response();
-                self.apply_pending_invalidations();
-                self.segfaults += 1;
-                self.perf_mut(pid).segfaults += 1;
-                false
-            }
-            Err(error @ VmError::OutOfMemory { .. }) => {
+            Err(VmError::OutOfMemory { .. }) => {
                 // Genuine memory exhaustion, not an addressing error: the
                 // kernel may have killed processes on the way (whose
                 // teardown is in the pending batch) before running out of
                 // victims. Attributing this to `segfaults` — as the
                 // catch-all arm below once did — made pressure-run reports
                 // blame innocent survivors for bad pointers.
-                self.functional
-                    .post_response(KernelResponse::FaultFailed { error });
-                let _ = self.functional.take_response();
                 self.apply_pending_invalidations();
                 self.process_oom_kills(true);
                 self.oom_failures += 1;
                 self.perf_mut(pid).oom_failures += 1;
                 false
             }
-            Err(error) => {
-                self.functional
-                    .post_response(KernelResponse::FaultFailed { error });
-                let _ = self.functional.take_response();
+            Err(_) => {
+                // A segmentation fault, or any other fault the kernel
+                // could not resolve.
                 self.apply_pending_invalidations();
                 self.segfaults += 1;
                 self.perf_mut(pid).segfaults += 1;
@@ -1616,8 +1559,7 @@ impl System {
                 self.shootdowns.tlb_entries_dropped += dropped as u64;
             }
             if detailed && !kill.stream.is_empty() {
-                self.streams.send(kill.stream);
-                self.drain_kernel_streams();
+                self.inject_stream(kill.stream);
             }
         }
     }
@@ -1640,8 +1582,7 @@ impl System {
             .os
             .pending_shootdown_stream(pending.victims.len() as u64);
         if detailed && !stream.is_empty() {
-            self.streams.send(stream);
-            self.drain_kernel_streams();
+            self.inject_stream(stream);
         }
         self.apply_invalidations_from(self.active, &pending, detailed);
     }
@@ -1705,16 +1646,17 @@ impl System {
     /// on their owners' home cores.
     ///
     /// With more than one core this is a real TLB shootdown: the initiator
-    /// broadcasts an IPI to every remote core over the inter-core channel,
-    /// each remote core stalls for the IPI delivery cost, tears down only
-    /// its *own* TLB/PWC/engine state, and acks; the initiator collects
-    /// every ack before its fault completes (a missing ack is a channel
-    /// protocol violation). The initiator-side IPI *instruction* cost is
-    /// already part of the kernel stream MimicOS produced; `charge_memory`
-    /// additionally sends the metadata-update accesses through the cache
-    /// hierarchy and charges the remote stalls (detailed mode on the
-    /// simulated-time path; `populate` passes `false` because it charges
-    /// nothing by design).
+    /// sends an IPI to every remote core, and each remote core stalls for
+    /// the IPI delivery cost and tears down only its *own* TLB/PWC/engine
+    /// state before the initiator's fault completes. Delivery is
+    /// immediate: the epoch planner only runs parallel epochs when no
+    /// reclaim (and hence no shootdown) can fire, so every IPI is serviced
+    /// on the serial path in core-index order. The initiator-side IPI
+    /// *instruction* cost is already part of the kernel stream MimicOS
+    /// produced; `charge_memory` additionally sends the metadata-update
+    /// accesses through the cache hierarchy and charges the remote stalls
+    /// (detailed mode on the simulated-time path; `populate` passes
+    /// `false` because it charges nothing by design).
     fn apply_invalidations_from(
         &mut self,
         initiator: usize,
@@ -1733,17 +1675,13 @@ impl System {
         );
         self.shootdowns.batches += 1;
         let num_cores = self.num_cores();
-        let remotes = if num_cores > 1 {
-            let remotes = self.ipi.broadcast(initiator, &batch.victims);
+        if num_cores > 1 {
             let per_core = self
                 .shootdowns
                 .per_core
                 .get_or_insert_with(|| vec![CoreIpiStats::default(); num_cores]);
-            per_core[initiator].ipis_sent += remotes as u64;
-            remotes
-        } else {
-            0
-        };
+            per_core[initiator].ipis_sent += num_cores as u64 - 1;
+        }
 
         // Initiator-local teardown (the legacy single-core path verbatim).
         for victim in &batch.victims {
@@ -1751,39 +1689,26 @@ impl System {
             self.invalidate_victim_on(initiator, victim, charge_memory);
         }
 
-        // Remote cores process the IPI: stall for the delivery cost, tear
-        // down their local state, ack.
-        if remotes > 0 {
-            let ipi_cost = u64::from(self.config.os.shootdown_ipi_cost);
-            for core in 0..num_cores {
-                if core == initiator {
-                    continue;
-                }
-                let ipi = self
-                    .ipi
-                    .take_for(core)
-                    .expect("broadcast delivered an IPI to every remote core");
-                if let Some(per_core) = self.shootdowns.per_core.as_mut() {
-                    per_core[core].ipis_received += 1;
-                }
-                if charge_memory {
-                    // Fault injection may hold the IPI in flight a while
-                    // longer (a busy interrupt controller); the remote
-                    // core's stall grows by the configured delay.
-                    let stall = ipi_cost + self.os.injected_ipi_delay_cycles();
-                    self.cores[core].core.stall(Cycles::new(stall));
-                    if let Some(per_core) = self.shootdowns.per_core.as_mut() {
-                        per_core[core].ipi_stall_cycles += stall;
-                    }
-                }
-                for victim in &ipi.victims {
-                    self.invalidate_victim_on(core, victim, charge_memory);
-                }
-                self.ipi.post_ack(core);
+        // Remote cores service the IPI: stall for the delivery cost, then
+        // tear down their local state.
+        let ipi_cost = u64::from(self.config.os.shootdown_ipi_cost);
+        for core in (0..num_cores).filter(|&core| core != initiator) {
+            if let Some(per_core) = self.shootdowns.per_core.as_mut() {
+                per_core[core].ipis_received += 1;
             }
-            self.ipi
-                .take_acks(remotes)
-                .expect("every remote core acked its IPI");
+            if charge_memory {
+                // Fault injection may hold the IPI in flight a while
+                // longer (a busy interrupt controller); the remote
+                // core's stall grows by the configured delay.
+                let stall = ipi_cost + self.os.injected_ipi_delay_cycles();
+                self.cores[core].core.stall(Cycles::new(stall));
+                if let Some(per_core) = self.shootdowns.per_core.as_mut() {
+                    per_core[core].ipi_stall_cycles += stall;
+                }
+            }
+            for victim in &batch.victims {
+                self.invalidate_victim_on(core, victim, charge_memory);
+            }
         }
 
         for (pid, mapping) in &batch.replacements {
@@ -1800,17 +1725,10 @@ impl System {
         }
     }
 
-    /// Injects every pending kernel instruction stream into the core model,
-    /// sending its memory references through the cache hierarchy and DRAM,
-    /// then hands it back to MimicOS, whose next fault reuses its buffer.
-    fn drain_kernel_streams(&mut self) {
-        while let Some(stream) = self.streams.receive() {
-            self.inject_stream(&stream);
-            self.os.recycle_stream(stream);
-        }
-    }
-
-    fn inject_stream(&mut self, stream: &KernelInstructionStream) {
+    /// Injects a kernel instruction stream into the core model, sending its
+    /// memory references through the cache hierarchy and DRAM, then hands
+    /// it back to MimicOS, whose next fault reuses its buffer.
+    fn inject_stream(&mut self, stream: KernelInstructionStream) {
         self.cores[self.active].core.set_kernel_mode(true);
         for op in stream.ops() {
             match *op {
@@ -1824,6 +1742,7 @@ impl System {
             }
         }
         self.cores[self.active].core.set_kernel_mode(false);
+        self.os.recycle_stream(stream);
     }
 
     fn charge_kernel_access(&mut self, paddr: PhysAddr, kind: AccessType) -> Cycles {
@@ -2413,20 +2332,6 @@ mod tests {
         assert!(report.translation_time_fraction() >= 0.0);
         assert!(report.translation_time_fraction() <= 1.0);
         assert!(report.total_time_ns > 0.0);
-    }
-
-    #[test]
-    fn channels_observe_fault_traffic() {
-        let mut system = small_system();
-        let trace = linear_trace(0x1000_0000, 2000, 4096);
-        system.run(&mut SliceFrontend::new("chan", trace), None);
-        assert!(system.functional.requests_sent.get() > 0);
-        assert_eq!(
-            system.functional.requests_sent.get(),
-            system.functional.responses_sent.get()
-        );
-        assert!(system.streams.streams_sent.get() > 0);
-        assert_eq!(system.streams.pending(), 0, "all streams must be consumed");
     }
 
     /// Every TLB entry and engine-resident translation must agree with the

@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn streaming_accesses_use_many_banks() {
         let (cfg, map) = mapping();
-        let mut banks = std::collections::HashSet::new();
+        let mut banks = std::collections::BTreeSet::new();
         for i in 0..256u64 {
             banks.insert(map.locate(PhysAddr::new(i * 64)).flat_bank_index(&cfg));
         }

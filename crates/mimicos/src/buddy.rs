@@ -597,7 +597,7 @@ mod tests {
     #[test]
     fn allocations_do_not_overlap() {
         let mut b = BuddyAllocator::new(16 * MB);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..1000 {
             let a = b.alloc(0).unwrap();
             assert!(seen.insert(a.raw()), "frame {a} handed out twice");

@@ -151,8 +151,8 @@ impl InvalidationBatch {
 }
 
 /// Everything the kernel reports back to the simulator after handling a
-/// page fault — the payload of the functional channel response, plus the
-/// instruction stream for the instruction-stream channel.
+/// page fault: the functional result, plus the instruction stream the
+/// simulator injects into its core model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PageFaultOutcome {
     /// The mapping established for the faulting address.

@@ -412,7 +412,7 @@ pub struct OomKill {
     /// Resident bytes freed by the kill.
     pub freed_bytes: u64,
     /// The kernel instructions of the badness scan and address-space
-    /// teardown, for injection into the instruction-stream channel.
+    /// teardown, for injection into the core model.
     pub stream: KernelInstructionStream,
 }
 

@@ -23,8 +23,8 @@
 //!   instrumenting the kernel binary with Pin/DynamoRIO.
 //!
 //! The top-level [`MimicOs`] type owns all of the above and exposes the
-//! "system call / interrupt" surface that the Virtuoso framework drives
-//! through its functional channel.
+//! "system call / interrupt" surface that the Virtuoso framework calls
+//! directly.
 //!
 //! # Examples
 //!

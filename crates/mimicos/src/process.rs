@@ -7,8 +7,7 @@
 //! private to this file; the kernel sees only [`Process`]'s methods. The
 //! hardware-visible page-table *representation* (radix, elastic cuckoo,
 //! hashed, …) is modelled separately in the `mmu-sim` crate and is kept in
-//! sync by the Virtuoso framework, mirroring how MimicOS and the simulator's
-//! MMU model communicate through the functional channel.
+//! sync by the Virtuoso framework from each fault's outcome.
 
 use crate::fault::Mapping;
 use crate::vma::VmaTree;

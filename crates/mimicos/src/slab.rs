@@ -144,7 +144,7 @@ mod tests {
     fn allocates_distinct_objects() {
         let mut buddy = BuddyAllocator::new(16 * MB);
         let mut slab = SlabAllocator::new(256);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..100 {
             let obj = slab.alloc(&mut buddy, None).unwrap();
             assert!(seen.insert(obj.raw()));

@@ -324,7 +324,7 @@ mod tests {
     fn placements_are_unique_frames() {
         let mut seg = small_seg(8);
         let mut s = UtopiaAllocator::new_stream();
-        let mut frames = std::collections::HashSet::new();
+        let mut frames = std::collections::BTreeSet::new();
         for i in 0..500u64 {
             if let Some(pa) = seg.try_place(1, VirtAddr::new(i * 4096), &mut s) {
                 assert!(frames.insert(pa.raw()), "duplicate frame {pa}");

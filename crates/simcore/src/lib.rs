@@ -7,8 +7,7 @@
 //! core's issue rate, charges memory instructions with the latency the
 //! memory system reports (partially overlapped according to a configurable
 //! memory-level-parallelism factor), and accepts *injected kernel
-//! instruction streams* from MimicOS through the instruction-stream channel
-//! — the mechanism at the heart of the paper's methodology.
+//! instruction streams* from MimicOS — the mechanism at the heart of the paper's methodology.
 //!
 //! # Examples
 //!

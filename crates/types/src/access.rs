@@ -172,9 +172,9 @@ mod tests {
 
     #[test]
     fn requestor_all_is_exhaustive_and_unique() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for r in Requestor::ALL {
-            assert!(seen.insert(r));
+            assert!(seen.insert(r as usize));
         }
         assert_eq!(seen.len(), 4);
     }

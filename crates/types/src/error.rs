@@ -55,12 +55,6 @@ pub enum VmError {
         /// Name of the structure that failed.
         structure: &'static str,
     },
-    /// A communication-channel protocol violation between the simulator and
-    /// MimicOS (e.g. response read before a request was posted).
-    ChannelProtocol {
-        /// Human-readable description of the violation.
-        reason: String,
-    },
 }
 
 impl fmt::Display for VmError {
@@ -82,9 +76,6 @@ impl fmt::Display for VmError {
             VmError::SwapFull => write!(f, "swap space exhausted"),
             VmError::HashPlacementFailed { structure } => {
                 write!(f, "hash placement failed in {structure}")
-            }
-            VmError::ChannelProtocol { reason } => {
-                write!(f, "channel protocol violation: {reason}")
             }
         }
     }
@@ -121,9 +112,6 @@ mod tests {
             VmError::SwapFull,
             VmError::HashPlacementFailed {
                 structure: "elastic cuckoo",
-            },
-            VmError::ChannelProtocol {
-                reason: "response before request".into(),
             },
         ];
         for e in cases {

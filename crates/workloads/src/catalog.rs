@@ -347,7 +347,7 @@ mod tests {
 
     #[test]
     fn catalogue_names_are_unique() {
-        let mut names = std::collections::HashSet::new();
+        let mut names = std::collections::BTreeSet::new();
         for spec in all_long_running().into_iter().chain(all_short_running()) {
             assert!(names.insert(spec.name.clone()), "duplicate {}", spec.name);
         }

@@ -198,7 +198,7 @@ mod tests {
     #[test]
     fn random_patterns_touch_many_distinct_pages() {
         let mut w = spec(AccessPattern::PointerChasing).build(13);
-        let mut pages = std::collections::HashSet::new();
+        let mut pages = std::collections::BTreeSet::new();
         while let Some(i) = w.next_instruction() {
             if let Some((addr, _)) = i.memory {
                 pages.insert(addr.raw() >> 12);

@@ -4,7 +4,7 @@
 //! the examples and integration tests in this repository (and downstream
 //! users who want "everything") can depend on a single crate:
 //!
-//! * [`virtuoso`] — the simulation framework itself (systems, channels,
+//! * [`virtuoso`] — the simulation framework itself (systems,
 //!   configuration, reports);
 //! * [`mimic_os`] — the MimicOS userspace kernel;
 //! * [`mmu_sim`] — TLBs, page-walk caches and page-table designs;

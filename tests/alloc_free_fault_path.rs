@@ -3,13 +3,11 @@
 //! and on first touch in the detailed instruction loop.
 //!
 //! A fault used to allocate a fresh kernel-stream buffer, a page-table
-//! update list, the functional channel's unused error message and, every
-//! few faults, a `BTreeMap` node for the buddy allocator's one entry per
-//! frame. Now the stream reuses the buffer the framework hands back after
-//! injecting (or discarding) it, the update list is inline
-//! (`WalkAccessList`), the error is built only on a protocol violation,
-//! and the buddy allocator extends one run per stretch of consecutive
-//! frames. What is left is amortized growth: a 512-slot page-map chunk
+//! update list and, every few faults, a `BTreeMap` node for the buddy
+//! allocator's one entry per frame. Now the stream reuses the buffer the
+//! framework hands back after injecting (or discarding) it, the update
+//! list is inline (`WalkAccessList`), and the buddy allocator extends one
+//! run per stretch of consecutive frames. What is left is amortized growth: a 512-slot page-map chunk
 //! per 2 MiB, the fault-latency sample vector doubling, a `BTreeMap` node
 //! now and then. The bound, one allocation per 64 faults, leaves room for
 //! that and for nothing per fault.
@@ -35,11 +33,10 @@
 //! | planted change | assertion that fired |
 //! |---|---|
 //! | the fault stream built on a fresh `Vec::with_capacity(64)` (the spare buffer never taken) | (a) 8 215 allocations over 8 192 faults |
-//! | `drain_kernel_streams` drops each stream instead of handing it back | (b) 4 063 over 4 047 ((a) passes: `populate` hands its streams back itself) |
+//! | `System::inject_stream` drops each stream instead of handing it back | (b) 4 063 over 4 047 ((a) passes: `populate` hands its streams back itself) |
 //! | `populate` drops the stream it discards | (a) 8 215 over 8 192 |
 //! | a `Vec` back in `RadixPageTable::insert`, collected into the list on return | (a) 16 407 over 8 192 |
 //! | an allocation never extends the run ending at its frame | (a) 1 391 over 8 192 |
-//! | `FunctionalChannel::take_response` builds its error eagerly again (`ok_or`) | (b) 4 063 over 4 047 |
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;

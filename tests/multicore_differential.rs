@@ -216,6 +216,23 @@ fn two_core_pressure_run_reports_cross_core_ipi_work() {
     let stalled: u64 = per_core.iter().map(|c| c.ipi_stall_cycles).sum();
     assert!(sent > 0, "reclaim must broadcast cross-core IPIs");
     assert_eq!(sent, received, "every IPI sent is received exactly once");
+    // Per core: an initiator sends one IPI to each of the other n-1 cores,
+    // and a core receives one for every batch it did not initiate.
+    let n = per_core.len() as u64;
+    let batches = shootdowns.batches;
+    assert_eq!(sent, batches * (n - 1), "each batch reaches n-1 cores");
+    for (core, c) in per_core.iter().enumerate() {
+        assert_eq!(
+            c.ipis_sent % (n - 1),
+            0,
+            "core {core} sent a partial broadcast"
+        );
+        assert_eq!(
+            c.ipis_received,
+            batches - c.ipis_sent / (n - 1),
+            "core {core} missed an IPI of a batch it did not initiate"
+        );
+    }
     assert!(stalled > 0, "remote cores must stall on IPI delivery");
     // The serialized report carries the per-core section.
     let json = serde_json::to_string(&report.rollup).unwrap();

@@ -182,9 +182,8 @@ proptest! {
         // stale TLB entries — and after buddy reuse, into another
         // process's frames. With several cores the same must hold on every
         // core's private frontend: a victim page faulted on one core may
-        // be TLB-resident on another, and only the shootdown IPI broadcast
-        // (which a remote core cannot drop without a channel-protocol
-        // violation) keeps them coherent.
+        // be TLB-resident on another, and only the shootdown IPI that
+        // every remote core services keeps them coherent.
         //
         // Engines: the conventional page table, RMM (+ eager paging, so
         // reclaim must split live ranges) and Utopia (+ RestSeg policy, so
@@ -255,8 +254,9 @@ proptest! {
         let shootdowns = report.rollup.shootdowns.as_ref();
         prop_assert!(shootdowns.is_some());
         if cores > 1 {
-            // Cross-core IPIs flowed and balanced: every broadcast was
-            // received; none was droppable without tripping the channel.
+            // Cross-core IPIs flowed and balanced: every IPI sent was
+            // received (the per-core split is fenced in
+            // `multicore_differential.rs`).
             let per_core = shootdowns.unwrap().per_core.as_ref()
                 .expect("multi-core shootdowns report per-core stats");
             prop_assert_eq!(per_core.len(), cores);

@@ -158,9 +158,11 @@ fn fence(c: &mut Criterion) {
     group.finish();
 }
 
-/// `System::report` on [`fault_touch_machine`], whose kernel holds one
-/// latency sample per fault: what assembling a report costs once a run
-/// has taken 163 840 faults. Built once; only the report is timed.
+/// `System::report` on [`fault_touch_machine`]: what assembling a report
+/// costs once a run has taken 163 840 faults. The kernel's latency
+/// distribution holds one `(value, count)` pair per distinct latency, so
+/// the report copies a few dozen pairs, not one sample per fault. Built
+/// once; only the report is timed.
 fn report(c: &mut Criterion) {
     let system = fault_touch_machine();
     let faults = system.os().stats().fault_latency_ns.count();

@@ -5,14 +5,14 @@
 //! the observed shapes). The `scale` parameter multiplies the per-workload
 //! instruction budget; `1` is the quick default.
 
-use crate::runner::{run_spec, run_spec_with_config, ExperimentTable};
+use crate::runner::{run_spec, run_spec_with_config, system_for, ExperimentTable};
 use mimic_os::{AllocationPolicy, OsConfig, ThpConfig, ThpMode};
 use mmu_sim::{
     EngineConfig, EngineReport, MidgardConfig, PageTableKind, RmmConfig, UtopiaMmuConfig,
 };
-use virtuoso::{accuracy_percent, cosine_similarity_series, ReferenceMachine, SystemConfig};
+use virtuoso::{accuracy_percent, latency_distribution_similarity, ReferenceMachine, SystemConfig};
 use vm_types::stats::geometric_mean;
-use vm_types::PageSize;
+use vm_types::{LatencyStats, PageSize};
 use vm_workloads::catalog;
 use vm_workloads::WorkloadSpec;
 
@@ -85,8 +85,29 @@ pub fn fig01_vm_overheads(scale: u64) -> ExperimentTable {
     table
 }
 
+/// Fig. 2's machine: the small-test system with THP on or off.
+fn fig02_config(thp: bool) -> SystemConfig {
+    let mut config = SystemConfig::small_test();
+    config.os.thp = if thp {
+        ThpConfig::linux_default()
+    } else {
+        ThpConfig::disabled()
+    };
+    config
+}
+
+/// Fig. 2's workloads: the first six short-running specs, each run at seed 2.
+fn fig02_specs(scale: u64) -> impl Iterator<Item = WorkloadSpec> {
+    catalog::all_short_running()
+        .into_iter()
+        .take(6)
+        .map(move |spec| spec.with_instructions(budget(15_000, scale)))
+}
+
 /// Figure 2: minor page-fault latency distribution with THP enabled vs
 /// disabled, including the outlier contribution to total fault latency.
+/// It reads MimicOS's minor-fault recorder, so major faults (the
+/// file-backed specs' page-cache misses) stay out of it.
 pub fn fig02_mpf_distribution(scale: u64) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "Fig. 2: minor page-fault latency, THP enabled vs disabled",
@@ -100,27 +121,22 @@ pub fn fig02_mpf_distribution(scale: u64) -> ExperimentTable {
             "outlier share >10us",
         ],
     );
-    for (label, thp) in [
-        ("THP-enabled", ThpConfig::linux_default()),
-        ("THP-disabled", ThpConfig::disabled()),
-    ] {
-        let mut config = SystemConfig::small_test();
-        config.os.thp = thp;
-        let mut all = vm_types::LatencyStats::new();
-        for spec in catalog::all_short_running().into_iter().take(6) {
-            let spec = spec.with_instructions(budget(15_000, scale));
-            let r = run_spec_with_config(config.clone(), &spec, 2);
-            all.merge(&r.fault_latency_ns);
+    for (label, thp) in [("THP-enabled", true), ("THP-disabled", false)] {
+        let mut minor = LatencyStats::new();
+        for spec in fig02_specs(scale) {
+            let mut system = system_for(fig02_config(thp), &spec);
+            system.run(&mut spec.build(2), None);
+            minor.merge(&system.os().stats().minor_fault_latency_ns);
         }
-        let p = all.percentiles();
+        let p = minor.percentiles();
         table.push_row(vec![
             label.into(),
-            all.count().to_string(),
+            minor.count().to_string(),
             fmt(p.p25),
             fmt(p.p50),
             fmt(p.p75),
             fmt(p.max),
-            fmt(all.outlier_contribution(10_000.0)),
+            fmt(minor.outlier_contribution(10_000.0)),
         ]);
     }
     table
@@ -165,8 +181,7 @@ fn reference_for(spec: &WorkloadSpec, scale: u64) -> (ReferenceMachine, f64, f64
         reference_report.app_ipc,
         reference_report.l2_tlb_mpki,
         reference_report.avg_ptw_latency_cycles,
-    )
-    .with_fault_series(reference_report.fault_latency_ns.samples().to_vec());
+    );
     let virtuoso_report = run_spec(&spec.clone().with_instructions(budget(20_000, scale)), 7);
     let emulation_report = run_spec_with_config(
         SystemConfig::small_test().with_emulation_baseline(),
@@ -201,11 +216,14 @@ pub fn fig08_ipc_accuracy(scale: u64) -> ExperimentTable {
     table
 }
 
-/// Figure 9: cosine similarity between the page-fault latency series of the
-/// detailed model and the reference machine, for short-running workloads.
+/// Figure 9: cosine similarity between the page-fault latency
+/// distributions of the detailed model and the reference machine, for
+/// short-running workloads. The vectors compared are the two runs' counts
+/// per latency value, aligned on the union of their values, so the score
+/// does not depend on which fault came first.
 pub fn fig09_pf_cosine(scale: u64) -> ExperimentTable {
     let mut table = ExperimentTable::new(
-        "Fig. 9: page-fault latency cosine similarity",
+        "Fig. 9: page-fault latency distribution cosine similarity",
         &["workload", "cosine similarity"],
     );
     let mut sims = Vec::new();
@@ -213,9 +231,9 @@ pub fn fig09_pf_cosine(scale: u64) -> ExperimentTable {
         let budgeted = spec.with_instructions(budget(15_000, scale));
         let reference = run_spec(&budgeted, 100);
         let estimate = run_spec(&budgeted, 9);
-        let sim = cosine_similarity_series(
-            estimate.fault_latency_ns.samples(),
-            reference.fault_latency_ns.samples(),
+        let sim = latency_distribution_similarity(
+            &estimate.fault_latency_ns,
+            &reference.fault_latency_ns,
         );
         sims.push(sim.max(1e-3));
         table.push_row(vec![budgeted.name.clone(), fmt(sim)]);
@@ -939,6 +957,14 @@ mod tests {
     fn fig02_produces_two_configurations() {
         let table = fig02_mpf_distribution(0);
         assert_eq!(table.rows.len(), 2);
+        // The `faults` column counts minor faults only, hugetlbfs ones
+        // included, as the reports' `minor_faults` does.
+        for (row, thp) in table.rows.iter().zip([true, false]) {
+            let minor: u64 = fig02_specs(0)
+                .map(|spec| run_spec_with_config(fig02_config(thp), &spec, 2).minor_faults)
+                .sum();
+            assert_eq!(row[1], minor.to_string(), "{}", row[0]);
+        }
     }
 
     #[test]

@@ -82,6 +82,14 @@ pub fn map_spec_regions(
     }
 }
 
+/// Builds a system for `spec`, with its regions mapped.
+pub fn system_for(config: SystemConfig, spec: &WorkloadSpec) -> System {
+    let mut system = System::new(config);
+    let pid = system.pid();
+    map_spec_regions(&mut system, pid, spec, 0);
+    system
+}
+
 /// Builds a system for `spec` (mapping its regions) and runs it, returning
 /// the report.
 pub fn run_spec_with_config(
@@ -89,10 +97,7 @@ pub fn run_spec_with_config(
     spec: &WorkloadSpec,
     seed: u64,
 ) -> SimulationReport {
-    let mut system = System::new(config);
-    let pid = system.pid();
-    map_spec_regions(&mut system, pid, spec, 0);
-    system.run(&mut spec.build(seed), None)
+    system_for(config, spec).run(&mut spec.build(seed), None)
 }
 
 /// Runs `spec` on the small-test system configuration.
@@ -140,9 +145,8 @@ pub fn run_multiprogram_specs(
 /// made `fig01` report a 0.000 translation fraction for every long-running
 /// workload.
 pub fn steady_state_overheads(config: SystemConfig, spec: &WorkloadSpec, seed: u64) -> (f64, f64) {
-    let mut system = System::new(config);
+    let mut system = system_for(config, spec);
     let pid = system.pid();
-    map_spec_regions(&mut system, pid, spec, 0);
     system.populate(pid);
     let warm = system.report();
     let full = system.run(&mut spec.build(seed), None);

@@ -106,11 +106,9 @@ impl SystemConfig {
             dram: DramConfig::ddr4_2400(),
             mmu: MmuConfig {
                 tlb: TlbHierarchyConfig::paper_baseline(),
-                page_walk_caches: true,
                 page_table,
                 metadata_base: PhysAddr::new(0x30_0000_0000),
                 asid_tlb_tags: true,
-                skip_empty_size_probes: false,
             },
             engine: EngineConfig::PageTable,
             os: OsConfig::paper_baseline(),

@@ -56,4 +56,4 @@ pub use report::{
     SimulationReport,
 };
 pub use system::System;
-pub use validation::{accuracy_percent, cosine_similarity_series, ReferenceMachine};
+pub use validation::{accuracy_percent, latency_distribution_similarity, ReferenceMachine};

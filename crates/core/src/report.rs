@@ -140,8 +140,7 @@ pub struct SimulationReport {
     pub major_faults: u64,
     /// Swap-in faults.
     pub swap_in_faults: u64,
-    /// Per-fault latency samples in nanoseconds (Figs. 2, 9, 15, 16). A
-    /// report taken from a `System` shares the kernel's sample buffer.
+    /// Per-fault latency distribution in nanoseconds (Figs. 2, 9, 15, 16).
     pub fault_latency_ns: LatencyStats,
     /// Total time spent in the page-fault handler, nanoseconds.
     pub total_fault_ns: f64,

@@ -2110,7 +2110,6 @@ impl System {
             minor_faults: os_stats.minor_faults.get() + os_stats.hugetlb_faults.get(),
             major_faults: os_stats.major_faults.get(),
             swap_in_faults: os_stats.swap_in_faults.get(),
-            // Shares the kernel's sample buffer; no sample is copied.
             fault_latency_ns: os_stats.fault_latency_ns.clone(),
             total_fault_ns: os_stats.total_fault_ns,
             total_translation_ns: translation_ns,

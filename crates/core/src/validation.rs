@@ -9,10 +9,11 @@
 //! at its highest-fidelity configuration at another seed (that section says
 //! what the accuracy columns then measure). Accuracy numbers are
 //! computed the same way the paper computes them: `1 - |est - ref| / ref`
-//! for scalar metrics and cosine similarity for latency series.
+//! for scalar metrics and cosine similarity for latency distributions.
 
 use serde::{Deserialize, Serialize};
 use vm_types::stats::{accuracy, cosine_similarity};
+use vm_types::LatencyStats;
 
 /// Reference (ground-truth) figures for one workload, playing the role of
 /// the real-system measurement in the validation experiments.
@@ -26,8 +27,6 @@ pub struct ReferenceMachine {
     pub l2_tlb_mpki: f64,
     /// Reference average page-table-walk latency in cycles.
     pub avg_ptw_latency_cycles: f64,
-    /// Reference page-fault latency series (nanoseconds, in fault order).
-    pub fault_latency_series_ns: Vec<f64>,
 }
 
 impl ReferenceMachine {
@@ -38,14 +37,7 @@ impl ReferenceMachine {
             ipc,
             l2_tlb_mpki,
             avg_ptw_latency_cycles,
-            fault_latency_series_ns: Vec::new(),
         }
-    }
-
-    /// Attaches a fault-latency series for cosine-similarity validation.
-    pub fn with_fault_series(mut self, series: Vec<f64>) -> Self {
-        self.fault_latency_series_ns = series;
-        self
     }
 
     /// IPC estimation accuracy of `estimated_ipc` against this reference,
@@ -63,12 +55,6 @@ impl ReferenceMachine {
     pub fn ptw_accuracy_percent(&self, estimated_ptw_cycles: f64) -> f64 {
         accuracy(estimated_ptw_cycles, self.avg_ptw_latency_cycles) * 100.0
     }
-
-    /// Cosine similarity between an estimated fault-latency series and the
-    /// reference series (the Fig. 9 metric).
-    pub fn fault_series_similarity(&self, estimated_series_ns: &[f64]) -> f64 {
-        cosine_similarity(estimated_series_ns, &self.fault_latency_series_ns)
-    }
 }
 
 /// Accuracy of an estimate against a reference, in percent, clamped to
@@ -77,10 +63,30 @@ pub fn accuracy_percent(estimate: f64, reference: f64) -> f64 {
     accuracy(estimate, reference) * 100.0
 }
 
-/// Cosine similarity between two latency series (re-exported convenience
-/// wrapper around [`vm_types::stats::cosine_similarity`]).
-pub fn cosine_similarity_series(a: &[f64], b: &[f64]) -> f64 {
-    cosine_similarity(a, b)
+/// Cosine similarity between two latency distributions (the Fig. 9
+/// metric): their count vectors, aligned on the union of their values. It
+/// compares how often each latency occurs, not the order the faults came in.
+pub fn latency_distribution_similarity(a: &LatencyStats, b: &LatencyStats) -> f64 {
+    let mut values: Vec<f64> = a
+        .counts()
+        .iter()
+        .chain(b.counts())
+        .map(|&(v, _)| v)
+        .collect();
+    values.sort_by(f64::total_cmp);
+    values.dedup_by(|x, y| x.total_cmp(y).is_eq());
+    let counts = |lat: &LatencyStats| -> Vec<f64> {
+        let counts = lat.counts();
+        values
+            .iter()
+            .map(|v| {
+                counts
+                    .binary_search_by(|(w, _)| w.total_cmp(v))
+                    .map_or(0.0, |i| counts[i].1 as f64)
+            })
+            .collect()
+    };
+    cosine_similarity(&counts(a), &counts(b))
 }
 
 #[cfg(test)]
@@ -96,15 +102,33 @@ mod tests {
 
     #[test]
     fn reference_machine_scores_estimates() {
-        let reference = ReferenceMachine::new("BC", 0.30, 40.0, 120.0)
-            .with_fault_series(vec![1000.0, 2000.0, 50_000.0]);
+        let reference = ReferenceMachine::new("BC", 0.30, 40.0, 120.0);
         assert!(reference.ipc_accuracy_percent(0.24) > 75.0);
         assert!(reference.mpki_accuracy_percent(48.0) >= 80.0);
         assert!(reference.ptw_accuracy_percent(102.0) >= 85.0);
-        let similar = reference.fault_series_similarity(&[1100.0, 1900.0, 52_000.0]);
-        assert!(similar > 0.99);
-        let dissimilar = reference.fault_series_similarity(&[50_000.0, 50.0, 10.0]);
-        assert!(dissimilar < similar);
+    }
+
+    #[test]
+    fn distribution_similarity_ignores_fault_order() {
+        let lat = |samples: &[f64]| {
+            let mut lat = LatencyStats::new();
+            for &v in samples {
+                lat.record(v);
+            }
+            lat
+        };
+        let reference = lat(&[1000.0, 2000.0, 2000.0, 50_000.0]);
+        let reordered = lat(&[2000.0, 50_000.0, 1000.0, 2000.0]);
+        assert!((latency_distribution_similarity(&reference, &reordered) - 1.0).abs() < 1e-12);
+        // [1, 2, 0, 1] against [1, 0, 3, 1] over the values 1000, 2000,
+        // 3000 and 50 000: a dot product of 2 over norms sqrt(6) and sqrt(11).
+        let shifted = lat(&[1000.0, 3000.0, 3000.0, 3000.0, 50_000.0]);
+        let expected = 2.0 / (6.0f64.sqrt() * 11.0f64.sqrt());
+        assert!((latency_distribution_similarity(&reference, &shifted) - expected).abs() < 1e-12);
+        assert_eq!(
+            latency_distribution_similarity(&reference, &LatencyStats::new()),
+            0.0
+        );
     }
 
     #[test]

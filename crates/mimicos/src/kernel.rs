@@ -252,16 +252,12 @@ pub struct OsStats {
     pub read_faults: Counter,
     /// Faults taken on write accesses.
     pub write_faults: Counter,
-    /// Per-fault total latency samples (nanoseconds, software + device), one
-    /// per handled fault in handling order. The kernel records each fault
-    /// here once; reports share this buffer rather than copy it.
+    /// Per-fault total latency distribution (nanoseconds, software +
+    /// device), every handled fault.
     pub fault_latency_ns: LatencyStats,
-    /// Which samples of `fault_latency_ns` are minor faults, hugetlbfs ones
-    /// included: bit `i % 64` of word `i / 64` is set when sample `i` is.
-    /// Empty while every fault has been minor; the first fault that is not
-    /// writes the words for every sample so far.
-    /// [`OsStats::minor_fault_latency_ns`] reads the minor series out.
-    minor_fault_bits: Vec<u64>,
+    /// Per-minor-fault latency distribution (nanoseconds, hugetlbfs faults
+    /// included), the distribution shown in the paper's Fig. 2 / Fig. 16.
+    pub minor_fault_latency_ns: LatencyStats,
     /// Total nanoseconds spent in the fault handler (software + device).
     pub total_fault_ns: f64,
     /// Total kernel instructions emitted (fault handler + daemons).
@@ -310,47 +306,12 @@ impl OsStats {
             + self.spurious_faults.get()
     }
 
-    /// Per-minor-fault latency samples (nanoseconds, hugetlbfs faults
-    /// included), the distribution shown in the paper's Fig. 2 / Fig. 16:
-    /// the samples of `fault_latency_ns` whose fault was minor, in handling
-    /// order. When every fault was minor that is the whole series, and the
-    /// result shares its buffer; otherwise the minor samples are copied out.
-    pub fn minor_fault_latency_ns(&self) -> LatencyStats {
-        if self.minor_fault_bits.is_empty() {
-            return self.fault_latency_ns.clone();
-        }
-        // Recorded into a `default()` recorder, like `fault_latency_ns`
-        // itself, so the running statistics match a recorder fed the
-        // minor faults as they happened, bit for bit.
-        let mut minor_series = LatencyStats::default();
-        for (i, &ns) in self.fault_latency_ns.samples().iter().enumerate() {
-            if self.minor_fault_bits[i / 64] >> (i % 64) & 1 == 1 {
-                minor_series.record(ns);
-            }
-        }
-        minor_series
-    }
-
-    /// Records one handled fault's total latency, once, and whether the
-    /// fault was minor.
+    /// Records one handled fault's total latency, into the minor-fault
+    /// distribution too when the fault was minor.
     fn record_fault_latency(&mut self, total_ns: f64, minor: bool) {
-        let index = self.fault_latency_ns.count() as usize;
         self.fault_latency_ns.record(total_ns);
-        if self.minor_fault_bits.is_empty() {
-            if minor {
-                return;
-            }
-            // The first fault that is not minor: every earlier one was.
-            // Bits from `index` up are written as their faults come.
-            self.minor_fault_bits = vec![u64::MAX; index / 64 + 1];
-        } else if index.is_multiple_of(64) {
-            self.minor_fault_bits.push(0);
-        }
-        let (word, bit) = (&mut self.minor_fault_bits[index / 64], 1 << (index % 64));
         if minor {
-            *word |= bit;
-        } else {
-            *word &= !bit;
+            self.minor_fault_latency_ns.record(total_ns);
         }
     }
 }
@@ -2038,8 +1999,8 @@ mod tests {
             touch(&mut ut, pid_u, 0x4000_0000 + i * 4096);
             touch(&mut thp, pid_t, 0x4000_0000 + i * 2 * MB);
         }
-        let ut_p99 = ut.stats().minor_fault_latency_ns().quantile(0.99);
-        let thp_p99 = thp.stats().minor_fault_latency_ns().quantile(0.99);
+        let ut_p99 = ut.stats().minor_fault_latency_ns.quantile(0.99);
+        let thp_p99 = thp.stats().minor_fault_latency_ns.quantile(0.99);
         assert!(
             ut_p99 < thp_p99,
             "utopia p99 {ut_p99} should beat THP p99 {thp_p99}"
@@ -2696,26 +2657,16 @@ mod tests {
     const SERIES_FILE: u64 = 0x1000_0000;
     const SERIES_HUGETLB: u64 = 0x8000_0000;
 
-    /// What one run of [`fault_series_against_two_recorders`] reached.
-    #[derive(Debug, Default)]
-    struct SeriesCoverage {
-        /// Faults taken by kind: minor, major, swap-in, hugetlb, spurious.
-        kinds: [u64; 5],
-        /// Ops after which every fault so far was minor, so the minor
-        /// series had to share the whole series' buffer.
-        shared_checks: u64,
-    }
-
     /// Drives `ops` through a fresh kernel and, after every op, holds its
-    /// one fault series to the two recorders the kernel used to keep:
-    /// every fault, and minor faults (hugetlbfs ones included) only, both
-    /// fed from the returned outcomes. The machine has 16 MiB of memory
-    /// under a 32 MiB anonymous region (sweeps fill memory, so revisits
-    /// swap back in), a cold 4 MiB file (major faults, then spurious ones)
-    /// and 4 MiB of hugetlbfs. An op is one anonymous page (8 in 16), a
-    /// 256-page anonymous sweep (2), a file page (3) or a hugetlbfs page
-    /// (3); bit 4 makes it a write.
-    fn fault_series_against_two_recorders(thp: bool, ops: &[u64]) -> SeriesCoverage {
+    /// two latency recorders, every fault and minor faults (hugetlbfs ones
+    /// included), to recorders fed from the returned outcomes. Returns the
+    /// faults taken by kind: minor, major, swap-in, hugetlb, spurious.
+    /// The machine has 16 MiB of memory under a 32 MiB anonymous region
+    /// (sweeps fill memory, so revisits swap back in), a cold 4 MiB file
+    /// (major faults, then spurious ones) and 4 MiB of hugetlbfs. An op is
+    /// one anonymous page (8 in 16), a 256-page anonymous sweep (2), a file
+    /// page (3) or a hugetlbfs page (3); bit 4 makes it a write.
+    fn fault_series_against_two_recorders(thp: bool, ops: &[u64]) -> [u64; 5] {
         let config = OsConfig {
             memory_bytes: 16 * MB,
             swap_bytes: 64 * MB,
@@ -2742,10 +2693,8 @@ mod tests {
             .unwrap();
         os.mmap_anonymous(pid, VirtAddr::new(SERIES_HUGETLB), 4 * MB, true)
             .unwrap();
-        // `default()`, as in `OsStats::default()`: its running minimum
-        // starts (and, for positive samples, stays) at 0.
-        let (mut all, mut minor) = (LatencyStats::default(), LatencyStats::default());
-        let mut coverage = SeriesCoverage::default();
+        let (mut all, mut minor) = (LatencyStats::new(), LatencyStats::new());
+        let mut kinds = [0; 5];
         for (step, &word) in ops.iter().enumerate() {
             let page = (word >> 8) % (32 * MB / 4096);
             let sweep = page.min(32 * MB / 4096 - 256);
@@ -2769,59 +2718,41 @@ mod tests {
                     FaultKind::Hugetlb => 3,
                     FaultKind::Spurious => 4,
                 };
-                coverage.kinds[kind] += 1;
+                kinds[kind] += 1;
                 if matches!(outcome.kind, FaultKind::Minor | FaultKind::Hugetlb) {
                     minor.record(total_ns);
                 }
             }
-            // `assert!`, not `assert_eq!`: a mismatch would print thousands
-            // of samples.
             let stats = os.stats();
-            assert!(
-                stats.fault_latency_ns == all,
-                "every-fault series after op {step} ({word:#x})"
+            assert_eq!(
+                stats.fault_latency_ns, all,
+                "every fault after op {step} ({word:#x})"
             );
-            let view = stats.minor_fault_latency_ns();
-            assert!(view == minor, "minor series after op {step} ({word:#x})");
-            if minor.count() == all.count() {
-                coverage.shared_checks += 1;
-                assert_eq!(
-                    view.samples().as_ptr(),
-                    stats.fault_latency_ns.samples().as_ptr(),
-                    "an all-minor series is shared, not copied, after op {step}"
-                );
-            }
+            assert_eq!(
+                stats.minor_fault_latency_ns, minor,
+                "minor faults after op {step} ({word:#x})"
+            );
         }
-        coverage
+        kinds
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
 
-        /// Differential test of the one-copy fault series (one sample per
-        /// fault plus a minor bit) against separate every-fault and
-        /// minor-fault recorders, as the kernel kept them before. See
+        /// Differential test of `OsStats`' two latency recorders against
+        /// recorders fed from the returned outcomes. See
         /// [`fault_series_against_two_recorders`];
         /// `the_fault_series_differential_reaches_every_kind` shows the ops
-        /// reach every fault kind and the shared case.
+        /// reach every fault kind.
         ///
-        /// Seeded mutations, each shown to fail both this test and the
-        /// fixed companion and then reverted (the two messages):
+        /// Seeded mutations, each shown to fail this test and the fixed
+        /// companion and then reverted (the two messages):
         ///
         /// | mutation | assertions that fired |
         /// |---|---|
-        /// | hugetlbfs faults not marked minor | "minor series after op 1", "… op 3" |
-        /// | spurious faults marked minor | "minor series after op 12", "… op 2" |
-        /// | the first non-minor fault writes its earlier words as 0, not all ones | "minor series after op 2", twice |
-        /// | each bit written one sample late (`1 << ((index + 1) % 64)`) | "minor series after op 2", twice |
-        /// | a bit is only ever set, never cleared | "minor series after op 2", twice |
-        /// | `minor_fault_latency_ns` returns the whole series unconditionally | "minor series after op 2", twice |
-        /// | `minor_fault_latency_ns` copies the series when every fault was minor | "an all-minor series is shared, not copied, after op 0", twice |
-        ///
-        /// The last also trips `tests/report_footprint.rs`; none of the
-        /// others does, since there every fault is minor.
+        /// | `record_fault_latency` told only `FaultKind::Minor` is minor, so hugetlbfs faults skip the minor recorder | "minor faults after op 14", "… op 3" |
         #[test]
-        fn one_fault_series_matches_two_recorders(
+        fn os_latency_recorders_match_the_outcomes(
             thp in 0..2usize,
             ops in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..160),
         ) {
@@ -2832,20 +2763,18 @@ mod tests {
     #[test]
     fn the_fault_series_differential_reaches_every_kind() {
         let mut rng = DetRng::new(29);
-        let mut coverage = SeriesCoverage::default();
+        let mut kinds = [0; 5];
         for thp in [false, true] {
             let ops: Vec<u64> = (0..200).map(|_| rng.next_u64()).collect();
             let run = fault_series_against_two_recorders(thp, &ops);
-            for (total, n) in coverage.kinds.iter_mut().zip(run.kinds) {
+            for (total, n) in kinds.iter_mut().zip(run) {
                 *total += n;
             }
-            coverage.shared_checks += run.shared_checks;
         }
-        eprintln!("{coverage:?}");
+        eprintln!("{kinds:?}");
         assert!(
-            coverage.kinds.iter().all(|&n| n > 0) && coverage.shared_checks > 0,
-            "faults by kind (minor, major, swap-in, hugetlb, spurious) and shared checks: \
-             {coverage:?}"
+            kinds.iter().all(|&n| n > 0),
+            "faults by kind (minor, major, swap-in, hugetlb, spurious): {kinds:?}"
         );
     }
 }

@@ -759,20 +759,8 @@ pub struct UtopiaEngine {
     /// whole resident set into a few probe chains (a measured ~40% of
     /// the Utopia cell's host time before the rekey).
     resident: vm_types::FxHashMap<(u16, u64), Mapping>,
-    /// Resident-page counts per page size (4K/2M/1G), so the per-miss
-    /// residency probe can skip hash lookups for sizes with no entries.
-    resident_by_size: [u64; 3],
     restseg_hits: Counter,
     rsw_fetches: Counter,
-}
-
-/// The `resident_by_size` index of a page size.
-fn size_rank(size: PageSize) -> usize {
-    match size {
-        PageSize::Size4K => 0,
-        PageSize::Size2M => 1,
-        PageSize::Size1G => 2,
-    }
 }
 
 impl UtopiaEngine {
@@ -787,7 +775,6 @@ impl UtopiaEngine {
                 resident_capacity,
                 Default::default(),
             ),
-            resident_by_size: [0; 3],
             restseg_hits: Counter::new(),
             rsw_fetches: Counter::new(),
         }
@@ -795,9 +782,6 @@ impl UtopiaEngine {
 
     fn resident_mapping(&self, asid: Asid, va: VirtAddr) -> Option<Mapping> {
         for size in [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G] {
-            if self.resident_by_size[size_rank(size)] == 0 {
-                continue;
-            }
             let key = (asid.raw(), va.page_base(size).raw() >> 12);
             if let Some(mapping) = self.resident.get(&key) {
                 if mapping.page_size == size {
@@ -813,13 +797,9 @@ impl UtopiaEngine {
     fn remove_resident(&mut self, asid: Asid, va: VirtAddr) -> usize {
         let mut engine_entries = 0;
         for probe in [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G] {
-            if self.resident_by_size[size_rank(probe)] == 0 {
-                continue;
-            }
             let key = (asid.raw(), va.page_base(probe).raw() >> 12);
             if matches!(self.resident.get(&key), Some(m) if m.page_size == probe) {
                 self.resident.remove(&key);
-                self.resident_by_size[size_rank(probe)] -= 1;
                 engine_entries += 1 + self.utopia.invalidate(va);
             }
         }
@@ -828,14 +808,7 @@ impl UtopiaEngine {
 
     /// Drops every RestSeg-resident page of one address space (teardown).
     fn flush_asid_resident(&mut self, asid: Asid) {
-        let counts = &mut self.resident_by_size;
-        self.resident.retain(|(a, _), m| {
-            let keep = *a != asid.raw();
-            if !keep {
-                counts[size_rank(m.page_size)] -= 1;
-            }
-            keep
-        });
+        self.resident.retain(|(a, _), _| *a != asid.raw());
     }
 
     fn translate(&mut self, mmu: &mut Mmu, asid: Asid, va: VirtAddr) -> TranslationResult {
@@ -899,13 +872,8 @@ impl UtopiaEngine {
         info: InstallInfo,
     ) -> WalkAccessList {
         if info.restseg_placed {
-            if let Some(old) = self
-                .resident
-                .insert((asid.raw(), mapping.vaddr.raw() >> 12), *mapping)
-            {
-                self.resident_by_size[size_rank(old.page_size)] -= 1;
-            }
-            self.resident_by_size[size_rank(mapping.page_size)] += 1;
+            self.resident
+                .insert((asid.raw(), mapping.vaddr.raw() >> 12), *mapping);
         }
         // The kernel keeps the page table authoritative for every page
         // (RestSeg-resident pages simply never walk it), so the install

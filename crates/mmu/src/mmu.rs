@@ -24,9 +24,6 @@ const ASID_TABLE_STRIDE: u64 = 0x1_0000_0000;
 pub struct MmuConfig {
     /// TLB hierarchy geometry.
     pub tlb: TlbHierarchyConfig,
-    /// Whether page-walk caches are present (only meaningful for the radix
-    /// design).
-    pub page_walk_caches: bool,
     /// Page-table design walked on TLB misses.
     pub page_table: PageTableKind,
     /// Physical base address where page-table metadata is placed. Each
@@ -36,18 +33,6 @@ pub struct MmuConfig {
     /// switches. `false`: the ASID-less baseline that flushes the whole
     /// TLB hierarchy on every switch.
     pub asid_tlb_tags: bool,
-    /// When `true`, the hash-based page-table walkers (ECH, HDC, HT) skip
-    /// the probe for any page size with no resident leaves in the table
-    /// (e.g. a THP-disabled address space never probes the 2 MiB or 1 GiB
-    /// tables). This is a *modeling* choice, not just an optimization: the
-    /// skipped probes disappear from the walk's modeled memory accesses,
-    /// so walk latency and translation-metadata cache/DRAM traffic both
-    /// shrink. The hardware analogue is a per-size valid bit maintained by
-    /// the kernel. Default `false` — the paper's configuration probes all
-    /// sizes unconditionally. The radix walker is unaffected (its per-size
-    /// skip is a pure software fast path that never changes the modeled
-    /// access list).
-    pub skip_empty_size_probes: bool,
 }
 
 impl MmuConfig {
@@ -55,11 +40,9 @@ impl MmuConfig {
     pub fn paper_baseline(page_table: PageTableKind) -> Self {
         MmuConfig {
             tlb: TlbHierarchyConfig::paper_baseline(),
-            page_walk_caches: true,
             page_table,
             metadata_base: PhysAddr::new(0x30_0000_0000),
             asid_tlb_tags: true,
-            skip_empty_size_probes: false,
         }
     }
 
@@ -69,15 +52,6 @@ impl MmuConfig {
             tlb: TlbHierarchyConfig::small_test(),
             ..MmuConfig::paper_baseline(page_table)
         }
-    }
-
-    /// Enables (or disables) skipping hash-table walk probes for page
-    /// sizes with no resident leaves — see
-    /// [`MmuConfig::skip_empty_size_probes`] for the modeled-access
-    /// implications. Keeps everything else identical.
-    pub fn with_skip_empty_size_probes(mut self, enabled: bool) -> Self {
-        self.skip_empty_size_probes = enabled;
-        self
     }
 
     /// Disables ASID tagging (full TLB flush on every context switch),
@@ -237,7 +211,7 @@ impl std::fmt::Debug for Mmu {
 impl Mmu {
     /// Builds an MMU from its configuration.
     pub fn new(config: MmuConfig) -> Self {
-        let pwc = if config.page_walk_caches && config.page_table == PageTableKind::Radix {
+        let pwc = if config.page_table == PageTableKind::Radix {
             PageWalkCaches::paper_baseline()
         } else {
             PageWalkCaches::disabled()
@@ -291,9 +265,7 @@ impl Mmu {
         self.tables[idx]
             .get_or_insert_with(|| {
                 let base = config.metadata_base.raw() + u64::from(asid.raw()) * ASID_TABLE_STRIDE;
-                let mut table = build_page_table(config.page_table, PhysAddr::new(base));
-                table.set_skip_empty_size_probes(config.skip_empty_size_probes);
-                table
+                build_page_table(config.page_table, PhysAddr::new(base))
             })
             .as_mut()
     }
@@ -685,26 +657,6 @@ mod tests {
             }
             assert_eq!(mono.stats(), split.stats(), "{kind}: statistics diverged");
         }
-    }
-
-    #[test]
-    fn skip_empty_size_probes_knob_changes_hash_walk_accesses_only_when_on() {
-        // Pin both settings of `MmuConfig::skip_empty_size_probes` against
-        // an open-addressing table holding only 4 KiB leaves: default off
-        // probes all three sizes (2 modeled accesses for a home-cluster
-        // hit), on elides the empty 2 MiB/1 GiB probes (1 access).
-        let walk_len = |skip: bool| {
-            let config = MmuConfig::small_test(PageTableKind::HashedOpenAddressing)
-                .with_skip_empty_size_probes(skip);
-            let mut mmu = Mmu::new(config);
-            mmu.install_mapping(A0, &mapping(0x7f00_1000, PageSize::Size4K));
-            mmu.flush_tlb();
-            let r = mmu.translate(A0, VirtAddr::new(0x7f00_1234));
-            assert!(!r.is_fault());
-            r.walk.expect("cold TLB walks").accesses.len()
-        };
-        assert_eq!(walk_len(false), 2, "default: every size is probed");
-        assert_eq!(walk_len(true), 1, "knob on: empty sizes skipped");
     }
 
     #[test]

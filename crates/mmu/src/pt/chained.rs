@@ -2,7 +2,6 @@
 //! (the paper's `HT` configuration: a 4 GB global chain table with 8 PTEs
 //! per bucket and overflow chains).
 
-use super::hashed::size_idx;
 use super::{PageTable, PageTableKind, WalkAccessList, WalkOutcome};
 use mimic_os::Mapping;
 use serde::{Deserialize, Serialize};
@@ -31,12 +30,6 @@ pub struct ChainedHashPageTable {
     /// Keyed by bucket index (hash of the VPN modulo the bucket count).
     storage: FxHashMap<u64, Bucket>,
     occupied: usize,
-    /// Resident leaves per page size (4K/2M/1G); lets walks skip empty
-    /// sizes when enabled.
-    resident_by_size: [u64; 3],
-    /// When `true`, walks omit probes (and their modeled accesses) for
-    /// page sizes with no resident leaves.
-    skip_empty_sizes: bool,
     /// Overflow chain blocks allocated beyond the primary bucket array.
     overflow_blocks: u64,
 }
@@ -50,8 +43,6 @@ impl ChainedHashPageTable {
             buckets: FastDiv::new((table_bytes / BUCKET_BYTES).max(1)),
             storage: FxHashMap::default(),
             occupied: 0,
-            resident_by_size: [0; 3],
-            skip_empty_sizes: false,
             overflow_blocks: 0,
         }
     }
@@ -81,9 +72,6 @@ impl PageTable for ChainedHashPageTable {
     fn walk(&mut self, va: VirtAddr, _skip_levels: usize) -> WalkOutcome {
         let mut accesses = WalkAccessList::new();
         for size in [PageSize::Size2M, PageSize::Size4K, PageSize::Size1G] {
-            if self.skip_empty_sizes && self.resident_by_size[size_idx(size)] == 0 {
-                continue;
-            }
             let vpn = Self::vpn_of(va, size);
             let idx = self.hash(vpn, size);
             if size == PageSize::Size4K {
@@ -139,7 +127,6 @@ impl PageTable for ChainedHashPageTable {
         }
         bucket.entries.push(pte);
         self.occupied += 1;
-        self.resident_by_size[size_idx(mapping.page_size)] += 1;
         // Appending into an overflow block touches that block too.
         let chain_block = (bucket.entries.len() - 1) / PTES_PER_BUCKET;
         if chain_block > 0 {
@@ -160,16 +147,11 @@ impl PageTable for ChainedHashPageTable {
                 bucket.entries.retain(|p| !(p.vpn == vpn && p.size == size));
                 if bucket.entries.len() < before {
                     self.occupied -= 1;
-                    self.resident_by_size[size_idx(size)] -= 1;
                     return accesses;
                 }
             }
         }
         accesses
-    }
-
-    fn set_skip_empty_size_probes(&mut self, enabled: bool) {
-        self.skip_empty_sizes = enabled;
     }
 
     fn kind(&self) -> PageTableKind {

@@ -7,7 +7,6 @@
 //! candidate slot is taken. The table grows ("elastic" resize) when its load
 //! factor exceeds a threshold.
 
-use super::hashed::size_idx;
 use super::{PageTable, PageTableKind, WalkAccessList, WalkOutcome};
 use mimic_os::Mapping;
 use serde::{Deserialize, Serialize};
@@ -31,12 +30,6 @@ pub struct ElasticCuckooPageTable {
     ways: Vec<Vec<Option<Slot>>>,
     entries_per_way: usize,
     occupied: usize,
-    /// Resident leaves per page size (4K/2M/1G); lets walks skip empty
-    /// sizes when enabled.
-    resident_by_size: [u64; 3],
-    /// When `true`, walks omit probes (and their modeled accesses) for
-    /// page sizes with no resident leaves.
-    skip_empty_sizes: bool,
     /// Cuckoo relocations performed by inserts (a source of extra minor-
     /// fault latency for adversarial access patterns, Fig. 15's RND case).
     pub relocations: u64,
@@ -53,8 +46,6 @@ impl ElasticCuckooPageTable {
             ways: vec![vec![None; entries_per_way]; ways.max(1)],
             entries_per_way: entries_per_way.max(1),
             occupied: 0,
-            resident_by_size: [0; 3],
-            skip_empty_sizes: false,
             relocations: 0,
             resizes: 0,
         }
@@ -146,9 +137,6 @@ impl PageTable for ElasticCuckooPageTable {
         // implementation would use separate per-size tables probed in
         // parallel).
         for size in [PageSize::Size2M, PageSize::Size4K, PageSize::Size1G] {
-            if self.skip_empty_sizes && self.resident_by_size[size_idx(size)] == 0 {
-                continue;
-            }
             let vpn = Self::vpn_of(va, size);
             for way in 0..self.ways.len() {
                 let idx = self.hash(way, vpn);
@@ -198,7 +186,6 @@ impl PageTable for ElasticCuckooPageTable {
             }
         }
         self.place(slot, &mut accesses);
-        self.resident_by_size[size_idx(mapping.page_size)] += 1;
         accesses
     }
 
@@ -212,7 +199,6 @@ impl PageTable for ElasticCuckooPageTable {
                     if slot.vpn == vpn && slot.size == size {
                         self.ways[way][idx] = None;
                         self.occupied -= 1;
-                        self.resident_by_size[size_idx(size)] -= 1;
                         accesses.push(self.slot_addr(way, idx));
                         return accesses;
                     }
@@ -220,10 +206,6 @@ impl PageTable for ElasticCuckooPageTable {
             }
         }
         accesses
-    }
-
-    fn set_skip_empty_size_probes(&mut self, enabled: bool) {
-        self.skip_empty_sizes = enabled;
     }
 
     fn kind(&self) -> PageTableKind {

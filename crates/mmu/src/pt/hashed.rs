@@ -20,15 +20,6 @@ struct Pte {
     mapping: Mapping,
 }
 
-/// Dense index of a page size into the per-size resident-leaf counters.
-pub(crate) fn size_idx(size: PageSize) -> usize {
-    match size {
-        PageSize::Size4K => 0,
-        PageSize::Size2M => 1,
-        PageSize::Size1G => 2,
-    }
-}
-
 /// The open-addressing hash page table.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OpenAddressingPageTable {
@@ -39,12 +30,6 @@ pub struct OpenAddressingPageTable {
     /// Keyed by cluster index (hash of the VPN modulo the cluster count).
     storage: FxHashMap<u64, [Option<Pte>; PTES_PER_CLUSTER]>,
     occupied: usize,
-    /// Resident leaves per page size (4K/2M/1G), maintained by
-    /// insert/remove so walks can skip empty sizes when enabled.
-    resident_by_size: [u64; 3],
-    /// When `true`, walks omit the probe (and its modeled access) for any
-    /// page size with no resident leaves.
-    skip_empty_sizes: bool,
     /// Probes beyond the home cluster (collision chain length indicator).
     pub overflow_probes: u64,
 }
@@ -58,8 +43,6 @@ impl OpenAddressingPageTable {
             clusters: FastDiv::new((table_bytes / CLUSTER_BYTES).max(1)),
             storage: FxHashMap::default(),
             occupied: 0,
-            resident_by_size: [0; 3],
-            skip_empty_sizes: false,
             overflow_probes: 0,
         }
     }
@@ -82,9 +65,6 @@ impl PageTable for OpenAddressingPageTable {
     fn walk(&mut self, va: VirtAddr, _skip_levels: usize) -> WalkOutcome {
         let mut accesses = WalkAccessList::new();
         for size in [PageSize::Size2M, PageSize::Size4K, PageSize::Size1G] {
-            if self.skip_empty_sizes && self.resident_by_size[size_idx(size)] == 0 {
-                continue;
-            }
             let vpn = Self::vpn_of(va, size);
             let home = self.hash(vpn, size);
             for probe in 0..MAX_PROBES as u64 {
@@ -150,20 +130,16 @@ impl PageTable for OpenAddressingPageTable {
             if let Some(slot) = cluster.iter_mut().find(|p| p.is_none()) {
                 *slot = Some(pte);
                 self.occupied += 1;
-                self.resident_by_size[size_idx(mapping.page_size)] += 1;
                 return accesses;
             }
         }
         // Probe budget exhausted (pathological load): overwrite the home
         // cluster's first entry to keep the model progressing.
         let cluster = self.storage.entry(home).or_insert([None; PTES_PER_CLUSTER]);
-        if let Some(old) = cluster[0] {
-            self.resident_by_size[size_idx(old.size)] -= 1;
-        } else {
+        if cluster[0].is_none() {
             self.occupied += 1;
         }
         cluster[0] = Some(pte);
-        self.resident_by_size[size_idx(mapping.page_size)] += 1;
         accesses
     }
 
@@ -184,7 +160,6 @@ impl PageTable for OpenAddressingPageTable {
                 {
                     *slot = None;
                     self.occupied -= 1;
-                    self.resident_by_size[size_idx(size)] -= 1;
                     return accesses;
                 }
                 if cluster.iter().any(|p| p.is_none()) {
@@ -193,10 +168,6 @@ impl PageTable for OpenAddressingPageTable {
             }
         }
         accesses
-    }
-
-    fn set_skip_empty_size_probes(&mut self, enabled: bool) {
-        self.skip_empty_sizes = enabled;
     }
 
     fn kind(&self) -> PageTableKind {
@@ -230,8 +201,9 @@ mod tests {
         pt.insert(map4k(0x1234_5000));
         let walk = pt.walk(VirtAddr::new(0x1234_5000), 0);
         assert!(!walk.is_fault());
+        // Every size is probed in order until the hit, resident or not:
         // 2 MiB probe (1 access) + 4 KiB home cluster (1 access).
-        assert!(walk.accesses.len() <= 2);
+        assert_eq!(walk.accesses.len(), 2);
         assert!(walk.parallel);
     }
 
@@ -263,41 +235,6 @@ mod tests {
     fn metadata_size_is_fixed_at_construction() {
         let pt = OpenAddressingPageTable::new(PhysAddr::new(0xA0_0000_0000), 4 << 30);
         assert_eq!(pt.metadata_bytes(), 4 << 30);
-    }
-
-    #[test]
-    fn skip_empty_size_probes_shrinks_the_modeled_walk() {
-        // Only 4 KiB leaves are resident, so the 2 MiB home-cluster probe
-        // is wasted work the knob can elide — and eliding it changes the
-        // modeled access list (1 access instead of 2).
-        let build = |skip: bool| {
-            let mut pt = OpenAddressingPageTable::new(PhysAddr::new(0xA0_0000_0000), 1 << 24);
-            pt.set_skip_empty_size_probes(skip);
-            pt.insert(map4k(0x1234_5000));
-            pt
-        };
-        let mut default_off = build(false);
-        let mut skipping = build(true);
-        let off = default_off.walk(VirtAddr::new(0x1234_5000), 0);
-        let on = skipping.walk(VirtAddr::new(0x1234_5000), 0);
-        assert_eq!(off.mapping, on.mapping, "knob must not change the result");
-        assert_eq!(off.accesses.len(), 2, "2 MiB probe + 4 KiB home cluster");
-        assert_eq!(on.accesses.len(), 1, "only the 4 KiB home cluster");
-        // Removing the last 4 KiB leaf empties the size again: the skipping
-        // table's subsequent miss touches no metadata at all.
-        skipping.remove(VirtAddr::new(0x1234_5000));
-        assert!(skipping
-            .walk(VirtAddr::new(0x1234_5000), 0)
-            .accesses
-            .is_empty());
-        // A resident huge page re-enables its size probe.
-        skipping.insert(Mapping {
-            vaddr: VirtAddr::new(0x4000_0000),
-            paddr: PhysAddr::new(0x2_4000_0000),
-            page_size: PageSize::Size2M,
-        });
-        let huge = skipping.walk(VirtAddr::new(0x4000_0000), 0);
-        assert!(!huge.is_fault());
     }
 
     #[test]

@@ -129,14 +129,6 @@ pub trait PageTable {
     /// Removes the translation covering `va`, returning the accesses made.
     fn remove(&mut self, va: VirtAddr) -> WalkAccessList;
 
-    /// Enables (or disables) skipping walk probes for page sizes with no
-    /// resident leaves. Hash-based designs track per-size resident counts
-    /// and, when enabled, omit both the probe work *and its modeled memory
-    /// accesses* for empty sizes (see
-    /// [`crate::MmuConfig::skip_empty_size_probes`]). Designs where the
-    /// knob cannot change the modeled access list (radix) ignore it.
-    fn set_skip_empty_size_probes(&mut self, _enabled: bool) {}
-
     /// The design's kind.
     fn kind(&self) -> PageTableKind;
 

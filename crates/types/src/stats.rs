@@ -1,14 +1,14 @@
 //! Statistics primitives used throughout the framework: counters, running
-//! means, log-scale latency histograms and percentile summaries.
+//! means, exact latency distributions, fixed-bucket histograms and
+//! percentile summaries.
 //!
 //! The paper reports latency *distributions* (Fig. 2, Fig. 16), averages
 //! (Fig. 3, Fig. 10), accuracy percentages (Fig. 8) and cosine similarity of
-//! latency series (Fig. 9). This module provides the building blocks for all
-//! of them.
+//! fault latencies (Fig. 9). This module provides the building blocks for
+//! all of them.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// A simple monotonically increasing event counter.
 ///
@@ -85,16 +85,9 @@ pub struct RunningStats {
 }
 
 impl RunningStats {
-    /// Creates an empty tracker.
+    /// Creates an empty tracker (all zeros, the same value as `default()`).
     pub fn new() -> Self {
-        RunningStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-        }
+        RunningStats::default()
     }
 
     /// Records one sample.
@@ -104,10 +97,11 @@ impl RunningStats {
         let delta = value - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (value - self.mean);
-        if value < self.min {
+        // The first sample sets both extremes: an empty tracker holds zeros.
+        if self.count == 1 || value < self.min {
             self.min = value;
         }
-        if value > self.max {
+        if self.count == 1 || value > self.max {
             self.max = value;
         }
     }
@@ -119,11 +113,7 @@ impl RunningStats {
 
     /// Arithmetic mean of the samples (0 if empty).
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
+        self.mean
     }
 
     /// Sum of all samples.
@@ -142,20 +132,12 @@ impl RunningStats {
 
     /// Minimum sample (0 if empty).
     pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
+        self.min
     }
 
     /// Maximum sample (0 if empty).
     pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
+        self.max
     }
 
     /// Merges another tracker into this one.
@@ -199,51 +181,61 @@ pub struct Percentiles {
     pub max: f64,
 }
 
-/// An exact-sample latency recorder with percentile and tail-contribution
-/// queries.
+/// An exact latency distribution: each distinct value and how many samples
+/// took it, with percentile and tail-contribution queries.
 ///
-/// The recorder stores every sample (the experiments record at most a few
-/// hundred thousand page faults, 8 bytes each) which lets it answer the
-/// paper's distribution questions exactly: percentiles for the box plots of
-/// Fig. 2 / Fig. 16, and "contribution of outliers to total latency".
-///
-/// The samples live in one shared buffer. `clone` hands out another
-/// reference to it, so a report built from a live recorder copies no
-/// sample; the next `record` into a shared buffer copies it once
-/// (copy-on-write), so a clone never sees later samples.
+/// The paper reads fault latency as a distribution: percentiles for the box
+/// plots of Fig. 2 / Fig. 16, the outliers' share of the total latency, and
+/// a similarity score between two runs (Fig. 9). None of these needs the
+/// order the samples came in, so the recorder keeps only `(value, count)`
+/// pairs, sorted by [`f64::total_cmp`]. Its answers equal those of a
+/// recorder that kept every sample, and it grows with the number of
+/// *distinct* values (tens to a few thousand on the experiments' fault
+/// paths), not with the number of samples.
 ///
 /// # Examples
 ///
 /// ```
 /// use vm_types::LatencyStats;
 /// let mut lat = LatencyStats::new();
-/// for v in [1.0, 2.0, 3.0, 100.0] {
+/// for v in [1.0, 2.0, 3.0, 100.0, 2.0] {
 ///     lat.record(v);
 /// }
+/// assert_eq!(lat.counts(), &[(1.0, 1), (2.0, 2), (3.0, 1), (100.0, 1)]);
 /// let p = lat.percentiles();
-/// assert!(p.p50 <= 3.0);
+/// assert_eq!(p.p50, 2.0);
 /// // The single outlier (>10.0) contributes most of the total latency.
 /// assert!(lat.outlier_contribution(10.0) > 0.9);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LatencyStats {
-    samples: Arc<Vec<f64>>,
+    counts: Vec<(f64, u64)>,
     stats: RunningStats,
 }
 
 impl LatencyStats {
     /// Creates an empty recorder.
     pub fn new() -> Self {
-        LatencyStats {
-            samples: Arc::default(),
-            stats: RunningStats::new(),
-        }
+        LatencyStats::default()
     }
 
     /// Records one latency sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` is NaN, which has no place in a distribution.
     pub fn record(&mut self, value: f64) {
-        Arc::make_mut(&mut self.samples).push(value);
+        self.add(value, 1);
         self.stats.record(value);
+    }
+
+    /// Adds `n` samples of `value` to the counts.
+    fn add(&mut self, value: f64, n: u64) {
+        assert!(!value.is_nan(), "latency samples must not be NaN");
+        match self.counts.binary_search_by(|(v, _)| v.total_cmp(&value)) {
+            Ok(i) => self.counts[i].1 += n,
+            Err(i) => self.counts.insert(i, (value, n)),
+        }
     }
 
     /// Number of samples.
@@ -271,42 +263,39 @@ impl LatencyStats {
         self.stats.max()
     }
 
-    /// All recorded samples, in recording order.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
+    /// Each distinct sample value with the number of samples that took it,
+    /// in ascending order of value.
+    pub fn counts(&self) -> &[(f64, u64)] {
+        &self.counts
     }
 
-    /// The samples in ascending order.
-    fn sorted(&self) -> Vec<f64> {
-        let mut sorted = self.samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latency samples must not be NaN"));
-        sorted
-    }
-
-    /// Nearest-rank quantile of ascending `sorted`; 0 when it is empty.
-    fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
-        if sorted.is_empty() {
+    /// The value at the given quantile `q` in `[0, 1]`, by nearest-rank on
+    /// the sorted samples: the sample at index `round((count - 1) * q)`.
+    /// Returns 0 for an empty recorder.
+    pub fn quantile(&self, q: f64) -> f64 {
+        let count = self.count();
+        if count == 0 {
             return 0.0;
         }
-        let idx = ((sorted.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
-        sorted[idx]
+        let rank = ((count as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as u64;
+        let mut below = 0;
+        for &(value, n) in &self.counts {
+            below += n;
+            if rank < below {
+                return value;
+            }
+        }
+        unreachable!("the counts sum to the sample count")
     }
 
-    /// The value at the given quantile `q` in `[0, 1]`, by nearest-rank on the
-    /// sorted samples. Returns 0 for an empty recorder.
-    pub fn quantile(&self, q: f64) -> f64 {
-        Self::nearest_rank(&self.sorted(), q)
-    }
-
-    /// Standard percentile summary (25/50/75/90/99/max), from one sort.
+    /// Standard percentile summary (25/50/75/90/99/max).
     pub fn percentiles(&self) -> Percentiles {
-        let sorted = self.sorted();
         Percentiles {
-            p25: Self::nearest_rank(&sorted, 0.25),
-            p50: Self::nearest_rank(&sorted, 0.50),
-            p75: Self::nearest_rank(&sorted, 0.75),
-            p90: Self::nearest_rank(&sorted, 0.90),
-            p99: Self::nearest_rank(&sorted, 0.99),
+            p25: self.quantile(0.25),
+            p50: self.quantile(0.50),
+            p75: self.quantile(0.75),
+            p90: self.quantile(0.90),
+            p99: self.quantile(0.99),
             max: self.max(),
         }
     }
@@ -319,18 +308,20 @@ impl LatencyStats {
         if total <= 0.0 {
             return 0.0;
         }
-        let outliers: f64 = self
-            .samples
+        // `fold` from +0.0: a float `sum()` of nothing is -0.0.
+        let outliers = self
+            .counts
             .iter()
-            .copied()
-            .filter(|&v| v > threshold)
-            .sum();
+            .filter(|&&(v, _)| v > threshold)
+            .fold(0.0, |sum, &(v, n)| sum + v * n as f64);
         outliers / total
     }
 
     /// Merges another recorder's samples into this one.
     pub fn merge(&mut self, other: &LatencyStats) {
-        Arc::make_mut(&mut self.samples).extend_from_slice(&other.samples);
+        for &(value, n) in &other.counts {
+            self.add(value, n);
+        }
         self.stats.merge(&other.stats);
     }
 }
@@ -513,6 +504,19 @@ mod tests {
     }
 
     #[test]
+    fn default_running_stats_take_the_first_sample_as_both_extremes() {
+        let mut s = RunningStats::default();
+        s.record(5.0);
+        assert_eq!(s.min(), 5.0);
+        assert_eq!(s.max(), 5.0);
+        assert_eq!(s, {
+            let mut n = RunningStats::new();
+            n.record(5.0);
+            n
+        });
+    }
+
+    #[test]
     fn empty_running_stats_are_zero() {
         let s = RunningStats::new();
         assert_eq!(s.mean(), 0.0);
@@ -534,34 +538,13 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_agree_with_the_per_quantile_answers() {
-        let mut rng = crate::DetRng::new(19);
-        let random: Vec<f64> = (0..10_000).map(|_| rng.next_f64() * 1e6).collect();
-        for samples in [&[][..], &[42.0][..], &random[..]] {
-            let mut lat = LatencyStats::new();
-            for &v in samples {
-                lat.record(v);
-            }
-            let expected = Percentiles {
-                p25: lat.quantile(0.25),
-                p50: lat.quantile(0.50),
-                p75: lat.quantile(0.75),
-                p90: lat.quantile(0.90),
-                p99: lat.quantile(0.99),
-                max: lat.max(),
-            };
-            assert_eq!(lat.percentiles(), expected, "{} samples", samples.len());
-        }
-    }
-
-    #[test]
     fn outlier_contribution_matches_manual_computation() {
         let mut lat = LatencyStats::new();
         for v in [1.0, 1.0, 1.0, 1.0, 96.0] {
             lat.record(v);
         }
         assert!((lat.outlier_contribution(10.0) - 0.96).abs() < 1e-12);
-        assert_eq!(lat.outlier_contribution(1000.0), 0.0);
+        assert_eq!(lat.outlier_contribution(1000.0).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
@@ -576,31 +559,128 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_the_samples_until_one_records() {
-        let mut live = LatencyStats::new();
-        live.record(1.0);
-        live.record(2.0);
-        let snapshot = live.clone();
-        assert_eq!(live.samples().as_ptr(), snapshot.samples().as_ptr());
-        live.record(3.0);
-        assert_eq!(snapshot.samples(), &[1.0, 2.0]);
-        assert_eq!(snapshot.count(), 2);
-        assert_eq!(live.samples(), &[1.0, 2.0, 3.0]);
+    #[should_panic(expected = "must not be NaN")]
+    fn latency_rejects_nan() {
+        LatencyStats::new().record(f64::NAN);
+    }
 
-        // Shared or not, the JSON is the plain sample list's.
-        let json = |lat: &LatencyStats| {
-            let mut out = String::new();
-            serde::Serialize::write_json(lat, &mut out);
-            out
-        };
-        let mut samples = String::new();
-        serde::Serialize::write_json(&vec![1.0, 2.0], &mut samples);
-        assert!(json(&snapshot).starts_with(&format!("{{\"samples\":{samples},\"stats\":")));
-        let mut fed = LatencyStats::new();
-        fed.record(1.0);
-        fed.record(2.0);
-        assert_eq!(json(&snapshot), json(&fed));
-        assert_eq!(snapshot, fed);
+    /// The recorder `LatencyStats` replaced, kept as the naive model: every
+    /// sample in recording order, answered from a sorted copy.
+    #[derive(Default)]
+    struct SampleVec {
+        samples: Vec<f64>,
+        stats: RunningStats,
+    }
+
+    impl SampleVec {
+        fn record(&mut self, value: f64) {
+            self.samples.push(value);
+            self.stats.record(value);
+        }
+
+        fn merge(&mut self, other: &SampleVec) {
+            self.samples.extend_from_slice(&other.samples);
+            self.stats.merge(&other.stats);
+        }
+
+        fn sorted(&self) -> Vec<f64> {
+            let mut sorted = self.samples.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+            sorted
+        }
+
+        fn quantile(&self, q: f64) -> f64 {
+            let sorted = self.sorted();
+            if sorted.is_empty() {
+                return 0.0;
+            }
+            sorted[((sorted.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize]
+        }
+
+        fn outlier_contribution(&self, threshold: f64) -> f64 {
+            let total = self.stats.sum();
+            if total <= 0.0 {
+                return 0.0;
+            }
+            let outliers: f64 = self.samples.iter().filter(|&&v| v > threshold).sum();
+            outliers / total
+        }
+    }
+
+    /// Records `values` into both recorders, split at `split` into two
+    /// halves that are then merged.
+    fn both_recorders(values: &[f64], split: usize) -> (LatencyStats, SampleVec) {
+        let (left, right) = values.split_at(split.min(values.len()));
+        let (mut lat, mut lat_right) = (LatencyStats::new(), LatencyStats::new());
+        let (mut naive, mut naive_right) = (SampleVec::default(), SampleVec::default());
+        for &v in left {
+            lat.record(v);
+            naive.record(v);
+        }
+        for &v in right {
+            lat_right.record(v);
+            naive_right.record(v);
+        }
+        lat.merge(&lat_right);
+        naive.merge(&naive_right);
+        (lat, naive)
+    }
+
+    proptest::proptest! {
+        /// The distribution answers exactly what the sample vector did.
+        /// `spread` is almost all distinct values; `repeated` draws from 32
+        /// values, as fault latencies do, so merged halves share values.
+        #[test]
+        fn distribution_matches_the_sample_vector(
+            spread in proptest::collection::vec(0.0f64..1e9, 1..200),
+            repeated in proptest::collection::vec(0u64..32, 0..400),
+            split in 0usize..600,
+            q in 0.0f64..1.0,
+        ) {
+            let values: Vec<f64> = spread
+                .iter()
+                .copied()
+                .chain(repeated.iter().map(|&k| 2_000.0 + 125.0 * k as f64))
+                .collect();
+            let (lat, naive) = both_recorders(&values, split);
+
+            let expanded: Vec<f64> = lat
+                .counts()
+                .iter()
+                .flat_map(|&(v, n)| std::iter::repeat_n(v, n as usize))
+                .collect();
+            proptest::prop_assert_eq!(&expanded, &naive.sorted(), "expanded counts vs sorted samples");
+            proptest::prop_assert_eq!(lat.count(), naive.stats.count());
+            proptest::prop_assert_eq!(lat.mean().to_bits(), naive.stats.mean().to_bits());
+            proptest::prop_assert_eq!(lat.max().to_bits(), naive.stats.max().to_bits());
+            for q in [0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0, q] {
+                proptest::prop_assert_eq!(lat.quantile(q).to_bits(), naive.quantile(q).to_bits());
+            }
+            let p = lat.percentiles();
+            proptest::prop_assert_eq!(
+                p,
+                Percentiles {
+                    p25: naive.quantile(0.25),
+                    p50: naive.quantile(0.50),
+                    p75: naive.quantile(0.75),
+                    p90: naive.quantile(0.90),
+                    p99: naive.quantile(0.99),
+                    max: naive.stats.max(),
+                }
+            );
+            proptest::prop_assert!(p.p25 <= p.p50 && p.p50 <= p.p75 && p.p75 <= p.p90);
+            proptest::prop_assert!(p.p90 <= p.p99 && p.p99 <= p.max);
+            for threshold in [0.0, 2_000.0, 3_000.0, p.p50, lat.quantile(q)] {
+                let (got, want) = (
+                    lat.outlier_contribution(threshold),
+                    naive.outlier_contribution(threshold),
+                );
+                proptest::prop_assert!(
+                    (got - want).abs() <= 1e-12 * want.abs(),
+                    "outlier share above {threshold}: {got} vs {want}"
+                );
+            }
+        }
     }
 
     #[test]

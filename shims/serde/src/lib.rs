@@ -17,7 +17,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
@@ -113,14 +112,6 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn write_json(&self, out: &mut String) {
-        (**self).write_json(out);
-    }
-}
-
-/// A shared value serializes as the value itself (real serde's `rc`
-/// feature), so sharing a buffer never changes a report's bytes.
-impl<T: Serialize + ?Sized> Serialize for Arc<T> {
     fn write_json(&self, out: &mut String) {
         (**self).write_json(out);
     }

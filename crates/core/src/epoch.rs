@@ -1,20 +1,28 @@
 //! What crosses the host-thread boundary of a parallel epoch: a core's
-//! translation frontend, the compact log its local phase writes, the job
-//! that carries both to a worker and back, and the workers themselves.
+//! translation frontend, its program's trace source and fetch queue, the
+//! compact logs its local phase writes, the job that carries all of them to
+//! a worker and back, and the workers themselves.
 //!
 //! Everything here is owned and moved — a [`SliceJob`] is sent to a worker
-//! by value and comes back by value — so the borrow checker, not a
+//! by value and comes back by value, and each finished chunk's [`SliceLog`]
+//! comes back the same way ahead of it — so the borrow checker, not a
 //! convention, guarantees the local phase touches core-private state only.
 //! The run loop that plans, hands off and replays lives in
 //! [`System::run_multiprogram`](crate::System::run_multiprogram).
 
 use mmu_sim::{Mmu, TranslationEngine, WalkOutcome};
 use serde::Serialize;
-use sim_core::Instruction;
-use std::ops::Range;
+use sim_core::{Instruction, TraceSource};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::Scope;
 use vm_types::{AccessType, Asid, Cycles, PhysAddr, VirtAddr};
+
+/// Instructions per chunk of a slice's local phase: the worker sends each
+/// finished chunk's log home as soon as it is written, so the barrier
+/// replays core *k*'s first chunk while the worker still translates the
+/// rest. The epoch-start bubble is one chunk, not one slice. 256 and 1 024
+/// both measured slower on the threaded multi-core benchmark.
+pub(crate) const LOG_CHUNK: usize = 512;
 
 /// One core's private translation frontend: the unit a parallel epoch
 /// hands to a worker. The core's timing model and accounting stay behind
@@ -138,8 +146,8 @@ impl Frontend {
     }
 }
 
-/// One logged memory access: 32 bytes, so a 4096-instruction slice's log is
-/// written and replayed as one flat array. The walk's addresses live in
+/// One logged memory access: 32 bytes, so a chunk's log is written and
+/// replayed as one flat array. The walk's addresses live in
 /// [`SliceLog::walk_addrs`]; records are replayed in order, so a length is
 /// all each needs to find its own.
 #[derive(Debug, Clone, Copy)]
@@ -158,8 +166,8 @@ struct LoggedAccess {
 
 const _: () = assert!(std::mem::size_of::<LoggedAccess>() <= 32);
 
-/// What one core's local phase of an epoch produced, reused across epochs
-/// so the steady state allocates nothing.
+/// What one chunk of a core's local phase produced, pooled and reused
+/// across epochs so the steady state allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct SliceLog {
     /// Compute instructions executed locally, still to be retired.
@@ -177,6 +185,17 @@ pub(crate) struct SliceLog {
 }
 
 impl SliceLog {
+    /// An empty log with room for one [`LOG_CHUNK`] of accesses and their
+    /// radix walks, so filling it on a worker allocates nothing.
+    pub(crate) fn for_chunk() -> Self {
+        SliceLog {
+            computes: 0,
+            accesses: Vec::with_capacity(LOG_CHUNK),
+            walk_addrs: Vec::with_capacity(4 * LOG_CHUNK),
+            fault: None,
+        }
+    }
+
     pub(crate) fn clear(&mut self) {
         self.computes = 0;
         self.accesses.clear();
@@ -272,41 +291,156 @@ impl SliceLog {
     }
 }
 
+/// The instructions an epoch fetched from one program's source and has not
+/// run yet, oldest at `buf[head]`. A slice executes in place at the front,
+/// so a fault-truncated slice leaves its tail where the next epoch — or
+/// fallback turn — of that program finds it first.
+#[derive(Debug, Default)]
+pub(crate) struct FetchQueue {
+    pub(crate) buf: Vec<Instruction>,
+    pub(crate) head: usize,
+}
+
+impl FetchQueue {
+    /// An empty queue that slices of up to `max_cap` instructions never
+    /// grow: [`FetchQueue::top_up`] reclaims the consumed prefix before it
+    /// outweighs the rest, so the buffer stays under twice the largest cap.
+    pub(crate) fn with_room(max_cap: usize) -> Self {
+        FetchQueue {
+            buf: Vec::with_capacity(2 * max_cap),
+            head: 0,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.buf.len() - self.head
+    }
+
+    /// Fetches from `source` until `cap` instructions are queued; `false`
+    /// when the source ran dry first. The serial path calls it on the run
+    /// loop's thread, a worker on its own.
+    pub(crate) fn top_up(&mut self, cap: usize, source: &mut dyn TraceSource) -> bool {
+        // Reclaim the consumed prefix once it outweighs what is left, so
+        // the copy is amortized over the instructions already run.
+        if self.head >= self.len() {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+        while self.len() < cap {
+            match source.next_instruction() {
+                Some(instr) => self.buf.push(instr),
+                None => return false,
+            }
+        }
+        true
+    }
+
+    pub(crate) fn pop_front(&mut self) -> Option<Instruction> {
+        let instr = self.buf.get(self.head).copied()?;
+        self.head += 1;
+        Some(instr)
+    }
+}
+
+/// One program's instruction supply: its trace source and what an epoch
+/// fetched from it but did not run. A job takes it to the worker that
+/// fetches the slice and brings it back.
+pub(crate) struct Feed<'a> {
+    pub(crate) source: &'a mut dyn TraceSource,
+    pub(crate) queue: FetchQueue,
+}
+
 /// One slice's local phase as a message: the run loop fills it in, a
-/// worker runs it, the run loop takes it apart again. Every field is owned,
-/// so nothing of `System` is reachable from a worker.
-#[derive(Debug)]
-pub(crate) struct SliceJob {
+/// worker fetches and runs it, the run loop takes it apart again. Every
+/// field is owned (the trace source by exclusive borrow), so nothing of
+/// `System` is reachable from a worker.
+pub(crate) struct SliceJob<'a> {
     pub(crate) core: usize,
     pub(crate) asid: Asid,
     pub(crate) frontend: Box<Frontend>,
-    /// The program's fetched-instruction buffer; the slice is
-    /// `instrs[slice]`.
-    pub(crate) instrs: Vec<Instruction>,
-    pub(crate) slice: Range<usize>,
-    pub(crate) log: SliceLog,
+    pub(crate) feed: Feed<'a>,
+    /// Instructions the slice may run; the worker tops the queue up to it.
+    pub(crate) cap: usize,
+    /// Set by the worker: instructions the slice had, `cap` or fewer if
+    /// the source ran dry, which is `exhausted`.
+    pub(crate) planned: usize,
+    pub(crate) exhausted: bool,
+    /// Empty logs from the run loop's pool, at least one per chunk the
+    /// slice can have, so the worker allocates none.
+    pub(crate) logs: Vec<SliceLog>,
+    /// The slice's last chunk — the one a fault ended, or the one that ran
+    /// out of instructions — which travels home with the job.
+    pub(crate) last: SliceLog,
+}
+
+impl SliceJob<'_> {
+    /// The worker's half of one slice: fetch it and translate it in chunks
+    /// of [`LOG_CHUNK`] instructions, handing every chunk's log but the
+    /// last to `stream` as soon as it is written. Each chunk is fetched
+    /// just before it is translated, so the barrier's first chunk waits for
+    /// one chunk's fetch, not the slice's; however the slice ends, its
+    /// queue is then topped up to `cap`, as the serial path leaves it.
+    fn run(&mut self, mut stream: impl FnMut(SliceLog)) {
+        let mut done = 0;
+        loop {
+            let queue = &mut self.feed.queue;
+            let want = (done + LOG_CHUNK).min(self.cap);
+            let fed = queue.top_up(want, &mut *self.feed.source);
+            let end = want.min(queue.len());
+            let mut log = self
+                .logs
+                .pop()
+                .expect("the run loop supplies a log per chunk");
+            let chunk = &queue.buf[queue.head..][done..end];
+            self.frontend.run_slice_local(self.asid, chunk, &mut log);
+            done = end;
+            if log.fault.is_some() || !fed || done == self.cap {
+                self.exhausted = !fed || !queue.top_up(self.cap, &mut *self.feed.source);
+                self.planned = self.cap.min(queue.len());
+                self.last = log;
+                return;
+            }
+            stream(log);
+        }
+    }
+}
+
+/// What a worker sends home: a finished chunk's log ahead of its job, or
+/// the job itself.
+pub(crate) enum Done<'a> {
+    Chunk { core: usize, log: SliceLog },
+    Job(SliceJob<'a>),
 }
 
 /// The epoch workers: threads that live as long as one
 /// `run_multiprogram` call, each blocked on its own job queue between
-/// slices. Finished jobs come back on one shared queue in whatever order
-/// they finish; the run loop files them by core.
-pub(crate) struct Workers {
-    jobs: Vec<SyncSender<SliceJob>>,
+/// slices. Chunks and finished jobs come back on one shared queue in
+/// whatever order the workers produce them — in order for any one core,
+/// whose jobs always go to the same worker; the run loop files them by
+/// core.
+pub(crate) struct Workers<'a> {
+    jobs: Vec<SyncSender<SliceJob<'a>>>,
     /// `None` is a worker's dying word: it panicked mid-job.
-    done: Receiver<Option<SliceJob>>,
+    done: Receiver<Option<Done<'a>>>,
 }
 
-impl Workers {
+impl<'a> Workers<'a> {
     /// Spawns `count` workers on `scope`. `depth` bounds the jobs in flight
-    /// at once (the core count), so no send ever blocks and the queues'
-    /// preallocated slots are all the memory the hand-off uses.
+    /// at once (the core count) and `chunks` the messages one job sends
+    /// home, so the done queue holds every message that can be in flight
+    /// and no send ever blocks: a worker runs ahead of the barrier by at
+    /// most one epoch, and the queues' preallocated slots are all the
+    /// memory the hand-off uses.
     pub(crate) fn spawn<'scope>(
         scope: &'scope Scope<'scope, '_>,
         count: usize,
         depth: usize,
-    ) -> Self {
-        let (done_tx, done) = sync_channel(depth + count);
+        chunks: usize,
+    ) -> Self
+    where
+        'a: 'scope,
+    {
+        let (done_tx, done) = sync_channel(depth * chunks + count);
         let jobs = (0..count)
             .map(|_| {
                 let (tx, rx) = sync_channel(depth);
@@ -319,33 +453,34 @@ impl Workers {
     }
 
     /// Hands `job` to the worker its core maps to.
-    pub(crate) fn send(&self, job: SliceJob) {
+    pub(crate) fn send(&self, job: SliceJob<'a>) {
         self.jobs[job.core % self.jobs.len()]
             .send(job)
             .expect("an epoch worker panicked");
     }
 
-    /// Blocks until any outstanding job comes back; the caller knows one
-    /// is out.
+    /// Blocks until a worker sends a chunk or a job home; the caller knows
+    /// a job is out.
     ///
     /// # Panics
     ///
     /// Panics if a worker panicked instead of finishing its job.
-    pub(crate) fn recv(&self) -> SliceJob {
+    pub(crate) fn recv(&self) -> Done<'a> {
         match self.done.recv() {
-            Ok(Some(job)) => job,
+            Ok(Some(done)) => done,
             Ok(None) | Err(_) => panic!("an epoch worker panicked"),
         }
     }
 }
 
-/// A worker's whole life: run each job's local phase, send it back. Ends
-/// when the run loop drops its end of either queue.
-fn work(jobs: &Receiver<SliceJob>, done: &SyncSender<Option<SliceJob>>) {
+/// A worker's whole life: run each job's local phase, streaming its chunks
+/// home, then send the job back. Ends when the run loop drops its end of
+/// either queue.
+fn work<'a>(jobs: &Receiver<SliceJob<'a>>, done: &SyncSender<Option<Done<'a>>>) {
     /// Wakes the run loop if this thread unwinds, so a panic in the local
     /// phase surfaces instead of leaving `Workers::recv` blocked forever.
-    struct Poison<'a>(&'a SyncSender<Option<SliceJob>>);
-    impl Drop for Poison<'_> {
+    struct Poison<'s, 'a>(&'s SyncSender<Option<Done<'a>>>);
+    impl Drop for Poison<'_, '_> {
         fn drop(&mut self) {
             if std::thread::panicking() {
                 let _ = self.0.send(None);
@@ -354,9 +489,10 @@ fn work(jobs: &Receiver<SliceJob>, done: &SyncSender<Option<SliceJob>>) {
     }
     let _poison = Poison(done);
     while let Ok(mut job) = jobs.recv() {
-        let instrs = &job.instrs[job.slice.clone()];
-        job.frontend.run_slice_local(job.asid, instrs, &mut job.log);
-        if done.send(Some(job)).is_err() {
+        let core = job.core;
+        let mut home = true;
+        job.run(|log| home &= done.send(Some(Done::Chunk { core, log })).is_ok());
+        if !home || done.send(Some(Done::Job(job))).is_err() {
             break;
         }
     }
@@ -388,4 +524,7 @@ pub struct EpochStats {
     pub replayed_accesses: u64,
     /// Slices handed to a worker (zero with one host thread).
     pub jobs_handed_off: u64,
+    /// Chunk logs the barrier replayed while their slice's job was still
+    /// out on a worker (zero with one host thread).
+    pub chunks_streamed: u64,
 }

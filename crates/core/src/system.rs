@@ -9,7 +9,10 @@
 //! configured TLB policy (ASID-tagged survival vs full flush).
 
 use crate::config::{SimulationMode, SystemConfig};
-use crate::epoch::{Attempt, EpochStats, FaultedAccess, Frontend, SliceJob, SliceLog, Workers};
+use crate::epoch::{
+    Attempt, Done, EpochStats, FaultedAccess, Feed, FetchQueue, Frontend, SliceJob, SliceLog,
+    Workers, LOG_CHUNK,
+};
 use crate::report::{
     CoreIpiStats, MultiProgramReport, OomStats, ProcessExitStatus, ProcessReport, ShootdownStats,
     SimulationReport,
@@ -23,7 +26,7 @@ use mimic_os::{
 };
 use mmu_sim::{InstallInfo, Mmu, TranslationEngine};
 use sim_core::{CoreModel, Instruction, TraceSource};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use vm_types::{
     AccessType, Asid, Cycles, PageSize, PhysAddr, Requestor, VirtAddr, VmError, VmResult,
 };
@@ -71,7 +74,7 @@ struct EpochSlice {
     /// out (the other fields are then stale).
     cap: u64,
     pid: ProcessId,
-    /// Index into `programs` / the fetched-instruction queues.
+    /// Index into `programs` / the feeds.
     prog: usize,
     /// Instructions actually fetched for the slice: `cap`, or fewer if the
     /// trace ran dry.
@@ -82,9 +85,25 @@ struct EpochSlice {
     /// The trace source ran dry while filling the slice.
     exhausted: bool,
     /// The slice's local phase is out on a worker: the core's frontend,
-    /// the program's queue and `log` travel with it.
+    /// the program's feed and `pool` travel with it.
     in_flight: bool,
-    log: SliceLog,
+    /// Empty chunk logs to hand the next job, allocated on this thread.
+    pool: Vec<SliceLog>,
+    /// Chunk logs replayed while `pool` is out with the job.
+    spent: Vec<SliceLog>,
+    /// Chunk logs back from the worker, not yet replayed, in slice order;
+    /// the job's own log, the slice's last chunk, joins them at the back.
+    pending: VecDeque<SliceLog>,
+}
+
+impl EpochSlice {
+    /// The most chunks one slice can have: a slice runs at most
+    /// `CORE_TICK * EPOCH_TICKS` instructions, a whole number of chunks.
+    const MAX_CHUNKS: usize = {
+        let slice = (System::CORE_TICK * System::EPOCH_TICKS) as usize;
+        assert!(slice.is_multiple_of(LOG_CHUNK));
+        slice / LOG_CHUNK
+    };
 }
 
 impl Default for EpochSlice {
@@ -97,48 +116,10 @@ impl Default for EpochSlice {
             cycles_before: 0,
             exhausted: false,
             in_flight: false,
-            log: SliceLog::default(),
+            pool: Vec::with_capacity(Self::MAX_CHUNKS),
+            spent: Vec::with_capacity(Self::MAX_CHUNKS),
+            pending: VecDeque::with_capacity(Self::MAX_CHUNKS),
         }
-    }
-}
-
-/// The instructions an epoch fetched from one program's source and has not
-/// run yet, oldest at `buf[head]`. A slice executes in place at the front,
-/// so a fault-truncated slice leaves its tail where the next epoch — or
-/// fallback turn — of that program finds it first.
-#[derive(Debug, Default)]
-struct FetchQueue {
-    buf: Vec<Instruction>,
-    head: usize,
-}
-
-impl FetchQueue {
-    fn len(&self) -> usize {
-        self.buf.len() - self.head
-    }
-
-    /// Fetches from `source` until `cap` instructions are queued; `false`
-    /// when the source ran dry first.
-    fn top_up(&mut self, cap: usize, source: &mut dyn TraceSource) -> bool {
-        // Reclaim the consumed prefix once it outweighs what is left, so
-        // the copy is amortized over the instructions already run.
-        if self.head >= self.len() {
-            self.buf.drain(..self.head);
-            self.head = 0;
-        }
-        while self.len() < cap {
-            match source.next_instruction() {
-                Some(instr) => self.buf.push(instr),
-                None => return false,
-            }
-        }
-        true
-    }
-
-    fn pop_front(&mut self) -> Option<Instruction> {
-        let instr = self.buf.get(self.head).copied()?;
-        self.head += 1;
-        Some(instr)
     }
 }
 
@@ -176,9 +157,11 @@ impl TraceSource for Fetched<'_> {
 /// instructions (`System::datapath`) so the instruction loop re-derives
 /// none of them. Everything that needs the whole machine — a page fault,
 /// housekeeping, the coherence fence — happens between two such borrows.
+/// The core's [`Frontend`] is not part of it: only
+/// [`Datapath::run_until_fault`] translates, and the epoch barrier replays
+/// a core's chunks while that core's frontend is still out on a worker.
 struct Datapath<'a> {
     core: &'a mut CoreState,
-    front: &'a mut Frontend,
     perf: &'a mut ProcPerf,
     caches: &'a mut CacheHierarchy,
     dram: &'a mut DramModel,
@@ -187,12 +170,13 @@ struct Datapath<'a> {
 
 impl Datapath<'_> {
     /// Runs instructions from `source` until `n` have retired, the trace
-    /// ends or a translation faults. Returns how many retired and, on a
+    /// ends or a translation faults, translating on `front`. Returns how many retired and, on a
     /// fault, the faulting access's core-local half: the caller completes
     /// it with [`System::finish_faulted_access`] (the kernel is not
     /// reachable from here) and counts it as retired.
     fn run_until_fault<T: TraceSource + ?Sized>(
         &mut self,
+        front: &mut Frontend,
         source: &mut T,
         n: u64,
     ) -> (u64, Option<FaultedAccess>) {
@@ -205,7 +189,7 @@ impl Datapath<'_> {
             match instr.memory {
                 None => self.core.core.retire_compute(1),
                 Some((vaddr, kind)) => {
-                    let translation = self.front.local_translate(asid, vaddr);
+                    let translation = front.local_translate(asid, vaddr);
                     if translation.paddr.is_none() {
                         let entry = FaultedAccess {
                             pc: instr.pc,
@@ -358,6 +342,11 @@ impl Datapath<'_> {
 /// epoch's hand-off window.
 const FRONTEND_HOME: &str = "a core's frontend is out on an epoch worker";
 
+/// Why a program's feed is home whenever the run loop reaches for it: a
+/// job takes it out only for the program's slice, and the barrier brings
+/// that job home before the slice is accounted.
+const FEED_HOME: &str = "a program's feed is out on an epoch worker";
+
 /// Core `core`'s translation frontend, borrowed from the `frontends` field
 /// alone so the caller keeps the rest of [`System`].
 fn front_mut(frontends: &mut [Option<Box<Frontend>>], core: usize) -> &mut Frontend {
@@ -505,6 +494,11 @@ impl System {
     /// The DRAM model (for row-buffer statistics).
     pub fn dram(&self) -> &DramModel {
         &self.dram
+    }
+
+    /// The cache hierarchy every core shares (for per-level statistics).
+    pub fn caches(&self) -> &CacheHierarchy {
+        &self.caches
     }
 
     /// The core model of core 0.
@@ -881,33 +875,6 @@ impl System {
         let limit = max_instructions.unwrap_or(u64::MAX);
         let num_cores = self.num_cores();
         let host_threads = self.config.host_threads.clamp(1, num_cores);
-        if host_threads > 1 {
-            // The workers live for the whole run and borrow nothing: every
-            // job is moved to them and back. The scope is only what joins
-            // them, and surfaces their panics, on the way out.
-            std::thread::scope(|scope| {
-                let workers = Workers::spawn(scope, host_threads - 1, num_cores);
-                self.run_rounds(programs, limit, Some(workers));
-            });
-        } else {
-            self.run_rounds(programs, limit, None);
-        }
-        self.active = 0;
-        self.multiprogram_report(&names)
-    }
-
-    /// The multiprogram loop proper: epochs while they are safe and
-    /// worthwhile, serial `CORE_TICK` rounds otherwise. With `workers`,
-    /// every epoch slice's local phase runs on one of them, pipelined
-    /// against the barrier; without, slices execute inline on this thread
-    /// with no channel and no log.
-    fn run_rounds(
-        &mut self,
-        programs: &mut [(ProcessId, &mut dyn TraceSource)],
-        limit: u64,
-        workers: Option<Workers>,
-    ) {
-        let num_cores = self.num_cores();
         // Dense pid -> program-index map: a per-turn linear scan over
         // `programs` is measurable dispatch overhead at CORE_TICK
         // granularity.
@@ -916,8 +883,53 @@ impl System {
         for (i, (pid, _)) in programs.iter().enumerate() {
             program_of[pid.0] = Some(i);
         }
-        let mut fetched: Vec<FetchQueue> =
-            (0..programs.len()).map(|_| FetchQueue::default()).collect();
+        // A worker fills the fetch queues, so they are allocated here, at
+        // their largest, rather than grown there.
+        let slice_max = (Self::CORE_TICK * Self::EPOCH_TICKS) as usize;
+        let mut feeds: Vec<Option<Feed<'_>>> = programs
+            .iter_mut()
+            .map(|(_, source)| {
+                let queue = if host_threads > 1 {
+                    FetchQueue::with_room(slice_max)
+                } else {
+                    FetchQueue::default()
+                };
+                Some(Feed {
+                    source: &mut **source,
+                    queue,
+                })
+            })
+            .collect();
+        if host_threads > 1 {
+            // The workers live for the whole run and borrow nothing: every
+            // job is moved to them and back. The scope is only what joins
+            // them, and surfaces their panics, on the way out.
+            std::thread::scope(|scope| {
+                let workers =
+                    Workers::spawn(scope, host_threads - 1, num_cores, EpochSlice::MAX_CHUNKS);
+                self.run_rounds(&mut feeds, &program_of, limit, Some(&workers));
+            });
+        } else {
+            self.run_rounds(&mut feeds, &program_of, limit, None);
+        }
+        self.active = 0;
+        self.multiprogram_report(&names)
+    }
+
+    /// The multiprogram loop proper: epochs while they are safe and
+    /// worthwhile, serial `CORE_TICK` rounds otherwise. With `workers`,
+    /// every epoch slice's fetch and local phase run on one of them, and
+    /// the barrier replays each chunk as it arrives; without, slices are
+    /// fetched and executed inline on this thread with no channel and no
+    /// log.
+    fn run_rounds<'a>(
+        &mut self,
+        feeds: &mut [Option<Feed<'a>>],
+        program_of: &[Option<usize>],
+        limit: u64,
+        workers: Option<&Workers<'a>>,
+    ) {
+        let num_cores = self.num_cores();
         let mut epoch: Vec<EpochSlice> = (0..num_cores).map(|_| EpochSlice::default()).collect();
 
         let mut retired_total = 0u64;
@@ -943,7 +955,7 @@ impl System {
                     if budget == 0 {
                         break;
                     }
-                    let Some((pid, prog)) = self.dispatch(core, &program_of) else {
+                    let Some((pid, prog)) = self.dispatch(core, program_of) else {
                         continue;
                     };
                     // Strictly below the housekeeping threshold: background
@@ -975,79 +987,77 @@ impl System {
                 } else {
                     ran_epoch = true;
                     self.epoch_stats.epochs_run += 1;
-                    // ---- Fetch (serial) and hand-off: top every slice's
-                    // queue up to its cap from the source (what a truncated
-                    // predecessor left comes first) and, with workers, send
-                    // its local phase off the moment it is fetched — the
-                    // worker translates core k while this thread fetches
-                    // core k+1. The attribution baselines are snapshotted
+                    // ---- Fetch and hand-off. With workers, every slice's
+                    // job leaves at once, carrying its program's feed: the
+                    // worker fetches core k's slice and translates it while
+                    // this thread already replays core k-1. Without, this
+                    // thread tops every slice's queue up to its cap from
+                    // the source (what a truncated predecessor left comes
+                    // first). The attribution baselines are snapshotted
                     // here, after every dispatch switch has been charged.
                     for (core, slice) in epoch.iter_mut().enumerate() {
                         if slice.cap == 0 {
                             continue;
                         }
                         slice.cycles_before = self.cores[core].core.cycles().raw();
-                        let queue = &mut fetched[slice.prog];
-                        slice.exhausted =
-                            !queue.top_up(slice.cap as usize, &mut *programs[slice.prog].1);
-                        slice.planned = slice.cap.min(queue.len() as u64);
-                        if let Some(workers) = &workers {
-                            slice.log.clear();
+                        let feed = &mut feeds[slice.prog];
+                        if let Some(workers) = workers {
                             slice.in_flight = true;
                             self.epoch_stats.jobs_handed_off += 1;
+                            slice.pool.append(&mut slice.spent);
+                            let chunks = (slice.cap as usize).div_ceil(LOG_CHUNK);
+                            while slice.pool.len() < chunks {
+                                slice.pool.push(SliceLog::for_chunk());
+                            }
                             workers.send(SliceJob {
                                 core,
                                 asid: Self::asid_of(slice.pid),
                                 frontend: self.frontends[core].take().expect(FRONTEND_HOME),
-                                slice: queue.head..queue.head + slice.planned as usize,
-                                instrs: std::mem::take(&mut queue.buf),
-                                log: std::mem::take(&mut slice.log),
+                                feed: feed.take().expect(FEED_HOME),
+                                cap: slice.cap as usize,
+                                planned: 0,
+                                exhausted: false,
+                                logs: std::mem::take(&mut slice.pool),
+                                last: SliceLog::default(),
                             });
+                        } else {
+                            let Feed { source, queue } = feed.as_mut().expect(FEED_HOME);
+                            slice.exhausted = !queue.top_up(slice.cap as usize, &mut **source);
+                            slice.planned = slice.cap.min(queue.len() as u64);
                         }
                     }
 
                     // ---- Barrier (serial, core-index order): replay the
-                    // logged shared-state work as each core's log arrives,
-                    // resolve faults, account and reschedule. This is the
-                    // only place shared machine state moves, and it moves
-                    // in core order whatever order the workers finish in,
-                    // so every report is independent of the host-thread
-                    // count. While core k replays here, a worker is
-                    // already translating core k+1.
+                    // logged shared-state work chunk by chunk as it
+                    // arrives, resolve faults, account and reschedule.
+                    // This is the only place shared machine state moves,
+                    // and it moves in core order and program order
+                    // whatever order the workers finish in, so every
+                    // report is independent of the host-thread count.
                     for core in 0..num_cores {
                         if epoch[core].cap == 0 {
                             continue;
                         }
                         self.active = core;
-                        let planned = epoch[core].planned;
-                        let (mut ran, fault) = if let Some(workers) = &workers {
-                            self.collect(workers, &mut epoch, &mut fetched, Some(core));
-                            let log = &epoch[core].log;
-                            let mut path = self.datapath();
-                            for _ in 0..log.computes {
-                                path.core.core.retire_compute(1);
-                            }
-                            for (pc, kind, attempt) in log.replay() {
-                                path.complete_access(pc, kind, attempt, Cycles::ZERO);
-                            }
-                            self.epoch_stats.replayed_accesses += log.logged_accesses();
-                            (log.ran(), log.fault())
+                        let (mut ran, fault) = if let Some(workers) = workers {
+                            self.replay_slice(workers, &mut epoch, feeds, core)
                         } else {
                             // Single host thread: execute the slice inline,
                             // stopping at the first fault exactly where a
                             // worker would have.
-                            let queue = &fetched[epoch[core].prog];
+                            let planned = epoch[core].planned;
+                            let queue = &feeds[epoch[core].prog].as_ref().expect(FEED_HOME).queue;
                             let instrs = &queue.buf[queue.head..][..planned as usize];
-                            self.datapath()
-                                .run_until_fault(&mut Fetched(instrs.iter()), planned)
+                            let (mut path, front) = self.datapath_and_front();
+                            path.run_until_fault(front, &mut Fetched(instrs.iter()), planned)
                         };
                         if let Some(entry) = fault {
                             // The slice resumes mid-instruction and ends.
                             // The fault path may reach any core's frontend,
                             // so every outstanding job comes home first.
                             self.epoch_stats.fault_truncated_slices += 1;
-                            if let Some(workers) = &workers {
-                                self.collect(workers, &mut epoch, &mut fetched, None);
+                            if let Some(workers) = workers {
+                                self.collect(workers, &mut epoch, feeds);
                             }
                             self.epoch_replay = workers.is_some();
                             self.finish_faulted_access(&entry);
@@ -1058,7 +1068,7 @@ impl System {
                         self.attribute_block(ran, slice.cycles_before);
                         // What the slice did not get to stays queued for
                         // the next dispatch of this program.
-                        fetched[slice.prog].head += ran as usize;
+                        feeds[slice.prog].as_mut().expect(FEED_HOME).queue.head += ran as usize;
 
                         retired_total += ran;
                         let at_limit = retired_total >= limit;
@@ -1066,12 +1076,12 @@ impl System {
                             core,
                             slice.pid,
                             ran,
-                            slice.exhausted && ran == planned,
+                            slice.exhausted && ran == slice.planned,
                             at_limit,
                         );
                         if at_limit {
-                            if let Some(workers) = &workers {
-                                self.collect(workers, &mut epoch, &mut fetched, None);
+                            if let Some(workers) = workers {
+                                self.collect(workers, &mut epoch, feeds);
                             }
                             break 'outer;
                         }
@@ -1091,7 +1101,7 @@ impl System {
                     if retired_total >= limit {
                         break 'outer;
                     }
-                    let Some((pid, prog)) = self.dispatch(core, &program_of) else {
+                    let Some((pid, prog)) = self.dispatch(core, program_of) else {
                         continue;
                     };
                     // One turn: at most CORE_TICK instructions, never past
@@ -1100,9 +1110,10 @@ impl System {
                     let n = Self::CORE_TICK
                         .min(self.os.scheduler().remaining_quantum_on(core))
                         .min(limit - retired_total);
+                    let Feed { source, queue } = feeds[prog].as_mut().expect(FEED_HOME);
                     let mut source = ReplayFront {
-                        fetched: &mut fetched[prog],
-                        inner: &mut *programs[prog].1,
+                        fetched: queue,
+                        inner: &mut **source,
                     };
                     let ran = self.step_block(&mut source, n);
                     retired_total += ran;
@@ -1116,27 +1127,85 @@ impl System {
         }
     }
 
-    /// Blocks until core `until`'s job is back from its worker — every
-    /// outstanding job, with `None` — filing what each returning job
-    /// carried: the frontend goes home, the instruction buffer back to its
-    /// program's queue, the log to its slice.
-    fn collect(
+    /// Replays core `core`'s slice at the barrier, chunk by chunk in slice
+    /// order, each as soon as its worker sends it — the rest of the slice
+    /// may still be translating — until the job, carrying the last chunk,
+    /// is home. Returns the instructions the chunks ran and the access a
+    /// fault ended the slice on (only the last chunk can end in one), as
+    /// the inline path does.
+    fn replay_slice<'a>(
         &mut self,
-        workers: &Workers,
+        workers: &Workers<'a>,
         epoch: &mut [EpochSlice],
-        fetched: &mut [FetchQueue],
-        until: Option<usize>,
+        feeds: &mut [Option<Feed<'a>>],
+        core: usize,
+    ) -> (u64, Option<FaultedAccess>) {
+        let (mut ran, mut fault) = (0, None);
+        loop {
+            while let Some(mut log) = epoch[core].pending.pop_front() {
+                if epoch[core].in_flight {
+                    self.epoch_stats.chunks_streamed += 1;
+                }
+                ran += self.replay_log(&log);
+                fault = log.fault();
+                log.clear();
+                epoch[core].spent.push(log);
+            }
+            if !epoch[core].in_flight {
+                return (ran, fault);
+            }
+            self.receive(workers, epoch, feeds);
+        }
+    }
+
+    /// Replays one chunk log's shared-state work on the active core: its
+    /// compute instructions, then its memory accesses in program order.
+    /// Returns the instructions it ran.
+    fn replay_log(&mut self, log: &SliceLog) -> u64 {
+        let mut path = self.datapath();
+        path.core.core.retire_computes(log.computes);
+        for (pc, kind, attempt) in log.replay() {
+            path.complete_access(pc, kind, attempt, Cycles::ZERO);
+        }
+        self.epoch_stats.replayed_accesses += log.logged_accesses();
+        log.ran()
+    }
+
+    /// Blocks until every outstanding job is back from its worker, filing
+    /// the chunks that arrive ahead of them.
+    fn collect<'a>(
+        &mut self,
+        workers: &Workers<'a>,
+        epoch: &mut [EpochSlice],
+        feeds: &mut [Option<Feed<'a>>],
     ) {
-        while match until {
-            Some(core) => epoch[core].in_flight,
-            None => epoch.iter().any(|slice| slice.in_flight),
-        } {
-            let job = workers.recv();
-            let slice = &mut epoch[job.core];
-            self.frontends[job.core] = Some(job.frontend);
-            fetched[slice.prog].buf = job.instrs;
-            slice.log = job.log;
-            slice.in_flight = false;
+        while epoch.iter().any(|slice| slice.in_flight) {
+            self.receive(workers, epoch, feeds);
+        }
+    }
+
+    /// Files the next message from the workers: a chunk log joins its
+    /// core's pending queue; a finished job sends the frontend home, the
+    /// feed back to its program, its last chunk's log after the pending
+    /// ones and its unused logs back to the pool.
+    fn receive<'a>(
+        &mut self,
+        workers: &Workers<'a>,
+        epoch: &mut [EpochSlice],
+        feeds: &mut [Option<Feed<'a>>],
+    ) {
+        match workers.recv() {
+            Done::Chunk { core, log } => epoch[core].pending.push_back(log),
+            Done::Job(job) => {
+                let slice = &mut epoch[job.core];
+                self.frontends[job.core] = Some(job.frontend);
+                feeds[slice.prog] = Some(job.feed);
+                slice.planned = job.planned as u64;
+                slice.exhausted = job.exhausted;
+                slice.pool = job.logs;
+                slice.pending.push_back(job.last);
+                slice.in_flight = false;
+            }
         }
     }
 
@@ -1153,6 +1222,16 @@ impl System {
         core: usize,
         program_of: &[Option<usize>],
     ) -> Option<(ProcessId, usize)> {
+        // A run that stopped at its instruction limit just as a quantum
+        // expired left that preemption undone (`settle` skips it at the
+        // limit). Without it here, the next run's turns would have no
+        // quantum to run in and the loop would spin forever.
+        if self.os.scheduler().remaining_quantum_on(core) == 0 {
+            if let Some(switch) = self.os.scheduler_mut().preempt_on(core) {
+                self.active = core;
+                self.apply_context_switch(switch);
+            }
+        }
         let pid = self.os.scheduler_mut().schedule_on(core)?;
         self.active = core;
         let from = self.cores[core].current;
@@ -1171,7 +1250,8 @@ impl System {
     /// process if its trace `finished` or preempts it if the quantum
     /// expired. When the run's instruction limit has been reached
     /// (`at_limit`) only the accounting applies: the run ends with the
-    /// process still holding its core.
+    /// process still holding its core, and a preemption due then is left
+    /// to the next run's first [`System::dispatch`] on `core`.
     fn settle(&mut self, core: usize, pid: ProcessId, ran: u64, finished: bool, at_limit: bool) {
         let expired = ran > 0 && self.os.scheduler_mut().account_on(core, ran);
         if at_limit {
@@ -1336,7 +1416,8 @@ impl System {
             let cycles_before = core.core.cycles().raw();
             let mut ran = 0u64;
             while ran < chunk {
-                let (clean, fault) = self.datapath().run_until_fault(frontend, chunk - ran);
+                let (mut path, front) = self.datapath_and_front();
+                let (clean, fault) = path.run_until_fault(front, frontend, chunk - ran);
                 ran += clean;
                 let Some(entry) = fault else {
                     break; // chunk complete, or trace exhausted
@@ -1365,17 +1446,31 @@ impl System {
         stepped
     }
 
-    /// Borrows the active core's access pipeline out of the machine.
+    /// Borrows the active core's access pipeline out of the machine. The
+    /// core's frontend may be out on a worker.
     fn datapath(&mut self) -> Datapath<'_> {
         let core = &mut self.cores[self.active];
         Datapath {
             perf: &mut self.per_proc[core.current_slot],
             core,
-            front: front_mut(&mut self.frontends, self.active),
             caches: &mut self.caches,
             dram: &mut self.dram,
             mode: self.config.mode,
         }
+    }
+
+    /// [`System::datapath`] and, beside it, the active core's frontend,
+    /// which must be home: what [`Datapath::run_until_fault`] takes.
+    fn datapath_and_front(&mut self) -> (Datapath<'_>, &mut Frontend) {
+        let core = &mut self.cores[self.active];
+        let path = Datapath {
+            perf: &mut self.per_proc[core.current_slot],
+            core,
+            caches: &mut self.caches,
+            dram: &mut self.dram,
+            mode: self.config.mode,
+        };
+        (path, front_mut(&mut self.frontends, self.active))
     }
 
     /// Attributes a block of `ran` instructions just executed on the active

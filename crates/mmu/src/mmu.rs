@@ -244,6 +244,11 @@ impl Mmu {
         &self.tlb
     }
 
+    /// The page-walk caches (empty unless the design is radix).
+    pub fn pwc(&self) -> &PageWalkCaches {
+        &self.pwc
+    }
+
     /// The page table of address space `asid`, if it has one.
     pub fn page_table_of(&self, asid: Asid) -> Option<&(dyn PageTable + Send)> {
         self.tables.get(asid.raw() as usize)?.as_deref()

@@ -128,13 +128,20 @@ impl CoreModel {
     }
 
     fn advance(&mut self, cycles_x1000: u64, instructions: u64) {
+        self.advance_split(cycles_x1000, cycles_x1000 / 1000, instructions);
+    }
+
+    /// [`CoreModel::advance`] with the whole cycles credited to the current
+    /// mode given apart, for a batch whose per-instruction truncations add
+    /// up to less than one truncation of its total.
+    fn advance_split(&mut self, cycles_x1000: u64, cycles: u64, instructions: u64) {
         self.cycles_x1000 += cycles_x1000;
         if self.in_kernel_mode {
             self.stats.kernel_instructions.add(instructions);
-            self.stats.kernel_cycles += cycles_x1000 / 1000;
+            self.stats.kernel_cycles += cycles;
         } else {
             self.stats.app_instructions.add(instructions);
-            self.stats.app_cycles += cycles_x1000 / 1000;
+            self.stats.app_cycles += cycles;
         }
     }
 
@@ -145,6 +152,15 @@ impl CoreModel {
         }
         let cycles_x1000 = (count as f64 * 1000.0 / self.config.compute_ipc) as u64;
         self.advance(cycles_x1000, count);
+    }
+
+    /// Retires `n` non-memory instructions one at a time, in closed form:
+    /// the core ends in exactly the state `n` calls to
+    /// `retire_compute(1)` leave, each of which truncates its own cycles.
+    /// (`retire_compute(n)` truncates once, over the batch.)
+    pub fn retire_computes(&mut self, n: u64) {
+        let per_instruction = (1000.0 / self.config.compute_ipc) as u64;
+        self.advance_split(n * per_instruction, n * (per_instruction / 1000), n);
     }
 
     /// Retires one memory instruction whose memory-system latency was
@@ -239,6 +255,39 @@ mod tests {
         });
         core.retire_compute(2000);
         assert!((core.elapsed_ns() - 1000.0).abs() < 1.0);
+    }
+
+    proptest::proptest! {
+        /// The closed form the epoch barrier replays a chunk's compute
+        /// instructions with leaves the core exactly where `n` single
+        /// retires do, whatever the IPC's rounding, the mode and the cycles
+        /// already on the clock.
+        #[test]
+        fn retire_computes_equals_n_single_retires(
+            compute_ipc in 0.05f64..8.0,
+            n in 0u64..5_000,
+            kernel in proptest::prelude::any::<bool>(),
+            before in 0u64..1_000,
+            latency in 0u64..400,
+        ) {
+            let config = CoreConfig {
+                compute_ipc,
+                memory_overlap: 0.3,
+                frequency: Frequency::from_ghz(2.0),
+            };
+            let mut closed = CoreModel::new(config);
+            closed.retire_compute(before);
+            closed.retire_memory(Cycles::new(latency));
+            closed.set_kernel_mode(kernel);
+            let mut looped = closed.clone();
+            closed.retire_computes(n);
+            for _ in 0..n {
+                looped.retire_compute(1);
+            }
+            proptest::prop_assert_eq!(closed.stats(), looped.stats());
+            proptest::prop_assert_eq!(closed.cycles(), looped.cycles());
+            proptest::prop_assert_eq!(closed.cycles_x1000, looped.cycles_x1000);
+        }
     }
 
     #[test]

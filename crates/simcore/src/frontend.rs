@@ -48,7 +48,13 @@ impl Instruction {
 }
 
 /// A source of application instructions (the simulator frontend).
-pub trait TraceSource {
+///
+/// Sources are [`Send`]: with more than one host thread,
+/// `System::run_multiprogram` moves each program's source, by exclusive
+/// borrow, to the worker that fetches that program's epoch slice, and takes
+/// it back at the barrier. A source is never used by two threads at once,
+/// so it need not be `Sync`.
+pub trait TraceSource: Send {
     /// Produces the next instruction, or `None` when the trace is finished.
     fn next_instruction(&mut self) -> Option<Instruction>;
 

@@ -1,8 +1,8 @@
 //! The allocation fence: the steady-state instruction loop performs
 //! **zero heap allocations** on every translation path a configuration
 //! can select — the page-table engine over each [`PageTableKind`] (Radix,
-//! ECH, HDC, HT), Midgard, RMM, Utopia, emulation mode, and the
-//! multi-core stepping path.
+//! ECH, HDC, HT), Midgard, RMM, Utopia, emulation mode, the multi-core
+//! stepping path and the multi-core epoch loop on two host threads.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
 //! populated address space and a warmup segment (which fills the dense
@@ -53,10 +53,19 @@
 //! a point in time that races with the armed windows here. The file still
 //! contains a single `#[test]` so the measured segments never share the
 //! thread with anything else.
+//!
+//! The threaded case must also see its epoch worker, a thread the run
+//! spawns. A thread is enrolled by its first allocation: if that happens
+//! while [`threads_spawned_during`] is armed, every later allocation of
+//! the thread counts too. The harness's main thread allocated long before
+//! any window, so it never enrolls. Thread start-up and channel set-up
+//! allocate, so that case compares two budgets instead of expecting zero.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use virtuoso_suite::prelude::*;
+use virtuoso_suite::virtuoso::EpochStats;
 
 /// One configuration under test: its label, the machine, and whether its
 /// measured window must contain page walks.
@@ -116,13 +125,34 @@ struct CountingAllocator;
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Whether this thread's first allocation fell inside an armed
+    /// [`threads_spawned_during`] window; `None` until it allocates.
+    static ENROLLED: Cell<Option<bool>> = const { Cell::new(None) };
+}
+
+/// Armed by [`threads_spawned_during`].
+static SPAWN_WINDOW: AtomicBool = AtomicBool::new(false);
+/// Allocations of enrolled threads.
+static SPAWNED_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+fn count_allocation() {
+    if ARMED.get() {
+        ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+        return;
+    }
+    let enrolled = ENROLLED.get().unwrap_or_else(|| {
+        let enrolled = SPAWN_WINDOW.load(Ordering::SeqCst);
+        ENROLLED.set(Some(enrolled));
+        enrolled
+    });
+    if enrolled {
+        SPAWNED_ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.get() {
-            ALLOCATIONS.set(ALLOCATIONS.get() + 1);
-        }
+        count_allocation();
         unsafe { SystemAlloc.alloc(layout) }
     }
 
@@ -131,9 +161,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.get() {
-            ALLOCATIONS.set(ALLOCATIONS.get() + 1);
-        }
+        count_allocation();
         unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
     }
 }
@@ -149,6 +177,16 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let result = f();
     ARMED.set(false);
     (ALLOCATIONS.get(), result)
+}
+
+/// Allocations made while running `f`: this thread's, plus those of every
+/// thread it spawns (which must have ended by the time `f` returns).
+fn threads_spawned_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    SPAWNED_ALLOCATIONS.store(0, Ordering::SeqCst);
+    SPAWN_WINDOW.store(true, Ordering::SeqCst);
+    let (own, result) = allocations_during(f);
+    SPAWN_WINDOW.store(false, Ordering::SeqCst);
+    (own + SPAWNED_ALLOCATIONS.load(Ordering::SeqCst), result)
 }
 
 /// Allocations and page walks inside the measured window of one
@@ -252,6 +290,48 @@ fn multicore_steady_state() -> (u64, u64) {
     (allocations, walks.into_iter().min().unwrap_or(0))
 }
 
+/// The threaded multi-core loop: four populated cores on two host
+/// threads, run for `budget` instructions in total through
+/// `run_multiprogram`, so every epoch slice is fetched and translated on
+/// the worker and replayed chunk by chunk at the barrier. Returns the
+/// allocations of the whole call, worker included, and the epoch counters.
+fn threaded_run(budget: u64) -> (u64, EpochStats) {
+    const CORES: usize = 4;
+    const FOOTPRINT: u64 = 16 * 1024 * 1024;
+
+    let mut system = System::new(base_config().with_cores(CORES).with_host_threads(2));
+    let mut pids = vec![system.pid()];
+    while pids.len() < CORES {
+        pids.push(system.spawn_process());
+    }
+    for &pid in &pids {
+        system
+            .mmap_anonymous_for(pid, VirtAddr::new(0x10_0000_0000), FOOTPRINT)
+            .expect("map workload region");
+        system.populate(pid);
+    }
+    let spec = WorkloadSpec::simple(
+        "alloc-free-epochs",
+        WorkloadClass::LongRunning,
+        FOOTPRINT,
+        AccessPattern::UniformRandom,
+        budget,
+    );
+    let mut sources: Vec<_> = (0..CORES)
+        .map(|i| spec.build(0xE90C ^ (i as u64) << 8))
+        .collect();
+    let mut programs: Vec<(ProcessId, &mut dyn TraceSource)> = pids
+        .iter()
+        .copied()
+        .zip(sources.iter_mut().map(|s| s as &mut dyn TraceSource))
+        .collect();
+    let (allocations, report) =
+        threads_spawned_during(|| system.run_multiprogram(&mut programs, Some(budget)));
+    assert_eq!(report.rollup.instructions, budget);
+    assert!(report.rollup.page_walks > 0, "the threaded run must walk");
+    (allocations, system.epoch_stats())
+}
+
 #[test]
 fn steady_state_instructions_allocate_nothing() {
     // Sanity-check the counter itself before trusting the zero results.
@@ -275,5 +355,28 @@ fn steady_state_instructions_allocate_nothing() {
     assert!(
         fewest_walks > 0,
         "four-core: a core performed no page walk in the measured window"
+    );
+
+    // Twice the budget, the same allocations: whatever the threaded loop
+    // allocates (threads, channels, fetch queues, the chunk-log pools, the
+    // report) it allocates once, never per epoch. The first run also
+    // brings this thread's lazily built channel state up.
+    const BUDGET: u64 = 80_000;
+    threaded_run(BUDGET);
+    let (once, stats) = threaded_run(BUDGET);
+    let (twice, stats_twice) = threaded_run(2 * BUDGET);
+    eprintln!(
+        "threaded: {once} allocations over {BUDGET} instructions, {twice} over {}",
+        2 * BUDGET
+    );
+    for stats in [stats, stats_twice] {
+        assert!(
+            stats.jobs_handed_off > 0 && stats.chunks_streamed > 0,
+            "threaded: slices must run on the worker and stream ({stats:?})"
+        );
+    }
+    assert_eq!(
+        once, twice,
+        "the threaded epoch loop's steady state must not allocate"
     );
 }

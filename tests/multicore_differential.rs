@@ -22,6 +22,7 @@
 mod common;
 
 use virtuoso_suite::prelude::*;
+use virtuoso_suite::virtuoso::EpochStats;
 
 /// One two-process fence cell per translation engine, mirroring the
 /// engine coverage of the golden reports.
@@ -544,5 +545,155 @@ fn a_trace_ending_on_a_quantum_boundary_does_not_end_the_run() {
                  processes still runnable"
             );
         }
+    }
+}
+
+/// Runs `specs` (one process each, on four cores) at 1, 2, 3 and 4 host
+/// threads and asserts byte-identical reports. Every threaded run must
+/// have streamed chunk logs to the barrier ahead of their jobs, or the
+/// sweep would not be testing the streamed replay. Returns the epoch
+/// counters of the single-threaded and the last threaded run.
+fn assert_chunked_slices_agree(
+    name: &str,
+    config: SystemConfig,
+    specs: &[WorkloadSpec],
+    populate: bool,
+) -> (EpochStats, EpochStats) {
+    const CORES: usize = 4;
+    let mut baseline = None;
+    let mut stats = Vec::new();
+    for threads in [1usize, 2, 3, CORES] {
+        let config = config.clone().with_cores(CORES).with_host_threads(threads);
+        let (mut system, pids) = build_multiprocess(config, specs);
+        if populate {
+            for &pid in &pids {
+                system.populate(pid);
+            }
+        }
+        let report = run_mix(&mut system, &pids, specs, 0xC4C4);
+        let epoch = system.epoch_stats();
+        assert!(
+            epoch.epochs_run > 0,
+            "{name}: the epoch planner never engaged"
+        );
+        assert_eq!(
+            epoch.chunks_streamed > 0,
+            threads > 1,
+            "{name}, {threads} host threads: chunks stream to the barrier \
+             exactly when there is a worker ({epoch:?})"
+        );
+        stats.push(epoch);
+        let json = serde_json::to_string(&report).unwrap();
+        match &baseline {
+            None => baseline = Some(json),
+            Some(expected) => assert_eq!(
+                expected, &json,
+                "{name}: {threads} host threads diverged from the \
+                 single-threaded schedule"
+            ),
+        }
+    }
+    (stats[0], stats[stats.len() - 1])
+}
+
+/// A sequential stream over an unpopulated region, one memory access in
+/// twenty instructions: a new 4 KiB page (and its first-touch fault) every
+/// 64 accesses, ~1 280 instructions. A slice that resumes after a fault
+/// meets the next one well past its first 512-instruction chunk, so the
+/// barrier replays streamed chunks and then resumes the job's faulting
+/// last chunk.
+#[test]
+fn a_fault_inside_a_later_chunk_matches_one_host_thread() {
+    let specs: Vec<WorkloadSpec> = (0..4)
+        .map(|i| {
+            let mut spec = WorkloadSpec::simple(
+                "seq",
+                WorkloadClass::ShortRunning,
+                8 * 1024 * 1024,
+                AccessPattern::Streaming {
+                    jump_probability: 0.0,
+                },
+                30_000,
+            );
+            spec.name = format!("SEQ{i}");
+            spec.memory_fraction = 0.05;
+            spec
+        })
+        .collect();
+    let mut config = SystemConfig::small_test();
+    config.os.policy = AllocationPolicy::BuddyFourK;
+    config.os.thp = virtuoso_suite::mimic_os::ThpConfig::disabled();
+    config.os.sched_quantum = 8_192;
+    config.housekeeping_interval = 0;
+    let (serial, threaded) =
+        assert_chunked_slices_agree("later-chunk fault", config, &specs, false);
+    assert!(
+        serial.fault_truncated_slices > 0 && threaded.fault_truncated_slices > 0,
+        "faults must truncate slices ({threaded:?})"
+    );
+}
+
+/// Populated processes and a quantum of four chunks: every slice is
+/// exactly 2 048 instructions, so its last chunk ends on the slice's end
+/// and none is empty or short.
+#[test]
+fn slices_of_whole_chunks_match_one_host_thread() {
+    let specs = plentiful_specs(4, 8 * 2_048);
+    let mut config = SystemConfig::small_test();
+    config.os.sched_quantum = 2_048;
+    config.housekeeping_interval = 0;
+    let (_, threaded) = assert_chunked_slices_agree("whole chunks", config, &specs, true);
+    assert_eq!(threaded.fault_truncated_slices, 0, "populated: no fault");
+}
+
+/// Populated processes whose traces end 300 instructions into their third
+/// quantum: after two slices of four chunks each, every process runs one
+/// slice shorter than a single chunk, which travels home with its job.
+#[test]
+fn a_slice_shorter_than_one_chunk_matches_one_host_thread() {
+    let specs = plentiful_specs(4, 2 * 2_048 + 300);
+    let mut config = SystemConfig::small_test();
+    config.os.sched_quantum = 2_048;
+    config.housekeeping_interval = 0;
+    let (_, threaded) = assert_chunked_slices_agree("short slice", config, &specs, true);
+    assert_eq!(threaded.fault_truncated_slices, 0, "populated: no fault");
+}
+
+/// A run whose instruction limit lands exactly where a quantum expires
+/// ends without that preemption; the next run on the same machine must
+/// perform it first. It used to find no quantum left and spin forever.
+/// Split at the boundary, the two runs add up to one uninterrupted run
+/// (populated, so no fault leaves fetched instructions behind in the first
+/// run's queues).
+#[test]
+fn a_limit_on_a_quantum_boundary_lets_the_next_run_continue() {
+    for cores in [1usize, 2] {
+        let quantum = 1_000;
+        let specs = plentiful_specs(2 * cores, 20_000);
+        let mut config = SystemConfig::small_test().with_cores(cores);
+        config.os.sched_quantum = quantum;
+        // The second run reaches every core, so each performs the
+        // preemption the first run's limit deferred.
+        let first = cores as u64 * quantum;
+        let second = first + 10;
+        let run = |limits: &[u64]| {
+            let (mut system, pids) = build_multiprocess(config.clone(), &specs);
+            for &pid in &pids {
+                system.populate(pid);
+            }
+            let mut sources: Vec<_> = specs.iter().map(|s| s.build(0x9A17)).collect();
+            let mut report = None;
+            for &limit in limits {
+                report = Some(run_sources(&mut system, &pids, &mut sources, Some(limit)));
+            }
+            serde_json::to_string(&report.expect("at least one run")).unwrap()
+        };
+        let split = run(&[first, second]);
+        assert_eq!(
+            split,
+            run(&[first + second]),
+            "{cores} cores: a run split on a quantum boundary must add up \
+             to the uninterrupted run"
+        );
     }
 }

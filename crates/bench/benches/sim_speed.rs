@@ -1,14 +1,17 @@
 //! Criterion bench for the Fig. 11 / Fig. 12 experiments: simulation-speed
 //! overhead of the detailed MimicOS integration over the emulation
-//! baseline, plus the regression guards for the zero-allocation hot path —
-//! a multi-programmed scheduler case and a per-instruction `System::step`
-//! microbench, so slowdowns show up at both the workload and the
-//! single-instruction granularity.
+//! baseline, the same GUPS run on each translation engine, plus the
+//! regression guards for the zero-allocation hot path — a multi-programmed
+//! scheduler case and a per-instruction `System::step` microbench, so
+//! slowdowns show up at both the workload and the single-instruction
+//! granularity.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sim_core::TraceSource;
 use virtuoso::{System, SystemConfig};
-use virtuoso_bench::{map_spec_regions, run_multiprogram_specs, run_spec_with_config};
+use virtuoso_bench::{
+    engine_system_config, map_spec_regions, run_multiprogram_specs, run_spec_with_config,
+};
 use vm_workloads::catalog;
 
 fn sim_speed(c: &mut Criterion) {
@@ -27,6 +30,22 @@ fn sim_speed(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("mode", "detailed_mimicos"), |b| {
         b.iter(|| run_spec_with_config(SystemConfig::small_test(), &spec, 1))
     });
+    group.finish();
+}
+
+/// Detailed-mode GUPS on each translation engine, each paired with the
+/// allocation policy its design expects ([`engine_system_config`]).
+fn engines(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engines");
+    group.sample_size(10);
+    let spec = catalog::gups_randacc()
+        .scaled_footprint(0.125)
+        .with_instructions(20_000);
+    for engine in ["page-table", "midgard", "rmm", "utopia"] {
+        group.bench_function(BenchmarkId::new("engine", engine), |b| {
+            b.iter(|| run_spec_with_config(engine_system_config(engine), &spec, 1))
+        });
+    }
     group.finish();
 }
 
@@ -99,5 +118,11 @@ fn step_microbench(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, sim_speed, multiprogram_speed, step_microbench);
+criterion_group!(
+    benches,
+    sim_speed,
+    engines,
+    multiprogram_speed,
+    step_microbench
+);
 criterion_main!(benches);

@@ -45,8 +45,6 @@ pub struct HierarchyConfig {
     pub l1_prefetcher: bool,
     /// Enable the L2 stream prefetcher.
     pub l2_prefetcher: bool,
-    /// Allow page-table entries to be cached in the data caches.
-    pub cache_page_table: bool,
 }
 
 impl HierarchyConfig {
@@ -59,7 +57,6 @@ impl HierarchyConfig {
             l3: CacheConfig::l3(),
             l1_prefetcher: true,
             l2_prefetcher: true,
-            cache_page_table: true,
         }
     }
 
@@ -78,7 +75,6 @@ impl HierarchyConfig {
             },
             l1_prefetcher: false,
             l2_prefetcher: false,
-            cache_page_table: true,
         }
     }
 }
@@ -286,20 +282,9 @@ impl CacheHierarchy {
         }
     }
 
-    /// Performs a page-table-entry access. When `cache_page_table` is
-    /// enabled the PTE traverses L2/L3 like data (it is not installed in L1,
-    /// matching common MMU designs); otherwise it always goes to memory.
+    /// Performs a page-table-entry access: the PTE traverses L2/L3 like
+    /// data (it is not installed in L1, matching common MMU designs).
     pub fn access_page_table(&mut self, paddr: PhysAddr) -> HierarchyAccess {
-        if !self.config.cache_page_table {
-            let mut dram_fetches = DramFetchList::new();
-            dram_fetches.push(paddr.cache_line());
-            return HierarchyAccess {
-                hit_level: Level::Memory,
-                latency: Cycles::ZERO,
-                dram_fetches,
-                writebacks: WritebackList::new(),
-            };
-        }
         let mut latency = self.l2.latency();
         let mut writebacks = WritebackList::new();
         let mut dram_fetches = DramFetchList::new();
@@ -441,17 +426,6 @@ mod tests {
         assert_eq!(first.hit_level, Level::Memory);
         let second = h.access_page_table(PhysAddr::new(0x8_0000));
         assert_eq!(second.hit_level, Level::L2);
-    }
-
-    #[test]
-    fn page_table_caching_can_be_disabled() {
-        let mut cfg = HierarchyConfig::small_test();
-        cfg.cache_page_table = false;
-        let mut h = CacheHierarchy::new(cfg);
-        let first = h.access_page_table(PhysAddr::new(0x8_0000));
-        let second = h.access_page_table(PhysAddr::new(0x8_0000));
-        assert!(first.needs_dram());
-        assert!(second.needs_dram());
     }
 
     #[test]

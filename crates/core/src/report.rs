@@ -71,7 +71,7 @@ pub struct OomStats {
     /// Allocation attempts that entered the direct-reclaim retry path.
     pub reclaim_retries: u64,
     /// Faults that failed with out-of-memory even after reclaim and the
-    /// OOM killer (or with the killer disabled).
+    /// OOM killer.
     pub oom_failures: u64,
 }
 

@@ -526,11 +526,6 @@ impl System {
         self.primary
     }
 
-    /// The process currently holding core 0.
-    pub fn current_pid(&self) -> ProcessId {
-        self.cores[0].current
-    }
-
     /// The ASID of a process.
     pub fn asid_of(pid: ProcessId) -> Asid {
         Asid::new(pid.0 as u16)

@@ -8,11 +8,12 @@
 //! timing parameters (`tRCD`, `tCL`, `tRP`) plus a queueing component that
 //! grows with bank contention.
 //!
-//! Every access is tagged with a [`Requestor`], so the statistics can
-//! attribute row-buffer conflicts to application data, page-table-walk
-//! metadata or kernel traffic. That attribution drives the paper's Figure 14
-//! (hash-based page tables increase/decrease DRAM conflicts) and Figure 21
-//! (RMM removes most translation-metadata conflicts).
+//! Every access is tagged with a [`Requestor`](vm_types::Requestor), so the
+//! statistics can attribute row-buffer conflicts to application data,
+//! page-table-walk metadata or kernel traffic. That attribution drives the
+//! paper's Figure 14 (hash-based page tables increase/decrease DRAM
+//! conflicts) and Figure 21 (RMM removes most translation-metadata
+//! conflicts).
 //!
 //! # Examples
 //!
@@ -36,7 +37,7 @@ pub use config::DramConfig;
 pub use mapping::{AddressMapping, DramLocation};
 pub use stats::{DramStats, RowBufferOutcome};
 
-use vm_types::{Cycles, MemoryAccess, Requestor};
+use vm_types::{Cycles, MemoryAccess};
 
 /// State of one DRAM bank: the row currently latched in its row buffer, if
 /// any, and the cycle at which the bank becomes ready for the next command.
@@ -137,22 +138,12 @@ impl DramModel {
 
         queue_wait + service
     }
-
-    /// Convenience helper: performs a read access attributed to `requestor`
-    /// at `paddr` without constructing a [`MemoryAccess`] by hand.
-    pub fn access_raw(&mut self, paddr: vm_types::PhysAddr, requestor: Requestor) -> Cycles {
-        self.access(&MemoryAccess::physical(
-            paddr,
-            vm_types::AccessType::Read,
-            requestor,
-        ))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vm_types::{AccessType, PhysAddr};
+    use vm_types::{AccessType, PhysAddr, Requestor};
 
     fn read(paddr: u64, req: Requestor) -> MemoryAccess {
         MemoryAccess::physical(PhysAddr::new(paddr), AccessType::Read, req)

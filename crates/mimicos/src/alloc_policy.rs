@@ -48,15 +48,6 @@ impl AllocationPolicy {
         )
     }
 
-    /// `true` for the reservation-based THP variants.
-    pub fn is_reservation_based(&self) -> bool {
-        matches!(
-            self,
-            AllocationPolicy::ConservativeReservationThp
-                | AllocationPolicy::AggressiveReservationThp
-        )
-    }
-
     /// The promotion threshold of reservation-based policies.
     pub fn reservation_threshold(&self) -> Option<f64> {
         match self {

@@ -155,12 +155,6 @@ impl BuddyAllocator {
         &self.stats
     }
 
-    /// Number of free blocks of exactly the given order currently on the
-    /// free list (not counting larger blocks that could be split).
-    pub fn free_blocks_of_order(&self, order: u32) -> usize {
-        self.free_lists[order as usize].len()
-    }
-
     /// Whether a block of the given order could be allocated right now.
     pub fn can_alloc(&self, order: u32) -> bool {
         (order..=MAX_ORDER).any(|o| !self.free_lists[o as usize].is_empty())

@@ -127,12 +127,6 @@ pub struct OsConfig {
     /// and reclaim broadcasts shootdown IPIs to the other cores. The
     /// default of 1 reproduces the single-core model exactly.
     pub num_cores: usize,
-    /// Enables the out-of-memory killer: when a fault's reclaim+retry loop
-    /// still cannot allocate, the kernel kills the process with the highest
-    /// badness score (excluding the faulting process) and retries the
-    /// fault. Disabled, the fault fails with [`VmError::OutOfMemory`] and
-    /// the framework drops the access.
-    pub oom_kill: bool,
     /// Deterministic fault injection (disabled by default; see
     /// [`FaultInjectionConfig`]).
     pub fault_injection: FaultInjectionConfig,
@@ -161,7 +155,6 @@ impl OsConfig {
             shootdown_ipi_cost: 1_800,
             shootdown_per_page_cost: 160,
             num_cores: 1,
-            oom_kill: true,
             fault_injection: FaultInjectionConfig::default(),
             seed: 0x5a_fa_51,
         }
@@ -750,7 +743,9 @@ impl MimicOs {
     ///
     /// Returns [`VmError::SegmentationFault`] when `vaddr` is not covered by
     /// any VMA, and [`VmError::OutOfMemory`] when physical memory and swap
-    /// are both exhausted.
+    /// are both exhausted and the OOM killer (always on: it kills the
+    /// process with the highest badness score, never the faulter, and
+    /// retries) finds no victim left.
     pub fn handle_page_fault(
         &mut self,
         pid: ProcessId,
@@ -764,7 +759,7 @@ impl MimicOs {
                     outcome.invalidations = invalidations;
                     return Ok(outcome);
                 }
-                Err(error @ VmError::OutOfMemory { .. }) if self.config.oom_kill => {
+                Err(error @ VmError::OutOfMemory { .. }) => {
                     // Reclaim and retry could not satisfy the allocation:
                     // escalate to the OOM killer. When it finds a victim
                     // the fault is retried against the freed memory; when

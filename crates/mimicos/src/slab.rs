@@ -73,11 +73,6 @@ impl SlabAllocator {
         &self.stats
     }
 
-    /// Number of objects currently sitting on the free list.
-    pub fn free_object_count(&self) -> usize {
-        self.free_objects.len()
-    }
-
     /// Allocates one object, refilling from the buddy allocator if the free
     /// list is empty. Records the kernel work into `stream` when provided.
     ///

@@ -270,11 +270,6 @@ impl ReservationThp {
         ReservationThp::new(0.1)
     }
 
-    /// Number of active (unpromoted) reservations.
-    pub fn active_reservations(&self) -> usize {
-        self.reservations.values().filter(|r| !r.promoted).count()
-    }
-
     /// Handles a 4 KiB fault at `addr` under reservation-based THP.
     ///
     /// Returns `(frame, promote_to)` where `frame` is the 4 KiB frame to map

@@ -82,7 +82,7 @@ pub enum EngineConfig {
 }
 
 impl EngineConfig {
-    /// Short label used in tables, reports and the `simspeed` harness.
+    /// Short label used in tables, reports and the `sim_speed` bench.
     pub fn label(&self) -> &'static str {
         match self {
             EngineConfig::PageTable => "page-table",

@@ -187,11 +187,6 @@ impl MidgardMmu {
             .map(|v| v.midgard_start + (va.raw() - v.virt_start.raw()))
     }
 
-    /// Number of registered VMAs.
-    pub fn vma_count(&self) -> usize {
-        self.vmas.len()
-    }
-
     fn probe_vlb(vlb: &mut [(usize, u64)], idx: usize, clock: u64) -> bool {
         if let Some(entry) = vlb.iter_mut().find(|(i, _)| *i == idx) {
             entry.1 = clock;

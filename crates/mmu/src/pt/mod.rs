@@ -99,16 +99,6 @@ pub struct WalkOutcome {
 }
 
 impl WalkOutcome {
-    /// A walk that found nothing and touched nothing (e.g. an empty table
-    /// fast path).
-    pub fn fault_without_accesses() -> Self {
-        WalkOutcome {
-            mapping: None,
-            accesses: WalkAccessList::new(),
-            parallel: false,
-        }
-    }
-
     /// `true` when the walk ended in a page fault.
     pub fn is_fault(&self) -> bool {
         self.mapping.is_none()

@@ -245,12 +245,6 @@ impl Frequency {
         Frequency { mhz: ghz * 1000.0 }
     }
 
-    /// Creates a frequency from MHz.
-    #[inline]
-    pub fn from_mhz(mhz: f64) -> Self {
-        Frequency { mhz }
-    }
-
     /// Frequency in GHz.
     #[inline]
     pub fn ghz(self) -> f64 {

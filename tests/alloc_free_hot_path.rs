@@ -85,9 +85,9 @@ fn base_config() -> SystemConfig {
 /// Every translation path the steady state can take: the page-table
 /// engine over each [`PageTableKind`], then Midgard, RMM and Utopia (each
 /// paired with the allocation policy its design expects, as in
-/// `virtuoso_bench`'s simspeed cells), then emulation mode. RMM's ranges
-/// and Utopia's RestSeg translate without a walk, so those two are not
-/// required to walk.
+/// `virtuoso_bench::engine_system_config`), then emulation mode. RMM's
+/// ranges and Utopia's RestSeg translate without a walk, so those two are
+/// not required to walk.
 fn cases() -> Vec<Case> {
     let mut cases: Vec<Case> = PageTableKind::ALL
         .into_iter()

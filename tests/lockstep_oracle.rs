@@ -628,7 +628,7 @@ fn build(config: &SystemConfig, specs: &[WorkloadSpec]) -> (System, NaiveSystem,
         "the naive caches model no prefetcher"
     );
     assert_eq!(config.mmu.page_table, PageTableKind::Radix);
-    assert!(config.mmu.asid_tlb_tags && config.caches.cache_page_table);
+    assert!(config.mmu.asid_tlb_tags);
     let mut system = System::new(config.clone());
     let mut naive = NaiveSystem::new(config.clone());
     let mut pids = vec![system.pid()];

@@ -1,18 +1,18 @@
 //! Criterion bench for the Fig. 11 / Fig. 12 experiments: simulation-speed
 //! overhead of the detailed MimicOS integration over the emulation
-//! baseline, the same GUPS run on each translation engine, plus the
-//! regression guards for the zero-allocation hot path — a multi-programmed
-//! scheduler case and a per-instruction `System::step` microbench, so
-//! slowdowns show up at both the workload and the single-instruction
-//! granularity.
+//! baseline, steady-state GUPS translation on every design of
+//! [`Design::ALL`] beside one explicit first-touch fault-path cell, plus
+//! the regression guards for the zero-allocation hot path — a
+//! multi-programmed scheduler case and a per-instruction `System::step`
+//! microbench, so slowdowns show up at both the workload and the
+//! single-instruction granularity.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use mimic_os::ThpConfig;
 use sim_core::TraceSource;
-use virtuoso::{System, SystemConfig};
-use virtuoso_bench::{
-    engine_system_config, map_spec_regions, run_multiprogram_specs, run_spec_with_config,
-};
-use vm_workloads::catalog;
+use virtuoso::{Design, System, SystemConfig};
+use virtuoso_bench::{map_spec_regions, run_multiprogram_specs, run_spec_with_config};
+use vm_workloads::{catalog, SyntheticWorkload};
 
 fn sim_speed(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig11_sim_speed");
@@ -33,19 +33,55 @@ fn sim_speed(c: &mut Criterion) {
     group.finish();
 }
 
-/// Detailed-mode GUPS on each translation engine, each paired with the
-/// allocation policy its design expects ([`engine_system_config`]).
-fn engines(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engines");
+/// A GUPS system over `footprint_scale` of the catalog footprint, mapped,
+/// populated and warmed (TLBs, caches, DRAM banks) outside any timed
+/// region, with its endless trace positioned after the warmup.
+fn warmed_gups(config: SystemConfig, footprint_scale: f64) -> (System, SyntheticWorkload) {
+    let spec = catalog::gups_randacc()
+        .scaled_footprint(footprint_scale)
+        .with_instructions(u64::MAX);
+    let mut system = System::new(config);
+    let pid = system.pid();
+    map_spec_regions(&mut system, pid, &spec, 0);
+    system.populate(pid);
+    let mut source = spec.build(0x57E9);
+    steps(&mut system, &mut source, 10_000);
+    (system, source)
+}
+
+/// Steps `system` through the next `n` instructions of `source`.
+fn steps(system: &mut System, source: &mut SyntheticWorkload, n: u64) {
+    for _ in 0..n {
+        let instr = source.next_instruction().expect("endless trace");
+        system.step(black_box(&instr));
+    }
+}
+
+/// Steady-state GUPS translation on every design, each with the
+/// allocation policy it pairs with: the cells are populated and warmed
+/// first, so they time translation rather than the first-touch fault
+/// storm. The fault path keeps one explicit cell: radix GUPS on 4 KiB
+/// pages from an unpopulated address space, so its 20 000 instructions
+/// take thousands of first-touch faults (under THP they would take a few
+/// dozen).
+fn designs(c: &mut Criterion) {
+    let mut group = c.benchmark_group("designs");
     group.sample_size(10);
+    for design in Design::ALL {
+        let (mut system, mut source) =
+            warmed_gups(SystemConfig::small_test().with_design(design), 0.125);
+        group.bench_function(BenchmarkId::new("steady_state_20k", design.label()), |b| {
+            b.iter(|| steps(&mut system, &mut source, 20_000))
+        });
+    }
     let spec = catalog::gups_randacc()
         .scaled_footprint(0.125)
         .with_instructions(20_000);
-    for engine in ["page-table", "midgard", "rmm", "utopia"] {
-        group.bench_function(BenchmarkId::new("engine", engine), |b| {
-            b.iter(|| run_spec_with_config(engine_system_config(engine), &spec, 1))
-        });
-    }
+    let mut four_k = SystemConfig::small_test();
+    four_k.os.thp = ThpConfig::disabled();
+    group.bench_function(BenchmarkId::new("first_touch_20k", "Radix-4K"), |b| {
+        b.iter(|| run_spec_with_config(four_k.clone(), &spec, 1))
+    });
     group.finish();
 }
 
@@ -93,26 +129,10 @@ fn step_microbench(c: &mut Criterion) {
             SystemConfig::small_test().with_emulation_baseline(),
         ),
     ] {
-        let spec = catalog::gups_randacc()
-            .scaled_footprint(0.0625) // 32 MB
-            .with_instructions(u64::MAX);
-        let mut system = System::new(config);
-        let pid = system.pid();
-        map_spec_regions(&mut system, pid, &spec, 0);
-        system.populate(pid);
-        let mut source = spec.build(0x57E9);
-        // Warm TLBs/caches out of the timed region.
-        for _ in 0..10_000 {
-            let instr = source.next_instruction().expect("endless trace");
-            system.step(&instr);
-        }
+        // 32 MB of GUPS.
+        let (mut system, mut source) = warmed_gups(config, 0.0625);
         group.bench_function(BenchmarkId::new("steady_state_20k", label), |b| {
-            b.iter(|| {
-                for _ in 0..20_000 {
-                    let instr = source.next_instruction().expect("endless trace");
-                    system.step(black_box(&instr));
-                }
-            })
+            b.iter(|| steps(&mut system, &mut source, 20_000))
         });
     }
     group.finish();
@@ -121,7 +141,7 @@ fn step_microbench(c: &mut Criterion) {
 criterion_group!(
     benches,
     sim_speed,
-    engines,
+    designs,
     multiprogram_speed,
     step_microbench
 );

@@ -7,10 +7,10 @@
 
 use crate::runner::{run_spec, run_spec_with_config, system_for, ExperimentTable};
 use mimic_os::{AllocationPolicy, OsConfig, ThpConfig, ThpMode};
-use mmu_sim::{
-    EngineConfig, EngineReport, MidgardConfig, PageTableKind, RmmConfig, UtopiaMmuConfig,
+use mmu_sim::{EngineReport, PageTableKind};
+use virtuoso::{
+    accuracy_percent, latency_distribution_similarity, Design, ReferenceMachine, SystemConfig,
 };
-use virtuoso::{accuracy_percent, latency_distribution_similarity, ReferenceMachine, SystemConfig};
 use vm_types::stats::geometric_mean;
 use vm_types::{LatencyStats, PageSize};
 use vm_workloads::catalog;
@@ -366,7 +366,7 @@ pub fn fig12_overhead_correlation(scale: u64) -> ExperimentTable {
 }
 
 fn fragmented_config(kind: PageTableKind, free_fraction: f64) -> SystemConfig {
-    let mut config = SystemConfig::small_test().with_page_table(kind);
+    let mut config = SystemConfig::small_test().with_design(Design::PageTable(kind));
     config.os.fragmentation_target = Some(free_fraction);
     config
 }
@@ -411,7 +411,7 @@ pub fn fig14_rowbuffer_conflicts(scale: u64) -> ExperimentTable {
     for spec in catalog::all_long_running().into_iter().take(5) {
         let budgeted = spec.with_instructions(budget(15_000, scale));
         let radix = run_spec_with_config(
-            SystemConfig::small_test().with_page_table(PageTableKind::Radix),
+            SystemConfig::small_test().with_design(Design::PageTable(PageTableKind::Radix)),
             &budgeted,
             23,
         );
@@ -425,7 +425,7 @@ pub fn fig14_rowbuffer_conflicts(scale: u64) -> ExperimentTable {
         .enumerate()
         {
             let r = run_spec_with_config(
-                SystemConfig::small_test().with_page_table(kind),
+                SystemConfig::small_test().with_design(Design::PageTable(kind)),
                 &budgeted,
                 23,
             );
@@ -458,7 +458,7 @@ pub fn fig15_mpf_reduction(scale: u64) -> ExperimentTable {
     ] {
         let budgeted = spec.with_instructions(budget(15_000, scale));
         let radix = run_spec_with_config(
-            SystemConfig::small_test().with_page_table(PageTableKind::Radix),
+            SystemConfig::small_test().with_design(Design::PageTable(PageTableKind::Radix)),
             &budgeted,
             29,
         );
@@ -469,7 +469,7 @@ pub fn fig15_mpf_reduction(scale: u64) -> ExperimentTable {
             PageTableKind::HashedChained,
         ] {
             let r = run_spec_with_config(
-                SystemConfig::small_test().with_page_table(kind),
+                SystemConfig::small_test().with_design(Design::PageTable(kind)),
                 &budgeted,
                 29,
             );
@@ -560,8 +560,7 @@ pub fn fig17_midgard_breakdown(scale: u64) -> ExperimentTable {
         let budgeted = spec
             .scaled_footprint(0.15)
             .with_instructions(budget(20_000, scale));
-        let config = SystemConfig::small_test()
-            .with_engine(EngineConfig::Midgard(MidgardConfig::paper_baseline()));
+        let config = SystemConfig::small_test().with_design(Design::Midgard);
         let r = run_spec_with_config(config, &budgeted, 37);
         let Some(EngineReport::Midgard {
             frontend_fraction,
@@ -629,15 +628,8 @@ pub fn fig19_restseg_size(scale: u64) -> ExperimentTable {
         .with_instructions(budget(30_000, scale));
     let mut baseline = None;
     for mb in [32u64, 64, 96, 128] {
-        let restseg_bytes = mb << 20;
-        let mut config = SystemConfig::small_test().with_engine(EngineConfig::Utopia(
-            UtopiaMmuConfig::paper_baseline().with_restseg_bytes(restseg_bytes),
-        ));
-        config.os.policy = AllocationPolicy::Utopia(mimic_os::UtopiaConfig::new(
-            restseg_bytes,
-            16,
-            PageSize::Size4K,
-        ));
+        let restseg = mimic_os::UtopiaConfig::new(mb << 20, 16, PageSize::Size4K);
+        let config = SystemConfig::small_test().with_design(Design::Utopia(restseg));
         let r = run_spec_with_config(config, &spec, 41);
         let Some(EngineReport::Utopia {
             rsw_fetches,
@@ -757,9 +749,7 @@ pub fn fig21_rmm_conflicts(scale: u64) -> ExperimentTable {
                 run_spec_with_config(fragmented_config(PageTableKind::Radix, free), &budgeted, 47);
             // RMM side: same machine and fragmentation, range engine +
             // eager paging (ranges come from the kernel's eager allocator).
-            let mut rmm_config = fragmented_config(PageTableKind::Radix, free)
-                .with_engine(EngineConfig::Rmm(RmmConfig::paper_baseline()));
-            rmm_config.os.policy = AllocationPolicy::EagerPaging;
+            let rmm_config = fragmented_config(PageTableKind::Radix, free).with_design(Design::Rmm);
             let rmm = run_spec_with_config(rmm_config, &budgeted, 47);
             let Some(EngineReport::Rmm { range_coverage, .. }) = rmm.engine else {
                 unreachable!("the rmm engine reports rmm stats");
@@ -864,30 +854,9 @@ pub fn multiprogram_interference(scale: u64) -> ExperimentTable {
     // scheduler, context switches, faults and caches all participate no
     // matter which engine translates. One row per (engine × process).
     let engine_mix = catalog::multiprogram_mix_engines();
-    let restseg_bytes: u64 = 64 * 1024 * 1024;
-    let engine_rows: [(&str, EngineConfig, Option<AllocationPolicy>); 2] = [
-        (
-            "midgard",
-            EngineConfig::Midgard(MidgardConfig::paper_baseline()),
-            None,
-        ),
-        (
-            "utopia",
-            EngineConfig::Utopia(
-                UtopiaMmuConfig::paper_baseline().with_restseg_bytes(restseg_bytes),
-            ),
-            Some(AllocationPolicy::Utopia(mimic_os::UtopiaConfig::new(
-                restseg_bytes,
-                16,
-                PageSize::Size4K,
-            ))),
-        ),
-    ];
-    for (label, engine, policy) in engine_rows {
-        let mut config = SystemConfig::small_test().with_engine(engine);
-        if let Some(policy) = policy {
-            config.os.policy = policy;
-        }
+    let utopia = Design::Utopia(mimic_os::UtopiaConfig::new(64 << 20, 16, PageSize::Size4K));
+    for design in [Design::Midgard, utopia] {
+        let config = SystemConfig::small_test().with_design(design);
         let specs: Vec<WorkloadSpec> = engine_mix
             .iter()
             .map(|s| {
@@ -899,7 +868,7 @@ pub fn multiprogram_interference(scale: u64) -> ExperimentTable {
         for p in &report.processes {
             table.push_row(vec![
                 "engines".into(),
-                label.into(),
+                design.label().into(),
                 p.workload.clone(),
                 p.instructions.to_string(),
                 fmt(p.ipc),
@@ -931,7 +900,7 @@ pub fn parallel_pt_sweep(scale: u64, jobs: usize) -> ExperimentTable {
         for kind in PageTableKind::ALL {
             cells.push(crate::runner::ExperimentCell::new(
                 &format!("{}/{kind}", spec.name),
-                SystemConfig::small_test().with_page_table(kind),
+                SystemConfig::small_test().with_design(Design::PageTable(kind)),
                 spec.clone(),
             ));
         }
@@ -1003,7 +972,7 @@ mod tests {
         );
         // The engine rows run the interference mix under Midgard and Utopia
         // through the same unified path (scheduler + faults included).
-        for engine in ["midgard", "utopia"] {
+        for engine in ["Midgard", "Utopia"] {
             let rows: Vec<_> = table
                 .rows
                 .iter()

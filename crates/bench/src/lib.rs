@@ -15,7 +15,6 @@ pub mod experiments;
 pub mod runner;
 
 pub use runner::{
-    cell_seed, engine_system_config, jobs_from_args, map_spec_regions, run_cells,
-    run_multiprogram_specs, run_spec, run_spec_with_config, steady_state_overheads, ExperimentCell,
-    ExperimentTable,
+    cell_seed, jobs_from_args, map_spec_regions, run_cells, run_multiprogram_specs, run_spec,
+    run_spec_with_config, steady_state_overheads, ExperimentCell, ExperimentTable,
 };

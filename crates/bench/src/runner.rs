@@ -3,13 +3,11 @@
 //! runner that shards independent (workload × config) cells across host
 //! cores with deterministic per-cell seeding.
 
-use mimic_os::{AllocationPolicy, ProcessId};
-use mmu_sim::{EngineConfig, MidgardConfig, RmmConfig, UtopiaMmuConfig};
+use mimic_os::ProcessId;
 use sim_core::TraceSource;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use virtuoso::{MultiProgramReport, SimulationReport, System, SystemConfig};
-use vm_types::PageSize;
 use vm_workloads::{SyntheticWorkload, WorkloadSpec};
 
 /// A simple printable table: header plus rows of equal length.
@@ -100,36 +98,6 @@ pub fn run_spec_with_config(
     seed: u64,
 ) -> SimulationReport {
     system_for(config, spec).run(&mut spec.build(seed), None)
-}
-
-/// The system configuration of one engine dimension: the engine itself
-/// plus the allocation policy its design pairs with (eager paging feeds
-/// RMM's ranges; the Utopia policy places pages in the RestSeg).
-pub fn engine_system_config(engine: &str) -> SystemConfig {
-    let mut config = SystemConfig::small_test();
-    match engine {
-        "page-table" => {}
-        "midgard" => {
-            config = config.with_engine(EngineConfig::Midgard(MidgardConfig::paper_baseline()));
-        }
-        "rmm" => {
-            config = config.with_engine(EngineConfig::Rmm(RmmConfig::paper_baseline()));
-            config.os.policy = AllocationPolicy::EagerPaging;
-        }
-        "utopia" => {
-            let restseg_bytes: u64 = 64 * 1024 * 1024;
-            config = config.with_engine(EngineConfig::Utopia(
-                UtopiaMmuConfig::paper_baseline().with_restseg_bytes(restseg_bytes),
-            ));
-            config.os.policy = AllocationPolicy::Utopia(mimic_os::UtopiaConfig::new(
-                restseg_bytes,
-                16,
-                PageSize::Size4K,
-            ));
-        }
-        other => panic!("unknown engine {other:?} (page-table|midgard|rmm|utopia)"),
-    }
-    config
 }
 
 /// Runs `spec` on the small-test system configuration.

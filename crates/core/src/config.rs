@@ -3,11 +3,14 @@
 
 use cache_sim::HierarchyConfig;
 use dram_sim::DramConfig;
-use mimic_os::OsConfig;
-use mmu_sim::{EngineConfig, MmuConfig, PageTableKind, TlbHierarchyConfig};
+use mimic_os::{AllocationPolicy, OsConfig, UtopiaConfig};
+use mmu_sim::{
+    EngineConfig, MidgardConfig, MmuConfig, PageTableKind, RmmConfig, TlbHierarchyConfig,
+    UtopiaMmuConfig,
+};
 use serde::{Deserialize, Serialize};
 use sim_core::CoreConfig;
-use vm_types::{Cycles, PhysAddr};
+use vm_types::{Cycles, PageSize, PhysAddr};
 
 /// How OS and translation overheads are simulated.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -42,6 +45,61 @@ impl SimulationMode {
     /// `true` for the detailed (Virtuoso) mode.
     pub fn is_detailed(&self) -> bool {
         matches!(self, SimulationMode::Detailed)
+    }
+}
+
+/// A translation design the paper evaluates, together with what it needs
+/// from the kernel: [`SystemConfig::with_design`] sets the engine, the page
+/// table and — for RMM and Utopia — the allocation policy as one pair, so a
+/// mismatched pair is never written out by hand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Design {
+    /// The conventional TLB + hardware-walked page table (Use Case 1).
+    PageTable(PageTableKind),
+    /// Midgard's intermediate address space (Use Case 3).
+    Midgard,
+    /// RMM range translation over eager paging (Use Case 5).
+    Rmm,
+    /// Utopia: RestSeg walkers over the kernel's restrictive segment of
+    /// this geometry (Use Case 4).
+    Utopia(UtopiaConfig),
+}
+
+impl Design {
+    /// Every design, in the paper's order: the four page tables, Midgard,
+    /// RMM, and Utopia over a 32 MiB, 16-way RestSeg of 4 KiB pages (the
+    /// geometry of the Utopia golden reports, sized for `small_test`).
+    pub const ALL: [Design; 7] = [
+        Design::PageTable(PageTableKind::Radix),
+        Design::PageTable(PageTableKind::ElasticCuckoo),
+        Design::PageTable(PageTableKind::HashedOpenAddressing),
+        Design::PageTable(PageTableKind::HashedChained),
+        Design::Midgard,
+        Design::Rmm,
+        Design::Utopia(UtopiaConfig::new(32 << 20, 16, PageSize::Size4K)),
+    ];
+
+    /// Short label matching the paper's legends.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Design::PageTable(kind) => kind.label(),
+            Design::Midgard => "Midgard",
+            Design::Rmm => "RMM",
+            Design::Utopia(_) => "Utopia",
+        }
+    }
+
+    /// The same design with a RestSeg of `bytes` (Utopia only; every other
+    /// design is returned unchanged) — for sweeps and for machines smaller
+    /// than `small_test`.
+    pub fn with_restseg_bytes(self, bytes: u64) -> Self {
+        match self {
+            Design::Utopia(restseg) => Design::Utopia(UtopiaConfig {
+                size_bytes: bytes,
+                ..restseg
+            }),
+            other => other,
+        }
     }
 }
 
@@ -143,21 +201,30 @@ impl SystemConfig {
         self
     }
 
-    /// Switches the page-table design, keeping everything else identical —
-    /// the sweep of Use Case 1.
-    pub fn with_page_table(mut self, kind: PageTableKind) -> Self {
-        self.mmu.page_table = kind;
-        self
-    }
-
-    /// Switches the translation engine, keeping everything else identical —
-    /// the engine comparisons of Use Cases 3–5. The Rmm engine is usually
-    /// paired with [`mimic_os::AllocationPolicy::EagerPaging`] (ranges come
-    /// from eager allocation) and the Utopia engine with
-    /// [`mimic_os::AllocationPolicy::Utopia`] (RestSeg placement happens in
-    /// the kernel); pair them explicitly in the experiment configuration.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
+    /// Switches the translation design, keeping everything else identical
+    /// — the page-table sweep of Use Case 1 and the engine comparisons of
+    /// Use Cases 3–5. Sets the engine and, for a page-table design, the
+    /// page table the MMU walks; RMM also gets
+    /// [`AllocationPolicy::EagerPaging`] (its ranges come from eager
+    /// allocation) and Utopia gets [`AllocationPolicy::Utopia`] over the
+    /// design's RestSeg (the kernel fills the segment the walkers index).
+    /// The other designs keep the configured policy.
+    pub fn with_design(mut self, design: Design) -> Self {
+        match design {
+            Design::PageTable(kind) => {
+                self.engine = EngineConfig::PageTable;
+                self.mmu.page_table = kind;
+            }
+            Design::Midgard => self.engine = EngineConfig::Midgard(MidgardConfig::paper_baseline()),
+            Design::Rmm => {
+                self.engine = EngineConfig::Rmm(RmmConfig::paper_baseline());
+                self.os.policy = AllocationPolicy::EagerPaging;
+            }
+            Design::Utopia(restseg) => {
+                self.engine = EngineConfig::Utopia(UtopiaMmuConfig::paper_baseline());
+                self.os.policy = AllocationPolicy::Utopia(restseg);
+            }
+        }
         self
     }
 
@@ -233,7 +300,9 @@ mod tests {
     #[test]
     fn builders_change_only_their_field() {
         let base = SystemConfig::small_test();
-        let ech = base.clone().with_page_table(PageTableKind::ElasticCuckoo);
+        let ech = base
+            .clone()
+            .with_design(Design::PageTable(PageTableKind::ElasticCuckoo));
         assert_eq!(ech.mmu.page_table, PageTableKind::ElasticCuckoo);
         assert_eq!(ech.os, base.os);
         let bd = base

@@ -49,7 +49,7 @@ pub mod report;
 pub mod system;
 pub mod validation;
 
-pub use config::{SimulationMode, SystemConfig};
+pub use config::{Design, SimulationMode, SystemConfig};
 pub use epoch::EpochStats;
 pub use report::{
     CoreIpiStats, MultiProgramReport, OomStats, ProcessExitStatus, ProcessReport, ShootdownStats,

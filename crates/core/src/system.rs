@@ -412,7 +412,13 @@ impl System {
     /// # Panics
     ///
     /// Panics if the MimicOS configuration is invalid (see
-    /// [`mimic_os::OsConfig::validate`]).
+    /// [`mimic_os::OsConfig::validate`]), or if the translation engine
+    /// cannot work with the kernel's allocation policy: an RMM engine
+    /// needs [`AllocationPolicy::EagerPaging`](mimic_os::AllocationPolicy::EagerPaging)
+    /// and a Utopia engine [`AllocationPolicy::Utopia`](mimic_os::AllocationPolicy::Utopia),
+    /// whose RestSeg geometry its walkers index (see
+    /// [`TranslationEngine::new`]). [`SystemConfig::with_design`] builds
+    /// only valid pairs.
     pub fn new(config: SystemConfig) -> Self {
         let num_cores = config.os.num_cores.max(1);
         let mut os = MimicOs::new(config.os.clone());
@@ -420,7 +426,7 @@ impl System {
         let make_frontend = |_| {
             Some(Box::new(Frontend {
                 mmu: Mmu::new(config.mmu.clone()),
-                engine: TranslationEngine::new(config.engine),
+                engine: TranslationEngine::new(config.engine, &config.os.policy),
             }))
         };
         let make_core = |c: usize| CoreState {
@@ -2401,7 +2407,8 @@ mod tests {
         let trace = linear_trace(0x1000_0000, 6000, 4096);
         let mut results = Vec::new();
         for kind in [PageTableKind::Radix, PageTableKind::HashedOpenAddressing] {
-            let mut system = System::new(SystemConfig::small_test().with_page_table(kind));
+            let mut system =
+                System::new(SystemConfig::small_test().with_design(crate::Design::PageTable(kind)));
             system
                 .mmap_anonymous(VirtAddr::new(0x1000_0000), 64 * 1024 * 1024)
                 .unwrap();
@@ -2600,145 +2607,188 @@ mod tests {
 
     mod engines {
         use super::*;
+        use crate::Design;
         use mimic_os::AllocationPolicy;
-        use mmu_sim::{EngineConfig, EngineReport, MidgardConfig, RmmConfig, UtopiaMmuConfig};
+        use mmu_sim::EngineReport;
 
-        fn run_engine(config: SystemConfig, instructions: u64, stride: u64) -> SimulationReport {
+        /// Whether `section` is the engine report `design` writes (none for
+        /// a page table).
+        fn section_matches(design: Design, section: &Option<EngineReport>) -> bool {
+            matches!(
+                (design, section),
+                (Design::PageTable(_), None)
+                    | (Design::Midgard, Some(EngineReport::Midgard { .. }))
+                    | (Design::Rmm, Some(EngineReport::Rmm { .. }))
+                    | (Design::Utopia(_), Some(EngineReport::Utopia { .. }))
+            )
+        }
+
+        /// A short GUPS run on `small_test` with 4 KiB pages (so the TLBs
+        /// miss and each design's translation path has work): uniform
+        /// random loads over one 16 MiB region.
+        fn gups_report(design: Design) -> SimulationReport {
+            const BASE: u64 = 0x1000_0000;
+            const FOOTPRINT: u64 = 16 * 1024 * 1024;
+            let mut config = SystemConfig::small_test().with_design(design);
+            config.os.thp = mimic_os::ThpConfig::disabled();
             let mut system = System::new(config);
             system
-                .mmap_anonymous(VirtAddr::new(0x1000_0000), 32 * 1024 * 1024)
+                .mmap_anonymous(VirtAddr::new(BASE), FOOTPRINT)
                 .unwrap();
-            let trace = linear_trace(0x1000_0000, instructions, stride);
-            system.run(&mut SliceFrontend::new("W", trace), None)
-        }
-
-        #[test]
-        fn midgard_runs_end_to_end_through_system() {
-            let config = SystemConfig::small_test()
-                .with_engine(EngineConfig::Midgard(MidgardConfig::paper_baseline()));
-            let report = run_engine(config, 5000, 4096);
-            assert_eq!(report.instructions, 5000);
-            assert!(report.minor_faults > 0, "faults flow through MimicOS");
-            assert!(report.kernel_instructions > 0, "kernel streams injected");
-            let Some(EngineReport::Midgard {
-                translations,
-                l1_vlb_hits,
-                ..
-            }) = report.engine
-            else {
-                panic!("midgard engine stats expected, got {:?}", report.engine);
-            };
-            assert!(translations > 0);
-            assert!(l1_vlb_hits > 0, "one VMA: the L1 VLB should serve it");
-        }
-
-        #[test]
-        fn rmm_engine_with_eager_paging_avoids_page_walks() {
-            let mut config = SystemConfig::small_test()
-                .with_engine(EngineConfig::Rmm(RmmConfig::paper_baseline()));
-            config.os.policy = AllocationPolicy::EagerPaging;
-            let report = run_engine(config, 5000, 4096);
-            assert_eq!(report.instructions, 5000);
-            let Some(EngineReport::Rmm {
-                range_translations,
-                range_coverage,
-                ranges,
-                ..
-            }) = report.engine
-            else {
-                panic!("rmm engine stats expected, got {:?}", report.engine);
-            };
-            assert!(ranges > 0, "eager paging must register ranges");
-            assert!(range_translations > 0);
-            assert!(range_coverage > 0.9, "coverage {range_coverage}");
-            // The same TLB-hostile stride on the radix baseline walks; the
-            // range path does not.
-            let baseline = run_engine(SystemConfig::small_test(), 5000, 4096);
-            assert!(
-                report.page_walks < baseline.page_walks,
-                "ranges must absorb page walks ({} vs {})",
-                report.page_walks,
-                baseline.page_walks
-            );
-        }
-
-        #[test]
-        fn utopia_engine_resolves_restseg_pages_without_walks() {
-            let mut config = SystemConfig::small_test().with_engine(EngineConfig::Utopia(
-                UtopiaMmuConfig::paper_baseline().with_restseg_bytes(64 * 1024 * 1024),
-            ));
-            config.os.policy = AllocationPolicy::Utopia(mimic_os::UtopiaConfig::new(
-                64 * 1024 * 1024,
-                16,
-                PageSize::Size4K,
-            ));
-            // Two passes over 2000 pages: the first faults every page in
-            // (RestSeg placement), the second overflows the small-test TLB
-            // so revisits resolve through the RestSeg walkers.
-            let mut system = System::new(config);
-            system
-                .mmap_anonymous(VirtAddr::new(0x1000_0000), 32 * 1024 * 1024)
-                .unwrap();
-            let trace: Vec<Instruction> = (0..4000u64)
+            let mut rng = DetRng::new(0x6095);
+            let trace: Vec<Instruction> = (0..6_000u64)
                 .map(|i| {
+                    let offset = rng.gen_range(0, FOOTPRINT) & !7;
                     Instruction::load(
-                        VirtAddr::new(0x400),
-                        VirtAddr::new(0x1000_0000 + (i % 2000) * 4096),
+                        VirtAddr::new(0x400 + (i % 64) * 4),
+                        VirtAddr::new(BASE + offset),
                     )
                 })
                 .collect();
-            let report = system.run(&mut SliceFrontend::new("UT", trace), None);
-            assert_eq!(report.instructions, 4000);
-            let Some(EngineReport::Utopia {
-                lookups,
-                restseg_hits,
-                rsw_fetches,
-                ..
-            }) = report.engine
-            else {
-                panic!("utopia engine stats expected, got {:?}", report.engine);
-            };
-            assert!(lookups > 0, "every TLB miss pays the RestSeg lookup");
-            assert!(restseg_hits > 0, "kernel placements resolve in the RestSeg");
-            assert!(rsw_fetches > 0, "tag-array traffic reaches the hierarchy");
+            system.run(&mut SliceFrontend::new("GUPS", trace), None)
         }
 
+        /// Every design runs end to end through `System`, writes its own
+        /// engine section, and takes its own translation path: page tables
+        /// walk, Midgard's VLBs and backend serve, RMM's ranges translate
+        /// (and absorb the walks radix takes), Utopia's RestSeg resolves
+        /// kernel placements.
         #[test]
-        fn page_table_engine_report_has_no_engine_section() {
-            let report = run_engine(SystemConfig::small_test(), 2000, 64);
-            assert_eq!(report.engine, None);
-            let json = serde_json::to_string(&report).unwrap();
-            assert!(
-                !json.contains("\"engine\":"),
-                "page-table reports must serialize without an engine section"
-            );
-        }
-
-        #[test]
-        fn engines_run_multiprogram_with_per_process_attribution() {
-            let mut config = SystemConfig::small_test()
-                .with_engine(EngineConfig::Midgard(MidgardConfig::paper_baseline()));
-            config.os.sched_quantum = 500;
-            let mut system = System::new(config);
-            let a = system.pid();
-            let b = system.spawn_process();
-            for pid in [a, b] {
-                system
-                    .mmap_anonymous_for(pid, VirtAddr::new(0x1000_0000), 8 * 1024 * 1024)
-                    .unwrap();
+        fn every_design_engages_its_own_path() {
+            let mut radix_walks = None;
+            for design in Design::ALL {
+                let label = design.label();
+                let report = gups_report(design);
+                assert_eq!(report.instructions, 6_000, "{label}");
+                // Eager paging maps each VMA whole at mmap: RMM never faults.
+                assert_eq!(
+                    report.minor_faults > 0,
+                    design != Design::Rmm,
+                    "{label}: faults flow through MimicOS"
+                );
+                assert!(
+                    section_matches(design, &report.engine),
+                    "{label}: wrong engine section {:?}",
+                    report.engine
+                );
+                let json = serde_json::to_string(&report).unwrap();
+                match (design, report.engine) {
+                    (Design::PageTable(kind), None) => {
+                        assert!(report.page_walks > 0, "{label}");
+                        if kind == PageTableKind::Radix {
+                            radix_walks = Some(report.page_walks);
+                        }
+                        assert!(
+                            !json.contains("\"engine\":"),
+                            "page-table reports serialize without an engine section"
+                        );
+                    }
+                    (
+                        Design::Midgard,
+                        Some(EngineReport::Midgard {
+                            translations,
+                            l1_vlb_hits,
+                            l2_vlb_hits,
+                            backend_walks,
+                            ..
+                        }),
+                    ) => {
+                        assert!(translations > 0);
+                        assert!(l1_vlb_hits > 0, "one VMA: the L1 VLB serves it");
+                        assert!(backend_walks + l1_vlb_hits + l2_vlb_hits > 0);
+                    }
+                    (
+                        Design::Rmm,
+                        Some(EngineReport::Rmm {
+                            range_translations,
+                            range_coverage,
+                            ranges,
+                            ..
+                        }),
+                    ) => {
+                        assert!(ranges > 0, "eager paging must register ranges");
+                        assert!(range_translations > 0);
+                        assert!(range_coverage > 0.9, "coverage {range_coverage}");
+                        let radix = radix_walks.expect("radix runs first");
+                        assert!(
+                            report.page_walks < radix,
+                            "ranges must absorb page walks ({} vs {radix})",
+                            report.page_walks
+                        );
+                    }
+                    (
+                        Design::Utopia(_),
+                        Some(EngineReport::Utopia {
+                            lookups,
+                            restseg_hits,
+                            rsw_fetches,
+                            ..
+                        }),
+                    ) => {
+                        assert!(lookups > 0, "every TLB miss pays the RestSeg lookup");
+                        assert!(restseg_hits > 0, "kernel placements resolve in the RestSeg");
+                        assert!(rsw_fetches > 0, "tag-array traffic reaches the hierarchy");
+                    }
+                    _ => unreachable!("section_matches checked the pairing"),
+                }
             }
-            let mut fa = SliceFrontend::new("A", linear_trace(0x1000_0000, 3000, 64));
-            let mut fb = SliceFrontend::new("B", linear_trace(0x1000_0000, 3000, 4096));
-            let mut programs: Vec<(ProcessId, &mut dyn TraceSource)> =
-                vec![(a, &mut fa), (b, &mut fb)];
-            let report = system.run_multiprogram(&mut programs, None);
-            assert_eq!(report.rollup.instructions, 6000);
-            assert!(report.context_switches > 0);
-            assert!(report.processes.iter().all(|p| p.minor_faults > 0));
-            assert!(matches!(
-                report.rollup.engine,
-                Some(EngineReport::Midgard { .. })
-            ));
+        }
+
+        #[test]
+        #[should_panic(expected = "the RMM engine needs eager paging")]
+        fn an_rmm_engine_without_eager_paging_is_rejected() {
+            let config = SystemConfig::small_test()
+                .with_design(Design::Rmm)
+                .with_allocation_policy(AllocationPolicy::BuddyFourK);
+            System::new(config);
+        }
+
+        #[test]
+        #[should_panic(expected = "the Utopia engine needs the Utopia policy")]
+        fn a_utopia_engine_without_its_restseg_policy_is_rejected() {
+            let utopia =
+                Design::Utopia(mimic_os::UtopiaConfig::new(32 << 20, 16, PageSize::Size4K));
+            let config = SystemConfig::small_test()
+                .with_design(utopia)
+                .with_allocation_policy(AllocationPolicy::LinuxThp);
+            System::new(config);
+        }
+
+        #[test]
+        fn every_design_runs_multiprogram_with_per_process_attribution() {
+            for design in Design::ALL {
+                let label = design.label();
+                let mut config = SystemConfig::small_test().with_design(design);
+                config.os.sched_quantum = 500;
+                let mut system = System::new(config);
+                let a = system.pid();
+                let b = system.spawn_process();
+                for pid in [a, b] {
+                    system
+                        .mmap_anonymous_for(pid, VirtAddr::new(0x1000_0000), 8 * 1024 * 1024)
+                        .unwrap();
+                }
+                let mut fa = SliceFrontend::new("A", linear_trace(0x1000_0000, 3000, 64));
+                let mut fb = SliceFrontend::new("B", linear_trace(0x1000_0000, 3000, 4096));
+                let mut programs: Vec<(ProcessId, &mut dyn TraceSource)> =
+                    vec![(a, &mut fa), (b, &mut fb)];
+                let report = system.run_multiprogram(&mut programs, None);
+                assert_eq!(report.rollup.instructions, 6000, "{label}");
+                assert!(report.context_switches > 0, "{label}");
+                // Eager paging maps each VMA whole at mmap: RMM never faults.
+                assert!(
+                    report
+                        .processes
+                        .iter()
+                        .all(|p| (p.minor_faults > 0) == (design != Design::Rmm)),
+                    "{label}: every process faults"
+                );
+                assert!(
+                    section_matches(design, &report.rollup.engine),
+                    "{label}: wrong engine section {:?}",
+                    report.rollup.engine
+                );
+            }
         }
     }
 
@@ -2959,40 +3009,16 @@ mod tests {
     }
 
     #[test]
-    fn oom_kill_keeps_every_engine_coherent_at_one_and_four_cores() {
-        use mimic_os::AllocationPolicy;
-        use mmu_sim::{EngineConfig, MidgardConfig, RmmConfig, UtopiaMmuConfig};
-        let engines: Vec<(&str, EngineConfig, AllocationPolicy)> = vec![
-            ("pt", EngineConfig::PageTable, AllocationPolicy::BuddyFourK),
-            (
-                "midgard",
-                EngineConfig::Midgard(MidgardConfig::paper_baseline()),
-                AllocationPolicy::BuddyFourK,
-            ),
-            (
-                "rmm",
-                EngineConfig::Rmm(RmmConfig::paper_baseline()),
-                AllocationPolicy::EagerPaging,
-            ),
-            (
-                "utopia",
-                EngineConfig::Utopia(
-                    UtopiaMmuConfig::paper_baseline().with_restseg_bytes(2 * 1024 * 1024),
-                ),
-                AllocationPolicy::Utopia(mimic_os::UtopiaConfig::new(
-                    2 * 1024 * 1024,
-                    16,
-                    PageSize::Size4K,
-                )),
-            ),
-        ];
+    fn oom_kill_keeps_every_design_coherent_at_one_and_four_cores() {
         for cores in [1usize, 4] {
-            for (name, engine, policy) in &engines {
+            for design in crate::Design::ALL {
+                // A RestSeg that fits the 4 MiB machine.
+                let design = design.with_restseg_bytes(2 * 1024 * 1024);
+                let name = design.label();
                 let mut config = oom_pressure_config()
-                    .with_engine(*engine)
+                    .with_design(design)
                     .with_cores(cores)
                     .with_invariant_checks(512);
-                config.os.policy = *policy;
                 config.os.sched_quantum = 500;
                 let mut system = System::new(config);
                 let a = system.pid();
@@ -3018,36 +3044,13 @@ mod tests {
         }
     }
 
-    /// A populated system per engine (and, for the page-table engine, per
-    /// walk shape: serial radix or parallel hashed), plus a region that is
-    /// mapped but untouched, so translations into it fault *after* a walk.
+    /// A populated system of design `Design::ALL[cell]` (serial radix and
+    /// parallel hashed walks among them, and an 8 MiB RestSeg), plus a
+    /// region that is mapped but untouched, so translations into it fault
+    /// *after* a walk.
     fn slice_log_system(cell: usize) -> System {
-        use mimic_os::AllocationPolicy;
-        use mmu_sim::{EngineConfig, MidgardConfig, RmmConfig, UtopiaMmuConfig};
-        let mut config = SystemConfig::small_test();
-        match cell {
-            0 => {}
-            1 => config.mmu.page_table = PageTableKind::HashedChained,
-            2 => {
-                config = config.with_engine(EngineConfig::Midgard(MidgardConfig::paper_baseline()))
-            }
-            3 => {
-                config = config.with_engine(EngineConfig::Rmm(RmmConfig::paper_baseline()));
-                config.os.policy = AllocationPolicy::EagerPaging;
-            }
-            _ => {
-                let restseg: u64 = 8 * 1024 * 1024;
-                config = config.with_engine(EngineConfig::Utopia(
-                    UtopiaMmuConfig::paper_baseline().with_restseg_bytes(restseg),
-                ));
-                config.os.policy = AllocationPolicy::Utopia(mimic_os::UtopiaConfig::new(
-                    restseg,
-                    16,
-                    PageSize::Size4K,
-                ));
-            }
-        }
-        let mut system = System::new(config);
+        let design = crate::Design::ALL[cell].with_restseg_bytes(8 * 1024 * 1024);
+        let mut system = System::new(SystemConfig::small_test().with_design(design));
         system
             .mmap_anonymous(VirtAddr::new(0x1000_0000), 4 * 1024 * 1024)
             .unwrap();
@@ -3067,7 +3070,7 @@ mod tests {
         /// shapes, TLB hits, walks and the fault that ends a slice.
         #[test]
         fn the_slice_log_round_trips_every_translation(
-            cell in 0usize..5,
+            cell in 0usize..crate::Design::ALL.len(),
             seed in 0u64..1_000_000,
             len in 1usize..600,
             fault_at in 0usize..900,
@@ -3275,15 +3278,8 @@ mod tests {
         }
         if rng.gen_bool(0.3) {
             // Utopia: some pages land in the RestSeg, outside the buddy.
-            let restseg: u64 = 1 << 20;
-            config = config.with_engine(mmu_sim::EngineConfig::Utopia(
-                mmu_sim::UtopiaMmuConfig::paper_baseline().with_restseg_bytes(restseg),
-            ));
-            config.os.policy = mimic_os::AllocationPolicy::Utopia(mimic_os::UtopiaConfig::new(
-                restseg,
-                16,
-                PageSize::Size4K,
-            ));
+            let restseg = mimic_os::UtopiaConfig::new(1 << 20, 16, PageSize::Size4K);
+            config = config.with_design(crate::Design::Utopia(restseg));
         }
         // File pages are allocated on first touch, so the buddy hands out
         // little beyond what is mapped and planted frames can overflow it.

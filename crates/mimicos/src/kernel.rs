@@ -207,12 +207,42 @@ impl OsConfig {
                     reason: "utopia restseg must be smaller than physical memory".to_string(),
                 });
             }
-            if !cfg.size_bytes.is_multiple_of(4096) {
+            if cfg.ways == 0 {
+                return Err(VmError::InvalidConfig {
+                    reason: "utopia restseg needs at least one way".to_string(),
+                });
+            }
+            let page = cfg.page_size.bytes();
+            if !cfg.size_bytes.is_multiple_of(page) {
                 // An unaligned carve-out would leave the FlexSeg with a
                 // fractional 4 KiB frame (caught deep in the buddy
-                // allocator otherwise).
+                // allocator otherwise), and would misalign huge-page slots.
                 return Err(VmError::InvalidConfig {
-                    reason: "utopia restseg size must be a multiple of 4 KiB".to_string(),
+                    reason: format!(
+                        "utopia restseg size {} is not a multiple of its {} pages",
+                        cfg.size_bytes, cfg.page_size
+                    ),
+                });
+            }
+            if !(self.memory_bytes - cfg.size_bytes).is_multiple_of(page) {
+                // The RestSeg sits at the top of memory: a base off its page
+                // grid would round slots down into the FlexSeg's last frame.
+                return Err(VmError::InvalidConfig {
+                    reason: format!(
+                        "utopia restseg base {:#x} is not aligned to its {} pages",
+                        self.memory_bytes - cfg.size_bytes,
+                        cfg.page_size
+                    ),
+                });
+            }
+            if cfg.size_bytes < cfg.ways as u64 * page {
+                // Fewer bytes than one set: the slots of the single set
+                // would reach past the carve-out, past the end of memory.
+                return Err(VmError::InvalidConfig {
+                    reason: format!(
+                        "utopia restseg of {} bytes is smaller than one {}-way set",
+                        cfg.size_bytes, cfg.ways
+                    ),
                 });
             }
         }
@@ -2420,6 +2450,37 @@ mod tests {
             ..OsConfig::small_test()
         };
         assert!(MimicOs::try_new(unaligned_restseg).is_err());
+    }
+
+    /// One case per RestSeg geometry rule: each would crash or overrun
+    /// at boot (or misalign the segment's slots) if it got past
+    /// validation.
+    #[test]
+    fn invalid_restseg_geometries_are_rejected() {
+        let with_restseg = |size_bytes, ways, page_size| OsConfig {
+            policy: AllocationPolicy::Utopia(crate::utopia::UtopiaConfig::new(
+                size_bytes, ways, page_size,
+            )),
+            ..OsConfig::small_test()
+        };
+        let rejected = |config: OsConfig| {
+            matches!(MimicOs::try_new(config), Err(VmError::InvalidConfig { .. }))
+        };
+        // No ways: `sets()` would divide by zero.
+        assert!(rejected(with_restseg(32 * MB, 0, PageSize::Size4K)));
+        // Smaller than one 16-way set of 4 KiB pages (64 KiB).
+        assert!(rejected(with_restseg(32 * 1024, 16, PageSize::Size4K)));
+        // 4 KiB-aligned but not a whole number of its 2 MiB pages.
+        assert!(rejected(with_restseg(32 * MB + 4096, 4, PageSize::Size2M)));
+        // A whole number of 2 MiB pages, but based off the 2 MiB grid: the
+        // top of a 256 MiB + 4 KiB machine.
+        assert!(rejected(OsConfig {
+            memory_bytes: 256 * MB + 4096,
+            ..with_restseg(32 * MB, 4, PageSize::Size2M)
+        }));
+        // The boundary cases stay valid.
+        assert!(!rejected(with_restseg(16 * 4096, 16, PageSize::Size4K)));
+        assert!(!rejected(with_restseg(32 * MB, 4, PageSize::Size2M)));
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub struct UtopiaConfig {
 impl UtopiaConfig {
     /// The paper's default pair (Table 4): one 8 GB RestSeg of 4 KiB pages —
     /// scaled here by the caller's physical memory budget.
-    pub fn new(size_bytes: u64, ways: u32, page_size: PageSize) -> Self {
+    pub const fn new(size_bytes: u64, ways: u32, page_size: PageSize) -> Self {
         UtopiaConfig {
             size_bytes,
             ways,
@@ -39,9 +39,10 @@ impl UtopiaConfig {
         }
     }
 
-    /// Number of sets in the RestSeg.
+    /// Number of sets in the RestSeg (at least one for every geometry
+    /// [`OsConfig::validate`](crate::OsConfig::validate) accepts).
     pub fn sets(&self) -> u64 {
-        (self.size_bytes / self.page_size.bytes() / self.ways as u64).max(1)
+        self.size_bytes / self.page_size.bytes() / self.ways as u64
     }
 
     /// Total number of page slots.

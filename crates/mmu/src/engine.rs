@@ -44,7 +44,7 @@ use crate::pt::{WalkAccessList, WalkOutcome};
 use crate::rmm::{RmmConfig, RmmMmu};
 use crate::utopia_mmu::{UtopiaMmu, UtopiaMmuConfig};
 use mimic_os::kernel::RangeMapping;
-use mimic_os::Mapping;
+use mimic_os::{AllocationPolicy, Mapping, UtopiaConfig};
 use serde::{Deserialize, Serialize};
 use vm_types::{Asid, Counter, PageSize, PhysAddr, VirtAddr};
 
@@ -78,19 +78,9 @@ pub enum EngineConfig {
     Rmm(RmmConfig),
     /// Utopia (Kanellopoulos et al., MICRO 2023): RestSeg set-index
     /// translation with TAR/SF caches, falling back to the page table.
+    /// The RestSeg geometry is the kernel's
+    /// ([`AllocationPolicy::Utopia`]), handed over when the engine is built.
     Utopia(UtopiaMmuConfig),
-}
-
-impl EngineConfig {
-    /// Short label used in tables, reports and the `sim_speed` bench.
-    pub fn label(&self) -> &'static str {
-        match self {
-            EngineConfig::PageTable => "page-table",
-            EngineConfig::Midgard(_) => "midgard",
-            EngineConfig::Rmm(_) => "rmm",
-            EngineConfig::Utopia(_) => "utopia",
-        }
-    }
 }
 
 /// Engine-specific metadata accompanying a fault-time mapping install,
@@ -202,27 +192,33 @@ pub enum TranslationEngine {
 }
 
 impl TranslationEngine {
-    /// Builds the engine selected by `engine`.
-    pub fn new(engine: EngineConfig) -> Self {
-        match engine {
-            EngineConfig::PageTable => TranslationEngine::PageTable,
-            EngineConfig::Midgard(cfg) => {
+    /// Builds the engine selected by `engine` for a kernel allocating
+    /// under `policy`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine cannot work with the kernel's policy: RMM
+    /// translates through ranges only [`AllocationPolicy::EagerPaging`]
+    /// builds, and Utopia's walkers index the RestSeg only
+    /// [`AllocationPolicy::Utopia`] carves out (whose geometry they read).
+    pub fn new(engine: EngineConfig, policy: &AllocationPolicy) -> Self {
+        match (engine, policy) {
+            (EngineConfig::PageTable, _) => TranslationEngine::PageTable,
+            (EngineConfig::Midgard(cfg), _) => {
                 TranslationEngine::Midgard(Box::new(MidgardEngine::new(cfg)))
             }
-            EngineConfig::Rmm(cfg) => TranslationEngine::Rmm(Box::new(RmmEngine::new(cfg))),
-            EngineConfig::Utopia(cfg) => {
-                TranslationEngine::Utopia(Box::new(UtopiaEngine::new(cfg)))
+            (EngineConfig::Rmm(cfg), AllocationPolicy::EagerPaging) => {
+                TranslationEngine::Rmm(Box::new(RmmEngine::new(cfg)))
             }
-        }
-    }
-
-    /// Short label of the engine in use.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TranslationEngine::PageTable => "page-table",
-            TranslationEngine::Midgard(_) => "midgard",
-            TranslationEngine::Rmm(_) => "rmm",
-            TranslationEngine::Utopia(_) => "utopia",
+            (EngineConfig::Utopia(cfg), AllocationPolicy::Utopia(geometry)) => {
+                TranslationEngine::Utopia(Box::new(UtopiaEngine::new(cfg, *geometry)))
+            }
+            (EngineConfig::Rmm(_), policy) => {
+                panic!("the RMM engine needs eager paging, not the {policy} policy")
+            }
+            (EngineConfig::Utopia(_), policy) => {
+                panic!("the Utopia engine needs the Utopia policy, not the {policy} policy")
+            }
         }
     }
 
@@ -764,13 +760,13 @@ pub struct UtopiaEngine {
 }
 
 impl UtopiaEngine {
-    /// Builds the engine.
-    pub fn new(config: UtopiaMmuConfig) -> Self {
+    /// Builds the engine over the kernel's RestSeg `geometry`.
+    pub fn new(config: UtopiaMmuConfig, geometry: UtopiaConfig) -> Self {
         // Pre-size the resident map for a full RestSeg of base pages so
         // steady-state installs never pause to rehash mid-run.
-        let resident_capacity = (config.restseg_bytes / 4096).min(1 << 20) as usize;
+        let resident_capacity = (geometry.size_bytes / 4096).min(1 << 20) as usize;
         UtopiaEngine {
-            utopia: UtopiaMmu::new(config, PhysAddr::new(UTOPIA_TAG_BASE)),
+            utopia: UtopiaMmu::new(config, geometry, PhysAddr::new(UTOPIA_TAG_BASE)),
             resident: vm_types::FxHashMap::with_capacity_and_hasher(
                 resident_capacity,
                 Default::default(),
@@ -909,9 +905,18 @@ mod tests {
         }
     }
 
+    /// The engine over the kernel policy its design needs (Utopia's
+    /// RestSeg at the paper's 8 GiB, 16 ways, 4 KiB pages).
     fn engine(config: EngineConfig) -> (TranslationEngine, Mmu) {
+        let policy = match config {
+            EngineConfig::Rmm(_) => AllocationPolicy::EagerPaging,
+            EngineConfig::Utopia(_) => {
+                AllocationPolicy::Utopia(UtopiaConfig::new(8 << 30, 16, PageSize::Size4K))
+            }
+            EngineConfig::PageTable | EngineConfig::Midgard(_) => AllocationPolicy::BuddyFourK,
+        };
         (
-            TranslationEngine::new(config),
+            TranslationEngine::new(config, &policy),
             Mmu::new(MmuConfig::small_test(PageTableKind::Radix)),
         )
     }

@@ -12,18 +12,15 @@
 //! caches and the data caches behind them.
 
 use crate::pt::WalkAccessList;
+use mimic_os::UtopiaConfig;
 use serde::{Deserialize, Serialize};
-use vm_types::{Counter, Cycles, PageSize, PhysAddr, VirtAddr};
+use vm_types::{Counter, Cycles, PhysAddr, VirtAddr};
 
-/// Configuration of the Utopia MMU hardware.
+/// Configuration of the Utopia MMU hardware: the RestSeg walkers' caches.
+/// The RestSeg geometry is not part of it — the MMU indexes the segment
+/// the kernel fills, so it reads the kernel policy's [`UtopiaConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UtopiaMmuConfig {
-    /// RestSeg size in bytes.
-    pub restseg_bytes: u64,
-    /// RestSeg associativity.
-    pub ways: u32,
-    /// Page size stored in the RestSeg.
-    pub page_size: PageSize,
     /// TAR-cache capacity in entries (the paper: 8 KB ≈ 1024 tags).
     pub tar_cache_entries: usize,
     /// SF-cache capacity in entries.
@@ -33,29 +30,13 @@ pub struct UtopiaMmuConfig {
 }
 
 impl UtopiaMmuConfig {
-    /// The paper's Table 4 configuration with an 8 GB RestSeg.
+    /// The paper's Table 4 TAR/SF caches.
     pub fn paper_baseline() -> Self {
         UtopiaMmuConfig {
-            restseg_bytes: 8 << 30,
-            ways: 16,
-            page_size: PageSize::Size4K,
             tar_cache_entries: 1024,
             sf_cache_entries: 1024,
             cache_latency: Cycles::new(2),
         }
-    }
-
-    /// Same geometry with a different RestSeg size (for the Fig. 19 sweep).
-    pub fn with_restseg_bytes(self, bytes: u64) -> Self {
-        UtopiaMmuConfig {
-            restseg_bytes: bytes,
-            ..self
-        }
-    }
-
-    /// Number of sets in the RestSeg.
-    pub fn sets(&self) -> u64 {
-        (self.restseg_bytes / self.page_size.bytes() / self.ways as u64).max(1)
     }
 }
 
@@ -139,8 +120,10 @@ pub struct UtopiaTranslation {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct UtopiaMmu {
     config: UtopiaMmuConfig,
+    /// The RestSeg the kernel fills (size, associativity, page size).
+    geometry: UtopiaConfig,
     metadata_base: PhysAddr,
-    /// `config.sets()`, precomputed off the per-translation path.
+    /// `geometry.sets()`, precomputed off the per-translation path.
     sets: u64,
     /// `sets - 1` when the set count is a power of two (every paper
     /// configuration) — the hot-path set index then reduces with a mask
@@ -156,14 +139,16 @@ pub struct UtopiaMmu {
 }
 
 impl UtopiaMmu {
-    /// Creates the Utopia MMU; `metadata_base` is where the RestSeg tag
-    /// arrays live in physical memory.
-    pub fn new(config: UtopiaMmuConfig, metadata_base: PhysAddr) -> Self {
-        let sets = config.sets();
+    /// Creates the Utopia MMU over the RestSeg `geometry` (a geometry
+    /// [`mimic_os::OsConfig::validate`] accepts); `metadata_base` is where
+    /// the RestSeg tag arrays live in physical memory.
+    pub fn new(config: UtopiaMmuConfig, geometry: UtopiaConfig, metadata_base: PhysAddr) -> Self {
+        let sets = geometry.sets();
         UtopiaMmu {
             tar_cache: SetCache::new(config.tar_cache_entries),
             sf_cache: SetCache::new(config.sf_cache_entries),
             config,
+            geometry,
             metadata_base,
             sets,
             set_mask: sets.is_power_of_two().then(|| sets - 1),
@@ -172,13 +157,8 @@ impl UtopiaMmu {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &UtopiaMmuConfig {
-        &self.config
-    }
-
     fn set_index(&self, va: VirtAddr) -> u64 {
-        let vpn = va.page_number(self.config.page_size).number();
+        let vpn = va.page_number(self.geometry.page_size).number();
         let hash = vpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17;
         match self.set_mask {
             Some(mask) => hash & mask,
@@ -203,7 +183,7 @@ impl UtopiaMmu {
             // Fetch the set's tag group(s) from the in-memory tag array. The
             // tag array spans a region proportional to the RestSeg size, so
             // large RestSegs have poor locality here (Fig. 19).
-            let groups = (self.config.ways as u64).div_ceil(8);
+            let groups = (self.geometry.ways as u64).div_ceil(8);
             for g in 0..groups {
                 accesses.push(self.metadata_base.add(set * groups * 64 + g * 64));
             }
@@ -240,13 +220,22 @@ impl UtopiaMmu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vm_types::PageSize;
+
+    const TAG_BASE: PhysAddr = PhysAddr::new(0xD0_0000_0000);
+
+    /// A paper-baseline MMU over a 16-way, 4 KiB-page RestSeg of `bytes`.
+    fn mmu(bytes: u64) -> UtopiaMmu {
+        UtopiaMmu::new(
+            UtopiaMmuConfig::paper_baseline(),
+            UtopiaConfig::new(bytes, 16, PageSize::Size4K),
+            TAG_BASE,
+        )
+    }
 
     #[test]
     fn repeated_translations_hit_the_tar_cache() {
-        let mut mmu = UtopiaMmu::new(
-            UtopiaMmuConfig::paper_baseline(),
-            PhysAddr::new(0xD0_0000_0000),
-        );
+        let mut mmu = mmu(8 << 30);
         let va = VirtAddr::new(0x1234_5000);
         let first = mmu.translate(va);
         let second = mmu.translate(va);
@@ -257,20 +246,17 @@ mod tests {
 
     #[test]
     fn larger_restsegs_touch_a_larger_metadata_footprint() {
-        let base = PhysAddr::new(0xD0_0000_0000);
-        let small_cfg = UtopiaMmuConfig::paper_baseline().with_restseg_bytes(1 << 30);
-        let large_cfg = UtopiaMmuConfig::paper_baseline().with_restseg_bytes(64 << 30);
-        let mut small = UtopiaMmu::new(small_cfg, base);
-        let mut large = UtopiaMmu::new(large_cfg, base);
+        let mut small = mmu(1 << 30);
+        let mut large = mmu(64 << 30);
         let mut small_span = 0u64;
         let mut large_span = 0u64;
         for i in 0..4096u64 {
             let va = VirtAddr::new(i * 0x40_0000 + 0x123_0000);
             for a in &small.translate(va).metadata_accesses {
-                small_span = small_span.max(a.raw() - base.raw());
+                small_span = small_span.max(a.raw() - TAG_BASE.raw());
             }
             for a in &large.translate(va).metadata_accesses {
-                large_span = large_span.max(a.raw() - base.raw());
+                large_span = large_span.max(a.raw() - TAG_BASE.raw());
             }
         }
         assert!(
@@ -281,10 +267,7 @@ mod tests {
 
     #[test]
     fn invalidation_forces_the_next_lookup_to_refetch_tags() {
-        let mut mmu = UtopiaMmu::new(
-            UtopiaMmuConfig::paper_baseline(),
-            PhysAddr::new(0xD0_0000_0000),
-        );
+        let mut mmu = mmu(8 << 30);
         let va = VirtAddr::new(0x1234_5000);
         mmu.translate(va); // cold: fetches + fills TAR/SF
         assert!(mmu.translate(va).metadata_accesses.is_empty(), "warm");
@@ -299,18 +282,7 @@ mod tests {
 
     #[test]
     fn latency_includes_both_cache_probes() {
-        let mut mmu = UtopiaMmu::new(
-            UtopiaMmuConfig::paper_baseline(),
-            PhysAddr::new(0xD0_0000_0000),
-        );
-        let t = mmu.translate(VirtAddr::new(0x9000));
+        let t = mmu(8 << 30).translate(VirtAddr::new(0x9000));
         assert_eq!(t.latency, Cycles::new(4));
-    }
-
-    #[test]
-    fn sets_scale_with_size() {
-        let small = UtopiaMmuConfig::paper_baseline().with_restseg_bytes(1 << 30);
-        let large = UtopiaMmuConfig::paper_baseline().with_restseg_bytes(8 << 30);
-        assert!(large.sets() > small.sets());
     }
 }

@@ -31,8 +31,7 @@ fn main() {
     let bc = catalog::graphbig_bc()
         .scaled_footprint(0.15)
         .with_instructions(60_000);
-    let config = SystemConfig::small_test()
-        .with_engine(EngineConfig::Midgard(MidgardConfig::paper_baseline()));
+    let config = SystemConfig::small_test().with_design(Design::Midgard);
     let report = run(config, &bc, 11);
     if let Some(EngineReport::Midgard {
         frontend_fraction,
@@ -53,15 +52,8 @@ fn main() {
         .scaled_footprint(0.125)
         .with_instructions(40_000);
     for mb in [32u64, 64, 96, 128] {
-        let restseg_bytes = mb << 20;
-        let mut config = SystemConfig::small_test().with_engine(EngineConfig::Utopia(
-            UtopiaMmuConfig::paper_baseline().with_restseg_bytes(restseg_bytes),
-        ));
-        config.os.policy = AllocationPolicy::Utopia(virtuoso_suite::mimic_os::UtopiaConfig::new(
-            restseg_bytes,
-            16,
-            PageSize::Size4K,
-        ));
+        let restseg = virtuoso_suite::mimic_os::UtopiaConfig::new(mb << 20, 16, PageSize::Size4K);
+        let config = SystemConfig::small_test().with_design(Design::Utopia(restseg));
         let report = run(config, &gups, 13);
         if let Some(EngineReport::Utopia {
             rsw_fetches,
@@ -81,9 +73,7 @@ fn main() {
     let sssp = catalog::graphbig_sssp()
         .scaled_footprint(0.15)
         .with_instructions(40_000);
-    let mut config =
-        SystemConfig::small_test().with_engine(EngineConfig::Rmm(RmmConfig::paper_baseline()));
-    config.os.policy = AllocationPolicy::EagerPaging;
+    let config = SystemConfig::small_test().with_design(Design::Rmm);
     let report = run(config, &sssp, 17);
     if let Some(EngineReport::Rmm {
         range_translations,

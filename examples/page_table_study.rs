@@ -19,13 +19,8 @@ fn main() {
         "{:<8} {:>14} {:>16} {:>18} {:>16}",
         "design", "avg PTW (cyc)", "total PTW (cyc)", "mean fault (ns)", "DRAM conflicts"
     );
-    for kind in [
-        PageTableKind::Radix,
-        PageTableKind::ElasticCuckoo,
-        PageTableKind::HashedOpenAddressing,
-        PageTableKind::HashedChained,
-    ] {
-        let config = SystemConfig::small_test().with_page_table(kind);
+    for kind in PageTableKind::ALL {
+        let config = SystemConfig::small_test().with_design(Design::PageTable(kind));
         let mut system = System::new(config);
         system
             .mmap_anonymous(VirtAddr::new(0x10_0000_0000), 128 * 1024 * 1024)

@@ -49,7 +49,7 @@ pub mod prelude {
     };
     pub use sim_core::{Instruction, SliceFrontend, TraceSource};
     pub use virtuoso::{
-        MultiProgramReport, OomStats, ProcessExitStatus, ProcessReport, SimulationMode,
+        Design, MultiProgramReport, OomStats, ProcessExitStatus, ProcessReport, SimulationMode,
         SimulationReport, System, SystemConfig,
     };
     pub use vm_types::{Asid, PageSize, PhysAddr, VirtAddr};

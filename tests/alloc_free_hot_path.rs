@@ -82,36 +82,18 @@ fn base_config() -> SystemConfig {
     config
 }
 
-/// Every translation path the steady state can take: the page-table
-/// engine over each [`PageTableKind`], then Midgard, RMM and Utopia (each
-/// paired with the allocation policy its design expects, as in
-/// `virtuoso_bench::engine_system_config`), then emulation mode. RMM's
-/// ranges and Utopia's RestSeg translate without a walk, so those two are
-/// not required to walk.
+/// Every translation path the steady state can take: each design of
+/// [`Design::ALL`] (with the allocation policy it pairs with), then
+/// emulation mode beside the table. RMM's ranges and Utopia's RestSeg
+/// translate without a walk, so those two are not required to walk.
 fn cases() -> Vec<Case> {
-    let mut cases: Vec<Case> = PageTableKind::ALL
+    let mut cases: Vec<Case> = Design::ALL
         .into_iter()
-        .map(|kind| (kind.label(), base_config().with_page_table(kind), true))
+        .map(|design| {
+            let walks = !matches!(design, Design::Rmm | Design::Utopia(_));
+            (design.label(), base_config().with_design(design), walks)
+        })
         .collect();
-
-    let midgard = EngineConfig::Midgard(MidgardConfig::paper_baseline());
-    cases.push(("midgard", base_config().with_engine(midgard), true));
-
-    let mut rmm = base_config().with_engine(EngineConfig::Rmm(RmmConfig::paper_baseline()));
-    rmm.os.policy = AllocationPolicy::EagerPaging;
-    cases.push(("rmm", rmm, false));
-
-    let restseg_bytes: u64 = 64 * 1024 * 1024;
-    let mut utopia = base_config().with_engine(EngineConfig::Utopia(
-        UtopiaMmuConfig::paper_baseline().with_restseg_bytes(restseg_bytes),
-    ));
-    utopia.os.policy = AllocationPolicy::Utopia(mimic_os::UtopiaConfig::new(
-        restseg_bytes,
-        16,
-        PageSize::Size4K,
-    ));
-    cases.push(("utopia", utopia, false));
-
     cases.push(("emulation", base_config().with_emulation_baseline(), true));
     cases
 }

@@ -265,14 +265,22 @@ proptest! {
     ) {
         let swapless = swapless == 1;
         let swap = if swapless { 0 } else { 32 << 20 };
-        let mut config = chaos_config(cores, swap, storm(seed));
-        config.invariant_check_interval = 512;
-        let (system, report) = run_chaos_mix(config, cores + 1, 12 << 20, 4_000, seed);
-        prop_assert_eq!(system.segfaults(), 0);
-        if swapless {
-            let oom = report.rollup.oom.as_ref().expect("swapless overcommit kills");
-            prop_assert!(oom.kills >= 1);
+        // Every design weathers the same storm; a 2 MiB RestSeg fits the
+        // 8 MiB machine.
+        for design in Design::ALL {
+            let label = design.label();
+            let design = design.with_restseg_bytes(2 << 20);
+            let mut config = chaos_config(cores, swap, storm(seed)).with_design(design);
+            config.invariant_check_interval = 512;
+            let (system, report) = run_chaos_mix(config, cores + 1, 12 << 20, 4_000, seed);
+            prop_assert_eq!(system.segfaults(), 0, "{}", label);
+            if swapless {
+                let oom = report.rollup.oom.as_ref().expect("swapless overcommit kills");
+                prop_assert!(oom.kills >= 1, "{}", label);
+            }
+            system
+                .check_invariants()
+                .unwrap_or_else(|v| panic!("{label}: chaos leaves a coherent machine: {v}"));
         }
-        system.check_invariants().expect("chaos leaves a coherent machine");
     }
 }

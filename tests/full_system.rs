@@ -69,13 +69,9 @@ fn every_page_table_design_completes_the_same_workload() {
     let spec = catalog::graphbig_bfs()
         .scaled_footprint(0.25)
         .with_instructions(15_000);
-    for kind in [
-        PageTableKind::Radix,
-        PageTableKind::ElasticCuckoo,
-        PageTableKind::HashedOpenAddressing,
-        PageTableKind::HashedChained,
-    ] {
-        let mut system = build_system(SystemConfig::small_test().with_page_table(kind), &spec);
+    for kind in PageTableKind::ALL {
+        let config = SystemConfig::small_test().with_design(Design::PageTable(kind));
+        let mut system = build_system(config, &spec);
         let report = system.run(&mut spec.build(4), None);
         assert_eq!(report.instructions, 15_000, "{kind}");
         assert!(report.page_walks > 0, "{kind}");

@@ -50,7 +50,8 @@ fn golden_cells() -> Vec<(&'static str, SystemConfig, WorkloadSpec)> {
         ),
         (
             "stream_hashed_pt",
-            SystemConfig::small_test().with_page_table(PageTableKind::HashedOpenAddressing),
+            SystemConfig::small_test()
+                .with_design(Design::PageTable(PageTableKind::HashedOpenAddressing)),
             WorkloadSpec::simple(
                 "XS",
                 WorkloadClass::LongRunning,
@@ -88,8 +89,7 @@ fn golden_cells() -> Vec<(&'static str, SystemConfig, WorkloadSpec)> {
         ),
         (
             "midgard_engine",
-            SystemConfig::small_test()
-                .with_engine(EngineConfig::Midgard(MidgardConfig::paper_baseline())),
+            SystemConfig::small_test().with_design(Design::Midgard),
             WorkloadSpec::simple(
                 "MID",
                 WorkloadClass::LongRunning,
@@ -100,12 +100,7 @@ fn golden_cells() -> Vec<(&'static str, SystemConfig, WorkloadSpec)> {
         ),
         (
             "rmm_engine_eager",
-            {
-                let mut config = SystemConfig::small_test()
-                    .with_engine(EngineConfig::Rmm(RmmConfig::paper_baseline()));
-                config.os.policy = AllocationPolicy::EagerPaging;
-                config
-            },
+            SystemConfig::small_test().with_design(Design::Rmm),
             WorkloadSpec::simple(
                 "RMM",
                 WorkloadClass::LongRunning,
@@ -116,18 +111,11 @@ fn golden_cells() -> Vec<(&'static str, SystemConfig, WorkloadSpec)> {
         ),
         (
             "utopia_engine_restseg",
-            {
-                let restseg_bytes: u64 = 32 * 1024 * 1024;
-                let mut config = SystemConfig::small_test().with_engine(EngineConfig::Utopia(
-                    UtopiaMmuConfig::paper_baseline().with_restseg_bytes(restseg_bytes),
-                ));
-                config.os.policy = AllocationPolicy::Utopia(mimic_os::UtopiaConfig::new(
-                    restseg_bytes,
-                    16,
-                    PageSize::Size4K,
-                ));
-                config
-            },
+            SystemConfig::small_test().with_design(Design::Utopia(mimic_os::UtopiaConfig::new(
+                32 * 1024 * 1024,
+                16,
+                PageSize::Size4K,
+            ))),
             WorkloadSpec::simple(
                 "UTO",
                 WorkloadClass::LongRunning,

@@ -24,35 +24,6 @@ mod common;
 use virtuoso_suite::prelude::*;
 use virtuoso_suite::virtuoso::EpochStats;
 
-/// One two-process fence cell per translation engine, mirroring the
-/// engine coverage of the golden reports.
-fn engine_cells() -> Vec<(&'static str, SystemConfig)> {
-    use virtuoso_suite::mimic_os::UtopiaConfig;
-    let restseg_bytes: u64 = 32 * 1024 * 1024;
-    vec![
-        ("page_table", SystemConfig::small_test()),
-        (
-            "midgard",
-            SystemConfig::small_test()
-                .with_engine(EngineConfig::Midgard(MidgardConfig::paper_baseline())),
-        ),
-        ("rmm_eager", {
-            let mut config = SystemConfig::small_test()
-                .with_engine(EngineConfig::Rmm(RmmConfig::paper_baseline()));
-            config.os.policy = AllocationPolicy::EagerPaging;
-            config
-        }),
-        ("utopia_restseg", {
-            let mut config = SystemConfig::small_test().with_engine(EngineConfig::Utopia(
-                UtopiaMmuConfig::paper_baseline().with_restseg_bytes(restseg_bytes),
-            ));
-            config.os.policy =
-                AllocationPolicy::Utopia(UtopiaConfig::new(restseg_bytes, 16, PageSize::Size4K));
-            config
-        }),
-    ]
-}
-
 /// Spawns one process per spec and maps each spec's regions into it.
 fn build_multiprocess(config: SystemConfig, specs: &[WorkloadSpec]) -> (System, Vec<ProcessId>) {
     let mut system = System::new(config);
@@ -113,8 +84,20 @@ fn single_core_multiprogram_reports_match_the_legacy_loop_goldens() {
         .into_iter()
         .map(|s| s.with_instructions(6_000))
         .collect();
+    // The four engine cells of the table, by label, and their goldens.
+    let cells = [
+        ("Radix", "page_table"),
+        ("Midgard", "midgard"),
+        ("RMM", "rmm_eager"),
+        ("Utopia", "utopia_restseg"),
+    ];
     let mut mismatches = Vec::new();
-    for (name, config) in engine_cells() {
+    for (label, name) in cells {
+        let design = Design::ALL
+            .into_iter()
+            .find(|d| d.label() == label)
+            .expect("a design of the table");
+        let config = SystemConfig::small_test().with_design(design);
         assert_eq!(config.os.num_cores, 1, "{name}: fence runs at one core");
         let (mut system, pids) = build_multiprocess(config, &specs);
         let report = run_mix(&mut system, &pids, &specs, 0xD1FF);
@@ -330,27 +313,20 @@ fn per_core_cycles_are_fully_attributed_to_the_pinned_process() {
 /// The tentpole determinism contract: the `host_threads` knob trades host
 /// CPU for wall clock and **nothing else** — a 4-core run stepped on 1, 2,
 /// 3 (a worker count that does not divide the core count) or 4 host
-/// threads serializes to byte-identical reports, for every translation
-/// engine and for the hashed page tables, whose walks are charged as
-/// parallel accesses. The plentiful-memory configuration keeps the epoch
+/// threads serializes to byte-identical reports, for every design of
+/// [`Design::ALL`] (the hashed page tables among them, whose walks are
+/// charged as parallel accesses). The plentiful-memory configuration keeps the epoch
 /// planner engaged (asserted via [`System::epoch_stats`]) so the test
 /// exercises the pipelined path rather than the serial fallback.
 #[test]
 fn reports_are_byte_identical_across_host_thread_counts() {
     const CORES: usize = 4;
     let specs = plentiful_specs(CORES, 4_000);
-    let mut cells = engine_cells();
-    for kind in [
-        PageTableKind::ElasticCuckoo,
-        PageTableKind::HashedOpenAddressing,
-        PageTableKind::HashedChained,
-    ] {
-        let mut config = SystemConfig::small_test();
-        config.mmu.page_table = kind;
-        cells.push((kind.label(), config));
-    }
-    for (name, config) in cells {
-        let config = config.with_cores(CORES);
+    for design in Design::ALL {
+        let name = design.label();
+        let config = SystemConfig::small_test()
+            .with_design(design)
+            .with_cores(CORES);
         let mut baseline = None;
         for threads in [1usize, 2, 3, CORES] {
             let config = config.clone().with_host_threads(threads);

@@ -110,7 +110,8 @@ proptest! {
         use virtuoso_suite::mmu_sim::InstallInfo;
         let mut rng = virtuoso_suite::vm_types::DetRng::new(seed ^ 0xE61E);
         let config = MmuConfig::small_test(PageTableKind::Radix);
-        let mut engine = TranslationEngine::new(EngineConfig::PageTable);
+        let mut engine =
+            TranslationEngine::new(EngineConfig::PageTable, &AllocationPolicy::BuddyFourK);
         let mut engine_mmu = Mmu::new(config.clone());
         let mut mmu = Mmu::new(config);
         let asids = [Asid::KERNEL, Asid::new(1), Asid::new(2)];
@@ -170,7 +171,6 @@ proptest! {
     #[test]
     fn no_stale_translation_survives_reclaim(
         seed in 0u64..300,
-        engine_sel in 0u8..3,
         cores in 1usize..5,
     ) {
         // The shootdown regression fence: after ANY interleaving of
@@ -185,158 +185,162 @@ proptest! {
         // be TLB-resident on another, and only the shootdown IPI that
         // every remote core services keeps them coherent.
         //
-        // Engines: the conventional page table, RMM (+ eager paging, so
-        // reclaim must split live ranges) and Utopia (+ RestSeg policy, so
-        // reclaim must evict engine residency). Midgard is exercised by
-        // its own unit tests instead: its TLB entries are keyed by Midgard
-        // addresses, which an external observer cannot map back.
-        use virtuoso_suite::mimic_os::{ThpConfig, UtopiaConfig};
-        let mut config = SystemConfig::small_test().with_cores(cores);
-        config.os.memory_bytes = 16 << 20;
-        config.os.swap_bytes = 128 << 20;
-        config.os.swap_threshold = 0.5;
-        config.os.thp = ThpConfig::disabled();
-        config.os.populate_page_cache = false;
-        config.os.sched_quantum = 1_000;
-        match engine_sel {
-            0 => config.os.policy = AllocationPolicy::BuddyFourK,
-            1 => {
-                config = config.with_engine(EngineConfig::Rmm(RmmConfig::paper_baseline()));
-                config.os.policy = AllocationPolicy::EagerPaging;
+        // Every design of the table runs: RMM (+ eager paging, so reclaim
+        // must split live ranges), Utopia (+ a 2 MiB RestSeg, so reclaim
+        // must evict engine residency) and the rest over the 4 KiB buddy.
+        use virtuoso_suite::mimic_os::ThpConfig;
+        for design in Design::ALL {
+            let mut config = SystemConfig::small_test().with_cores(cores);
+            config.os.memory_bytes = 16 << 20;
+            config.os.swap_bytes = 128 << 20;
+            config.os.swap_threshold = 0.5;
+            config.os.policy = AllocationPolicy::BuddyFourK;
+            config.os.thp = ThpConfig::disabled();
+            config.os.populate_page_cache = false;
+            config.os.sched_quantum = 1_000;
+            let config = config.with_design(design.with_restseg_bytes(2 << 20));
+            let native_tlb = match design {
+                // Midgard's TLB entries (and L0 pointers) are keyed by Midgard
+                // addresses, which an external observer cannot map back, so
+                // checks 1 and 1b skip it; its engine state (2, 3) and the
+                // kernel's ranges (4) are still checked.
+                Design::Midgard => false,
+                _ => true,
+            };
+            let mut system = System::new(config);
+            // One more process than cores, so at least one core context
+            // switches while the others run pinned processes.
+            let mut pids = vec![system.pid()];
+            while pids.len() < cores + 1 {
+                pids.push(system.spawn_process());
             }
-            _ => {
-                let restseg = 8u64 << 20;
-                config = config.with_engine(EngineConfig::Utopia(
-                    UtopiaMmuConfig::paper_baseline().with_restseg_bytes(restseg),
-                ));
-                config.os.policy =
-                    AllocationPolicy::Utopia(UtopiaConfig::new(restseg, 16, PageSize::Size4K));
-            }
-        }
-        let mut system = System::new(config);
-        // One more process than cores, so at least one core context
-        // switches while the others run pinned processes.
-        let mut pids = vec![system.pid()];
-        while pids.len() < cores + 1 {
-            pids.push(system.spawn_process());
-        }
-        // Every process maps the SAME virtual layout: RestSeg occupancy is
-        // keyed by (ASID, VA), so identical layouts must never alias
-        // translations across processes.
-        let base = VirtAddr::new(0x1000_0000);
-        let footprint: u64 = 12 << 20;
-        for &pid in &pids {
-            system.mmap_anonymous_for(pid, base, footprint).unwrap();
-        }
-        let spec = |i: usize| {
-            let mut s = WorkloadSpec::simple(
-                "w", WorkloadClass::LongRunning, footprint,
-                AccessPattern::UniformRandom, 5_000,
-            );
-            s.name = format!("P{i}");
-            s.regions[0].start = base;
-            s
-        };
-        let mut sources: Vec<_> = (0..pids.len())
-            .map(|i| spec(i).build(seed ^ (i as u64 * 0x5EED)))
-            .collect();
-        let report = {
-            let mut programs: Vec<(ProcessId, &mut dyn TraceSource)> = pids
-                .iter()
-                .copied()
-                .zip(sources.iter_mut().map(|s| s as &mut dyn TraceSource))
-                .collect();
-            system.run_multiprogram(&mut programs, None)
-        };
-        // The run must actually have exercised the interesting machinery.
-        prop_assert!(report.rollup.swapped_pages > 0, "no memory pressure reached");
-        prop_assert!(report.context_switches > 0);
-        let shootdowns = report.rollup.shootdowns.as_ref();
-        prop_assert!(shootdowns.is_some());
-        if cores > 1 {
-            // Cross-core IPIs flowed and balanced: every IPI sent was
-            // received (the per-core split is fenced in
-            // `multicore_differential.rs`).
-            let per_core = shootdowns.unwrap().per_core.as_ref()
-                .expect("multi-core shootdowns report per-core stats");
-            prop_assert_eq!(per_core.len(), cores);
-            let sent: u64 = per_core.iter().map(|c| c.ipis_sent).sum();
-            let received: u64 = per_core.iter().map(|c| c.ipis_received).sum();
-            prop_assert!(sent > 0, "multi-core reclaim must broadcast IPIs");
-            prop_assert_eq!(sent, received);
-        }
-
-        let process_of = |asid: Asid| system.os().process(ProcessId(asid.raw() as usize));
-        for core in 0..system.num_cores() {
-            // 1. Every core-local TLB entry translates exactly as the
-            //    owning process's mapping table does.
-            for (asid, cached) in system.mmu_of(core).tlb().entries() {
-                let expected = process_of(asid)
-                    .lookup_mapping(cached.vaddr)
-                    .map(|m| m.translate(cached.vaddr));
-                prop_assert_eq!(
-                    expected, Some(cached.translate(cached.vaddr)),
-                    "core {}: stale TLB entry {} (asid {})", core, cached, asid.raw()
-                );
-            }
-            // 1b. The L0 pointer cache stands down for every page a
-            //     shootdown invalidated: probe every footprint page of
-            //     every process — an L0 hit must translate exactly as the
-            //     owning process's mapping table, and a hit for a
-            //     reclaimed page (lookup_mapping → None) is a failure.
+            // Every process maps the SAME virtual layout: RestSeg occupancy is
+            // keyed by (ASID, VA), so identical layouts must never alias
+            // translations across processes.
+            let base = VirtAddr::new(0x1000_0000);
+            let footprint: u64 = 12 << 20;
             for &pid in &pids {
-                let asid = Asid::new(pid.0 as u16);
-                let process = system.os().process(pid);
-                for page in 0..(footprint / 4096) {
-                    let va = base.add(page * 4096);
-                    if let Some(pa) = system.mmu_of(core).l0_peek(asid, va) {
+                system.mmap_anonymous_for(pid, base, footprint).unwrap();
+            }
+            let spec = |i: usize| {
+                let mut s = WorkloadSpec::simple(
+                    "w", WorkloadClass::LongRunning, footprint,
+                    AccessPattern::UniformRandom, 5_000,
+                );
+                s.name = format!("P{i}");
+                s.regions[0].start = base;
+                s
+            };
+            let mut sources: Vec<_> = (0..pids.len())
+                .map(|i| spec(i).build(seed ^ (i as u64 * 0x5EED)))
+                .collect();
+            let report = {
+                let mut programs: Vec<(ProcessId, &mut dyn TraceSource)> = pids
+                    .iter()
+                    .copied()
+                    .zip(sources.iter_mut().map(|s| s as &mut dyn TraceSource))
+                    .collect();
+                system.run_multiprogram(&mut programs, None)
+            };
+            // The run must actually have exercised the interesting machinery.
+            let label = design.label();
+            prop_assert!(
+                report.rollup.swapped_pages > 0,
+                "{}: no memory pressure reached ({} cores, seed {})",
+                label,
+                cores,
+                seed
+            );
+            prop_assert!(report.context_switches > 0);
+            let shootdowns = report.rollup.shootdowns.as_ref();
+            prop_assert!(shootdowns.is_some());
+            if cores > 1 {
+                // Cross-core IPIs flowed and balanced: every IPI sent was
+                // received (the per-core split is fenced in
+                // `multicore_differential.rs`).
+                let per_core = shootdowns.unwrap().per_core.as_ref()
+                    .expect("multi-core shootdowns report per-core stats");
+                prop_assert_eq!(per_core.len(), cores);
+                let sent: u64 = per_core.iter().map(|c| c.ipis_sent).sum();
+                let received: u64 = per_core.iter().map(|c| c.ipis_received).sum();
+                prop_assert!(sent > 0, "multi-core reclaim must broadcast IPIs");
+                prop_assert_eq!(sent, received);
+            }
+
+            let process_of = |asid: Asid| system.os().process(ProcessId(asid.raw() as usize));
+            for core in 0..system.num_cores() {
+                if native_tlb {
+                    // 1. Every core-local TLB entry translates exactly as the
+                    //    owning process's mapping table does.
+                    for (asid, cached) in system.mmu_of(core).tlb().entries() {
+                        let expected = process_of(asid)
+                            .lookup_mapping(cached.vaddr)
+                            .map(|m| m.translate(cached.vaddr));
                         prop_assert_eq!(
-                            process.lookup_mapping(va).map(|m| m.translate(va)),
-                            Some(pa),
-                            "core {}: stale L0 pointer for {} (asid {})",
+                            expected, Some(cached.translate(cached.vaddr)),
+                            "core {}: stale TLB entry {} (asid {})", core, cached, asid.raw()
+                        );
+                    }
+                    // 1b. The L0 pointer cache stands down for every page a
+                    //     shootdown invalidated: probe every footprint page of
+                    //     every process — an L0 hit must translate exactly as the
+                    //     owning process's mapping table, and a hit for a
+                    //     reclaimed page (lookup_mapping → None) is a failure.
+                    for &pid in &pids {
+                        let asid = Asid::new(pid.0 as u16);
+                        let process = system.os().process(pid);
+                        for page in 0..(footprint / 4096) {
+                            let va = base.add(page * 4096);
+                            if let Some(pa) = system.mmu_of(core).l0_peek(asid, va) {
+                                prop_assert_eq!(
+                                    process.lookup_mapping(va).map(|m| m.translate(va)),
+                                    Some(pa),
+                                    "core {}: stale L0 pointer for {} (asid {})",
+                                    core, va, asid.raw()
+                                );
+                            }
+                        }
+                    }
+                }
+                // 2. Every engine-resident page translation agrees.
+                for (asid, resident) in system.engine_of(core).resident_mappings() {
+                    prop_assert_eq!(
+                        process_of(asid).lookup_mapping(resident.vaddr).map(|m| m.paddr),
+                        Some(resident.paddr),
+                        "core {}: stale RestSeg residency {}", core, resident
+                    );
+                }
+                // 3. Every page of every engine-registered range still maps to
+                //    the range's frames (reclaim must have split ranges around
+                //    victims).
+                for (asid, range) in system.engine_of(core).resident_ranges() {
+                    let process = process_of(asid);
+                    for page in 0..(range.bytes / 4096) {
+                        let va = range.virt_start.add(page * 4096);
+                        let expected = range.phys_start.add(page * 4096);
+                        let actual = process.lookup_mapping(va).map(|m| m.translate(va));
+                        prop_assert_eq!(
+                            actual, Some(expected),
+                            "core {}: range covers {} but the mapping table disagrees (asid {})",
                             core, va, asid.raw()
                         );
                     }
                 }
             }
-            // 2. Every engine-resident page translation agrees.
-            for (asid, resident) in system.engine_of(core).resident_mappings() {
-                prop_assert_eq!(
-                    process_of(asid).lookup_mapping(resident.vaddr).map(|m| m.paddr),
-                    Some(resident.paddr),
-                    "core {}: stale RestSeg residency {}", core, resident
-                );
-            }
-            // 3. Every page of every engine-registered range still maps to
-            //    the range's frames (reclaim must have split ranges around
-            //    victims).
-            for (asid, range) in system.engine_of(core).resident_ranges() {
-                let process = process_of(asid);
-                for page in 0..(range.bytes / 4096) {
-                    let va = range.virt_start.add(page * 4096);
-                    let expected = range.phys_start.add(page * 4096);
-                    let actual = process.lookup_mapping(va).map(|m| m.translate(va));
-                    prop_assert_eq!(
-                        actual, Some(expected),
-                        "core {}: range covers {} but the mapping table disagrees (asid {})",
-                        core, va, asid.raw()
-                    );
-                }
-            }
-        }
-        // 4. The kernel's own range list agrees the same way.
-        for &pid in &pids {
-            let process = system.os().process(pid);
-            for range in system.os().ranges(pid) {
-                for page in 0..(range.bytes / 4096) {
-                    let va = range.virt_start.add(page * 4096);
-                    let expected = range.phys_start.add(page * 4096);
-                    let actual = process.lookup_mapping(va).map(|m| m.translate(va));
-                    prop_assert_eq!(
-                        actual, Some(expected),
-                        "kernel range covers {} but the mapping table disagrees (pid {})",
-                        va, pid.0
-                    );
+            // 4. The kernel's own range list agrees the same way.
+            for &pid in &pids {
+                let process = system.os().process(pid);
+                for range in system.os().ranges(pid) {
+                    for page in 0..(range.bytes / 4096) {
+                        let va = range.virt_start.add(page * 4096);
+                        let expected = range.phys_start.add(page * 4096);
+                        let actual = process.lookup_mapping(va).map(|m| m.translate(va));
+                        prop_assert_eq!(
+                            actual, Some(expected),
+                            "kernel range covers {} but the mapping table disagrees (pid {})",
+                            va, pid.0
+                        );
+                    }
                 }
             }
         }
@@ -345,7 +349,6 @@ proptest! {
     #[test]
     fn oom_kill_leaves_zero_residue_and_recycled_asids_are_safe(
         seed in 0u64..200,
-        engine_sel in 0u8..3,
         cores in 1usize..5,
     ) {
         // The OOM killer's architectural contract: a killed process leaves
@@ -355,128 +358,120 @@ proptest! {
         // the SAME ASID) can immediately host a fresh process without
         // inheriting a single stale translation. A swapless machine far
         // smaller than the combined footprints guarantees the killer runs.
-        use virtuoso_suite::mimic_os::{ThpConfig, UtopiaConfig};
-        let mut config = SystemConfig::small_test()
-            .with_cores(cores)
-            .with_invariant_checks(1024);
-        config.os.memory_bytes = 4 << 20;
-        config.os.swap_bytes = 0;
-        config.os.thp = ThpConfig::disabled();
-        config.os.populate_page_cache = false;
-        config.os.sched_quantum = 500;
-        match engine_sel {
-            0 => config.os.policy = AllocationPolicy::BuddyFourK,
-            1 => {
-                config = config.with_engine(EngineConfig::Rmm(RmmConfig::paper_baseline()));
-                config.os.policy = AllocationPolicy::EagerPaging;
+        //
+        // Every design of the table runs, the RestSeg shrunk to 2 MiB to
+        // fit the machine.
+        use virtuoso_suite::mimic_os::ThpConfig;
+        for design in Design::ALL {
+            let mut config = SystemConfig::small_test()
+                .with_cores(cores)
+                .with_invariant_checks(1024);
+            config.os.memory_bytes = 4 << 20;
+            config.os.swap_bytes = 0;
+            config.os.policy = AllocationPolicy::BuddyFourK;
+            config.os.thp = ThpConfig::disabled();
+            config.os.populate_page_cache = false;
+            config.os.sched_quantum = 500;
+            let config = config.with_design(design.with_restseg_bytes(2 << 20));
+            let mut system = System::new(config);
+            let mut pids = vec![system.pid()];
+            while pids.len() < cores + 1 {
+                pids.push(system.spawn_process());
             }
-            _ => {
-                let restseg = 2u64 << 20;
-                config = config.with_engine(EngineConfig::Utopia(
-                    UtopiaMmuConfig::paper_baseline().with_restseg_bytes(restseg),
-                ));
-                config.os.policy =
-                    AllocationPolicy::Utopia(UtopiaConfig::new(restseg, 16, PageSize::Size4K));
+            let base = VirtAddr::new(0x1000_0000);
+            let footprint: u64 = 8 << 20;
+            for &pid in &pids {
+                system.mmap_anonymous_for(pid, base, footprint).unwrap();
             }
-        }
-        let mut system = System::new(config);
-        let mut pids = vec![system.pid()];
-        while pids.len() < cores + 1 {
-            pids.push(system.spawn_process());
-        }
-        let base = VirtAddr::new(0x1000_0000);
-        let footprint: u64 = 8 << 20;
-        for &pid in &pids {
-            system.mmap_anonymous_for(pid, base, footprint).unwrap();
-        }
-        let spec = |i: usize| {
-            let mut s = WorkloadSpec::simple(
-                "w", WorkloadClass::LongRunning, footprint,
-                AccessPattern::UniformRandom, 4_000,
-            );
-            s.name = format!("P{i}");
-            s.regions[0].start = base;
-            s
-        };
-        let mut sources: Vec<_> = (0..pids.len())
-            .map(|i| spec(i).build(seed ^ (i as u64 * 0x0011)))
-            .collect();
-        let report = {
-            let mut programs: Vec<(ProcessId, &mut dyn TraceSource)> = pids
+            let spec = |i: usize| {
+                let mut s = WorkloadSpec::simple(
+                    "w", WorkloadClass::LongRunning, footprint,
+                    AccessPattern::UniformRandom, 4_000,
+                );
+                s.name = format!("P{i}");
+                s.regions[0].start = base;
+                s
+            };
+            let mut sources: Vec<_> = (0..pids.len())
+                .map(|i| spec(i).build(seed ^ (i as u64 * 0x0011)))
+                .collect();
+            let report = {
+                let mut programs: Vec<(ProcessId, &mut dyn TraceSource)> = pids
+                    .iter()
+                    .copied()
+                    .zip(sources.iter_mut().map(|s| s as &mut dyn TraceSource))
+                    .collect();
+                system.run_multiprogram(&mut programs, None)
+            };
+            let oom = report.rollup.oom.as_ref().expect("pressure must reach the killer");
+            prop_assert!(oom.kills >= 1, "this machine cannot host everyone");
+            prop_assert_eq!(system.segfaults(), 0, "pressure is not a segfault");
+            // Scheduler exits (trace exhaustion) do not mark the kernel
+            // Process exited; only the OOM killer does — so `is_exited`
+            // identifies exactly the victims.
+            let killed: Vec<ProcessId> = pids
                 .iter()
                 .copied()
-                .zip(sources.iter_mut().map(|s| s as &mut dyn TraceSource))
+                .filter(|&p| system.os().process(p).is_exited())
                 .collect();
-            system.run_multiprogram(&mut programs, None)
-        };
-        let oom = report.rollup.oom.as_ref().expect("pressure must reach the killer");
-        prop_assert!(oom.kills >= 1, "this machine cannot host everyone");
-        prop_assert_eq!(system.segfaults(), 0, "pressure is not a segfault");
-        // Scheduler exits (trace exhaustion) do not mark the kernel
-        // Process exited; only the OOM killer does — so `is_exited`
-        // identifies exactly the victims.
-        let killed: Vec<ProcessId> = pids
-            .iter()
-            .copied()
-            .filter(|&p| system.os().process(p).is_exited())
-            .collect();
-        prop_assert_eq!(killed.len() as u64, oom.kills);
-        for &victim in &killed {
-            let asid = Asid::new(victim.0 as u16);
-            prop_assert_eq!(system.os().process(victim).resident_bytes(), 0);
-            prop_assert!(system.os().ranges(victim).is_empty());
-            for core in 0..system.num_cores() {
-                for (a, e) in system.mmu_of(core).tlb().entries() {
-                    prop_assert!(
-                        a != asid,
-                        "core {}: TLB entry {} survives victim pid {}", core, e, victim.0
-                    );
-                }
-                prop_assert!(system
-                    .engine_of(core)
-                    .resident_mappings()
-                    .iter()
-                    .all(|(a, _)| *a != asid));
-                prop_assert!(system
-                    .engine_of(core)
-                    .resident_ranges()
-                    .iter()
-                    .all(|(a, _)| *a != asid));
-                for page in 0..(footprint / 4096) {
-                    prop_assert!(
-                        system.mmu_of(core).l0_peek(asid, base.add(page * 4096)).is_none(),
-                        "core {}: L0 pointer survives victim pid {}", core, victim.0
-                    );
+            prop_assert_eq!(killed.len() as u64, oom.kills);
+            for &victim in &killed {
+                let asid = Asid::new(victim.0 as u16);
+                prop_assert_eq!(system.os().process(victim).resident_bytes(), 0);
+                prop_assert!(system.os().ranges(victim).is_empty());
+                for core in 0..system.num_cores() {
+                    for (a, e) in system.mmu_of(core).tlb().entries() {
+                        prop_assert!(
+                            a != asid,
+                            "core {}: TLB entry {} survives victim pid {}", core, e, victim.0
+                        );
+                    }
+                    prop_assert!(system
+                        .engine_of(core)
+                        .resident_mappings()
+                        .iter()
+                        .all(|(a, _)| *a != asid));
+                    prop_assert!(system
+                        .engine_of(core)
+                        .resident_ranges()
+                        .iter()
+                        .all(|(a, _)| *a != asid));
+                    for page in 0..(footprint / 4096) {
+                        prop_assert!(
+                            system.mmu_of(core).l0_peek(asid, base.add(page * 4096)).is_none(),
+                            "core {}: L0 pointer survives victim pid {}", core, victim.0
+                        );
+                    }
                 }
             }
-        }
-        system.check_invariants().expect("post-kill machine is coherent");
+            system.check_invariants().expect("post-kill machine is coherent");
 
-        // Rebirth: the freed pid slot is recycled, so the new process runs
-        // under a previously killed ASID. Memory is still scarce (the
-        // survivors' footprints were never freed), so the reborn process
-        // OOM-faults its way through them — and must never segfault or
-        // trip the (still armed) fence.
-        let segfaults_before = system.segfaults();
-        let reborn = system.spawn_process();
-        prop_assert!(killed.contains(&reborn), "pid slots must be recycled");
-        system.mmap_anonymous_for(reborn, base, 1 << 20).unwrap();
-        let mut s = WorkloadSpec::simple(
-            "reborn", WorkloadClass::ShortRunning, 1 << 20,
-            AccessPattern::UniformRandom, 2_000,
-        );
-        s.regions[0].start = base;
-        let mut src = s.build(seed ^ 0xAB1D);
-        let second = {
-            let mut programs: Vec<(ProcessId, &mut dyn TraceSource)> =
-                vec![(reborn, &mut src)];
-            system.run_multiprogram(&mut programs, None)
-        };
-        let _ = second;
-        prop_assert_eq!(system.segfaults(), segfaults_before,
-            "a recycled ASID must not inherit stale translations");
-        prop_assert!(!system.os().process(reborn).is_exited());
-        system.check_invariants().expect("the reborn machine is coherent");
+            // Rebirth: the freed pid slot is recycled, so the new process runs
+            // under a previously killed ASID. Memory is still scarce (the
+            // survivors' footprints were never freed), so the reborn process
+            // OOM-faults its way through them — and must never segfault or
+            // trip the (still armed) fence.
+            let segfaults_before = system.segfaults();
+            let reborn = system.spawn_process();
+            prop_assert!(killed.contains(&reborn), "pid slots must be recycled");
+            system.mmap_anonymous_for(reborn, base, 1 << 20).unwrap();
+            let mut s = WorkloadSpec::simple(
+                "reborn", WorkloadClass::ShortRunning, 1 << 20,
+                AccessPattern::UniformRandom, 2_000,
+            );
+            s.regions[0].start = base;
+            let mut src = s.build(seed ^ 0xAB1D);
+            let second = {
+                let mut programs: Vec<(ProcessId, &mut dyn TraceSource)> =
+                    vec![(reborn, &mut src)];
+                system.run_multiprogram(&mut programs, None)
+            };
+            let _ = second;
+            prop_assert_eq!(system.segfaults(), segfaults_before,
+                "a recycled ASID must not inherit stale translations");
+            prop_assert!(!system.os().process(reborn).is_exited());
+            system.check_invariants().expect("the reborn machine is coherent");
+        }
     }
 
     #[test]

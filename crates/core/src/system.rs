@@ -26,9 +26,9 @@ use mimic_os::{
 };
 use mmu_sim::{InstallInfo, Mmu, TranslationEngine};
 use sim_core::{CoreModel, Instruction, TraceSource};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use vm_types::{
-    AccessType, Asid, Cycles, PageSize, PhysAddr, Requestor, VirtAddr, VmError, VmResult,
+    AccessType, Asid, Cycles, FxHashMap, PageSize, PhysAddr, Requestor, VirtAddr, VmError, VmResult,
 };
 
 /// Per-process performance accounting kept by the framework (the OS keeps
@@ -1879,12 +1879,12 @@ impl System {
     /// translation state against MimicOS's authoritative tables, plus the
     /// machine-wide accounting that ties them together. Arm it with
     /// [`SystemConfig::invariant_check_interval`] or call it directly after
-    /// a run; it is too expensive for the hot loop. Its cost grows with
-    /// the mapping count: one 16-byte record per mapping of a live process
-    /// held at its peak, and about 3 ms per 100 k 4 KiB mappings (the
-    /// `fence` group of `benches/fault_path.rs`, 163 840 mappings in
-    /// 5.0 ms on a 2-vCPU x86-64 host), plus per core a visit to every
-    /// TLB entry and L0 slot.
+    /// a run; it is too expensive for the hot loop. Its time grows with
+    /// the mapping count (the `fence` group of `benches/fault_path.rs`:
+    /// 163 840 mappings in about 5 ms on a 2-vCPU x86-64 host), plus per
+    /// core a visit to every TLB entry and L0 slot; its heap grows with
+    /// the touched 2 MiB physical regions, one 64-byte bitmap each per
+    /// frame set.
     ///
     /// Checked per core:
     /// * every TLB entry belongs to a live process and translates exactly
@@ -1894,9 +1894,9 @@ impl System {
     /// * every engine-resident range (RMM range tables) belongs to a live
     ///   process and is contained — at the same virtual-to-physical
     ///   offset — in a range the kernel allocated for that process;
-    /// * every L0 pointer the software L0 cache would serve at the base of
-    ///   a live process's mapping agrees with that mapping (engines that
-    ///   consult the L0).
+    /// * every L0 pointer the software L0 cache would serve belongs to a
+    ///   live process and agrees with the mapping that covers its page
+    ///   (engines that consult the L0).
     ///
     /// Checked machine-wide:
     /// * mapped buddy-backed bytes (deduplicated by frame; RestSeg pages
@@ -2026,48 +2026,78 @@ impl System {
     }
 
     /// The fence's L0 check on core `core`: every pointer the L0 would
-    /// serve at the base of a live process's mapping agrees with that
-    /// mapping. One visit per L0 slot, whatever the mapping count.
+    /// serve belongs to a live process and agrees with the mapping that
+    /// covers its page, base or huge. One visit per L0 slot, whatever the
+    /// mapping count.
     fn check_l0(&self, core: usize) -> Result<(), String> {
         let mmu = &self.front(core).mmu;
         for (asid, va) in mmu.l0_pointers() {
             let idx = asid.raw() as usize;
             let owner = (idx < self.os.num_processes()).then(|| self.os.process(ProcessId(idx)));
-            let Some(m) = owner
+            let expected = owner
                 .filter(|p| !p.is_exited())
-                .and_then(|p| p.mapping_at(va))
-            else {
-                continue;
-            };
-            if let Some(pa) = mmu.l0_peek(asid, va).filter(|&pa| pa != m.paddr) {
+                .and_then(|p| p.lookup_mapping(va))
+                .map(|m| m.translate(va));
+            let served = mmu.l0_peek(asid, va);
+            if served != expected {
                 return Err(format!(
-                    "core {core}: L0 pointer for pid {idx} at {va} serves {pa}, kernel says {}",
-                    m.paddr
+                    "core {core}: L0 pointer for pid {idx} at {va} serves {served:?}, \
+                     kernel says {expected:?}"
                 ));
             }
         }
         Ok(())
     }
 
-    /// The fence's machine-wide frame checks, over one [`FrameRecord`] per
-    /// mapping of a live process sorted by frame:
+    /// The fence's machine-wide frame checks, over [`FrameSet`] bitmaps of
+    /// 4 KiB frames that grow with the touched 2 MiB physical regions, not
+    /// with the mapping count:
     /// * buddy accounting: mapped buddy-backed bytes never exceed what the
-    ///   allocator has handed out. Frames are deduplicated (file-backed
-    ///   pages are legitimately shared) with the size of the *last*
-    ///   record of each frame in collection order, and RestSeg placements
-    ///   (carved outside the buddy's frames) are skipped;
+    ///   allocator has handed out. Each distinct frame start counts once
+    ///   (file-backed pages are legitimately shared), with the size of the
+    ///   *last* mapping at it in pid and address order, and RestSeg
+    ///   placements (carved outside the buddy's frames) are skipped;
     /// * private disjointness: no two non-file-backed mappings overlap
-    ///   physically. In start order, an overlap exists exactly when some
-    ///   private record overlaps the next private one.
+    ///   physically. Each private mapping sets its frames' bits, and a bit
+    ///   already set is an overlap.
+    ///
+    /// Pass 1 sums every non-RestSeg mapping and marks the starts that
+    /// repeat; only if one does (a shared file frame) does pass 2 take
+    /// back, at each repeated start, every size but the last.
     fn check_frames(&self) -> Result<(), String> {
-        let mut records = self.frame_records();
-        records.sort_unstable();
-
-        let mapped: u64 = records
-            .chunk_by(|a, b| a.frame == b.frame)
-            .filter_map(|run| run.iter().rev().find(|r| !r.in_restseg()))
-            .map(|r| r.bytes())
-            .sum();
+        let mut private = FrameSet::default();
+        let mut starts = FrameSet::default();
+        let mut repeated = BTreeSet::new();
+        let mut mapped = 0u64;
+        let mut overlap = None;
+        // `for_each`, not `for`: driven internally, the nested mapping
+        // iterators walked 163 840 mappings in 0.7 ms, against 3.9 ms
+        // driven by `next` (2-vCPU x86-64 host).
+        self.fenced_mappings().for_each(|m| {
+            if m.buddy_backed {
+                mapped += m.mapping.page_size.bytes();
+                if !starts.insert(m.first_frame()) {
+                    repeated.insert(m.first_frame());
+                }
+            }
+            if m.private {
+                if let Some(frame) = private.insert_span(m.first_frame(), m.frames()) {
+                    overlap.get_or_insert((m, frame));
+                }
+            }
+        });
+        if !repeated.is_empty() {
+            let mut last_size = BTreeMap::new();
+            self.fenced_mappings()
+                .filter(|m| m.buddy_backed && repeated.contains(&m.first_frame()))
+                .for_each(|m| {
+                    if let Some(superseded) =
+                        last_size.insert(m.first_frame(), m.mapping.page_size.bytes())
+                    {
+                        mapped -= superseded;
+                    }
+                });
+        }
         let buddy = self.os.buddy();
         let allocated = buddy.capacity_bytes() - buddy.free_bytes();
         if mapped > allocated {
@@ -2077,60 +2107,55 @@ impl System {
             ));
         }
 
-        let private = || records.iter().filter(|r| !r.file_backed());
-        if let Some((a, b)) = private()
-            .zip(private().skip(1))
-            .find(|(a, b)| b.frame < a.end())
-        {
-            return Err(format!(
-                "private frames overlap: pid {} maps {} and pid {} maps {} into overlapping \
-                 physical spans at {:#x}",
-                a.pid(),
-                self.record_vaddr(a),
-                b.pid(),
-                self.record_vaddr(b),
-                a.frame
-            ));
-        }
-        Ok(())
-    }
-
-    /// One record per mapping of every live process, in pid order and
-    /// each process's address order, in a `Vec` sized exactly.
-    fn frame_records(&self) -> Vec<FrameRecord> {
-        let live = || {
-            (0..self.os.num_processes())
-                .map(ProcessId)
-                .filter(|&pid| !self.os.process(pid).is_exited())
+        let Some((second, frame)) = overlap else {
+            return Ok(());
         };
-        let count = live().map(|pid| self.os.process(pid).mapping_count()).sum();
-        let mut records = Vec::with_capacity(count);
-        for pid in live() {
-            let process = self.os.process(pid);
-            for (index, m) in process.mappings().enumerate() {
-                let in_restseg = self
-                    .os
-                    .utopia()
-                    .is_some_and(|u| u.lookup(pid.0 as u16, m.vaddr).is_some());
-                let file_backed = process
-                    .vmas
-                    .find(m.vaddr)
-                    .is_some_and(|v| matches!(v.kind, mimic_os::VmaKind::FileBacked { .. }));
-                records.push(FrameRecord::new(pid, index, m, file_backed, in_restseg));
-            }
-        }
-        records
+        // Error path only: the earlier private mapping on the clashing frame.
+        let first = self
+            .fenced_mappings()
+            .find(|m| {
+                m.private
+                    && (m.pid, m.mapping.vaddr) != (second.pid, second.mapping.vaddr)
+                    && (m.first_frame()..m.first_frame() + m.frames()).contains(&frame)
+            })
+            .expect("a clashing frame has an earlier private owner");
+        let (a, b) = if second.mapping.paddr < first.mapping.paddr {
+            (second, first)
+        } else {
+            (first, second)
+        };
+        Err(format!(
+            "private frames overlap: pid {} maps {} and pid {} maps {} into overlapping \
+             physical spans at {:#x}",
+            a.pid.0,
+            a.mapping.vaddr,
+            b.pid.0,
+            b.mapping.vaddr,
+            a.mapping.paddr.raw()
+        ))
     }
 
-    /// The virtual address of the mapping `record` was collected from
-    /// (error path only: a walk of its owner's mappings).
-    fn record_vaddr(&self, record: &FrameRecord) -> VirtAddr {
-        self.os
-            .process(ProcessId(record.pid()))
-            .mappings()
-            .nth(record.index())
-            .expect("a record indexes its owner's mapping walk")
-            .vaddr
+    /// Every mapping of a live process, in pid order and each process's
+    /// address order, classified for the frame checks.
+    fn fenced_mappings(&self) -> impl Iterator<Item = FencedMapping> + '_ {
+        (0..self.os.num_processes())
+            .map(ProcessId)
+            .filter(|&pid| !self.os.process(pid).is_exited())
+            .flat_map(move |pid| {
+                let process = self.os.process(pid);
+                process.mappings().map(move |mapping| FencedMapping {
+                    pid,
+                    mapping,
+                    private: !process
+                        .vmas
+                        .find(mapping.vaddr)
+                        .is_some_and(|v| matches!(v.kind, mimic_os::VmaKind::FileBacked { .. })),
+                    buddy_backed: self
+                        .os
+                        .utopia()
+                        .is_none_or(|u| u.lookup(pid.0 as u16, mapping.vaddr).is_none()),
+                })
+            })
     }
 
     /// Assembles the simulation report for everything executed so far.
@@ -2232,74 +2257,105 @@ impl System {
     }
 }
 
-/// One mapping of a live process as the fence's frame checks see it, in
-/// 16 bytes: the physical frame it starts at and a tag packing, from the
-/// top bit down, the owner's pid (16 bits, like the ASID it becomes), the
-/// mapping's index in its owner's address-order walk (40 bits), the page
-/// size's log2 (6 bits), a file-backed bit and a RestSeg bit.
-///
-/// Records order as `(frame, tag)`, so equal frames order by `(pid,
-/// index)`: the order the records were collected in. An in-place
-/// unstable sort of whole records is therefore a stable sort by frame,
-/// without a stable sort's scratch buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct FrameRecord {
-    frame: u64,
-    tag: u64,
+/// A mapping of a live process as the fence's frame checks see it.
+#[derive(Debug, Clone, Copy)]
+struct FencedMapping {
+    pid: ProcessId,
+    mapping: Mapping,
+    /// Held to physical disjointness: not a file page, which may be shared.
+    private: bool,
+    /// Counted by the buddy accounting: not placed in the Utopia RestSeg,
+    /// outside the buddy's frames.
+    buddy_backed: bool,
 }
 
-impl FrameRecord {
-    const RESTSEG: u64 = 1;
-    const FILE_BACKED: u64 = 1 << 1;
-    const SIZE_SHIFT: u32 = 2;
-    const INDEX_SHIFT: u32 = 8;
-    const PID_SHIFT: u32 = 48;
+impl FencedMapping {
+    /// The number of the first 4 KiB frame the mapping covers.
+    fn first_frame(&self) -> u64 {
+        self.mapping.paddr.raw() >> PageSize::Size4K.shift()
+    }
 
-    fn new(
-        pid: ProcessId,
-        index: usize,
-        mapping: Mapping,
-        file_backed: bool,
-        in_restseg: bool,
-    ) -> Self {
-        debug_assert!(
-            pid.0 < 1 << 16 && index < 1 << 40,
-            "a record field overflows"
-        );
-        let tag = (pid.0 as u64) << Self::PID_SHIFT
-            | (index as u64) << Self::INDEX_SHIFT
-            | u64::from(mapping.page_size.shift()) << Self::SIZE_SHIFT
-            | if file_backed { Self::FILE_BACKED } else { 0 }
-            | if in_restseg { Self::RESTSEG } else { 0 };
-        FrameRecord {
-            frame: mapping.paddr.raw(),
-            tag,
+    /// The number of 4 KiB frames the mapping covers.
+    fn frames(&self) -> u64 {
+        self.mapping.page_size.bytes() >> PageSize::Size4K.shift()
+    }
+}
+
+/// A set of 4 KiB physical frame numbers, stored as one 512-bit bitmap per
+/// touched 2 MiB region. A cursor on the last region looked up spares the
+/// hash probe for consecutive frames, which mostly share a region.
+#[derive(Debug, Default)]
+struct FrameSet {
+    /// Region number -> index of its bitmap in `bitmaps`.
+    slots: FxHashMap<u64, usize>,
+    bitmaps: Vec<[u64; 8]>,
+    /// The last region looked up and its slot.
+    cursor: Option<(u64, usize)>,
+}
+
+impl FrameSet {
+    /// Frames per 2 MiB region: the bits of one bitmap.
+    const REGION_FRAMES: u64 = 512;
+
+    /// `frame`'s region, and the word and bit that hold it in the
+    /// region's bitmap.
+    fn position(frame: u64) -> (u64, usize, u64) {
+        let region = frame / Self::REGION_FRAMES;
+        (
+            region,
+            (frame % Self::REGION_FRAMES / 64) as usize,
+            frame % 64,
+        )
+    }
+
+    /// The bitmap of `region`, created empty on first use.
+    fn bitmap(&mut self, region: u64) -> &mut [u64; 8] {
+        let slot = match self.cursor {
+            Some((cached, slot)) if cached == region => slot,
+            _ => {
+                let fresh = self.bitmaps.len();
+                let slot = *self.slots.entry(region).or_insert(fresh);
+                if slot == fresh {
+                    self.bitmaps.push([0; 8]);
+                }
+                self.cursor = Some((region, slot));
+                slot
+            }
+        };
+        &mut self.bitmaps[slot]
+    }
+
+    /// Adds the `count` frames from `first` on and returns the lowest of
+    /// them that was already in the set, if any.
+    fn insert_span(&mut self, first: u64, count: u64) -> Option<u64> {
+        // A 4 KiB mapping, the common case, needs no mask arithmetic.
+        if count == 1 {
+            return (!self.insert(first)).then_some(first);
         }
+        let (end, mut frame) = (first + count, first);
+        let mut clash = None;
+        while frame < end {
+            // The span's bits in `frame`'s 64-frame word.
+            let (region, word, bit) = Self::position(frame);
+            let bits = (64 - bit).min(end - frame);
+            let mask = (u64::MAX >> (64 - bits)) << bit;
+            let word = &mut self.bitmap(region)[word];
+            if clash.is_none() && *word & mask != 0 {
+                clash = Some(frame - bit + u64::from((*word & mask).trailing_zeros()));
+            }
+            *word |= mask;
+            frame += bits;
+        }
+        clash
     }
 
-    fn pid(&self) -> usize {
-        (self.tag >> Self::PID_SHIFT) as usize
-    }
-
-    fn index(&self) -> usize {
-        ((self.tag >> Self::INDEX_SHIFT) & ((1 << 40) - 1)) as usize
-    }
-
-    fn bytes(&self) -> u64 {
-        1 << ((self.tag >> Self::SIZE_SHIFT) & 0x3f)
-    }
-
-    /// The exclusive end of the physical span.
-    fn end(&self) -> u64 {
-        self.frame + self.bytes()
-    }
-
-    fn file_backed(&self) -> bool {
-        self.tag & Self::FILE_BACKED != 0
-    }
-
-    fn in_restseg(&self) -> bool {
-        self.tag & Self::RESTSEG != 0
+    /// Adds `frame`; `false` if it was already in the set.
+    fn insert(&mut self, frame: u64) -> bool {
+        let (region, word, bit) = Self::position(frame);
+        let word = &mut self.bitmap(region)[word];
+        let fresh = *word >> bit & 1 == 0;
+        *word |= 1 << bit;
+        fresh
     }
 }
 
@@ -3008,6 +3064,44 @@ mod tests {
         );
     }
 
+    /// A stale L0 pointer at a page inside a 2 MiB mapping, not at its
+    /// base: a check that compared pointers only at mapping bases had
+    /// nothing to compare it with; the fence holds it to the mapping that
+    /// covers its page.
+    #[test]
+    fn the_l0_check_catches_a_stale_pointer_inside_a_huge_mapping() {
+        let mut system = System::new(SystemConfig::small_test());
+        let base = VirtAddr::new(0x4000_0000);
+        system.mmap_anonymous(base, 4 * 1024 * 1024).unwrap();
+        let pid = system.pid();
+        system.populate(pid);
+        let huge = system.os.process(pid).lookup_mapping(base).unwrap();
+        assert_eq!(huge.page_size, PageSize::Size2M, "populate maps THP");
+        // The second access hits the 2 MiB L1 bank and records the pointer.
+        let inside = base.add(0x5000);
+        system.run(
+            &mut SliceFrontend::new("touch", linear_trace(inside.raw(), 2, 0)),
+            None,
+        );
+        system.check_l0(0).unwrap();
+        // Move the page to another frame without a shootdown.
+        system.os.process_mut(pid).insert_mapping(Mapping {
+            paddr: huge.paddr.add(PageSize::Size2M.bytes()),
+            ..huge
+        });
+        assert!(system
+            .front(0)
+            .mmu
+            .l0_pointers()
+            .any(|(_, va)| va == inside));
+        assert!(system.os.process(pid).mapping_at(inside).is_none());
+        let violation = system.check_l0(0).unwrap_err();
+        assert!(
+            violation.contains("L0 pointer"),
+            "unexpected message: {violation}"
+        );
+    }
+
     #[test]
     fn oom_kill_keeps_every_design_coherent_at_one_and_four_cores() {
         for cores in [1usize, 4] {
@@ -3174,7 +3268,29 @@ mod tests {
         assert!(table.contains("context_switches"));
     }
 
-    /// The fence's frame checks as they were before the compact pass: a
+    /// `FrameSet` spans that straddle words and regions, and the lowest
+    /// clash of each, against a `BTreeSet` of frame numbers.
+    #[test]
+    fn frame_set_spans_match_a_set_of_frames() {
+        let mut rng = DetRng::new(37);
+        for _ in 0..40 {
+            let mut bits = FrameSet::default();
+            let mut model = BTreeSet::new();
+            for _ in 0..25 {
+                let first = rng.gen_range(0, 16_384);
+                let count = [1, 63, 64, 512, 1100][rng.gen_range(0, 5) as usize];
+                let clash = (first..first + count).find(|f| model.contains(f));
+                assert_eq!(
+                    bits.insert_span(first, count),
+                    clash,
+                    "span {first}+{count}"
+                );
+                model.extend(first..first + count);
+            }
+        }
+    }
+
+    /// The fence's frame checks as they were before any compact pass: a
     /// map entry per buddy-backed frame (last insert wins) and a sorted
     /// span per private mapping. The reference of
     /// `the_frame_checks_agree_with_the_map_reference`.
@@ -3231,8 +3347,8 @@ mod tests {
         Ok(())
     }
 
-    /// The fence's L0 check as it was before `l0_pointers`: a peek at the
-    /// base of every mapping of every live process.
+    /// The fence's L0 check without `l0_pointers`: a peek at every 4 KiB
+    /// page of every mapping of every live process.
     fn reference_check_l0(system: &System, core: usize) -> Result<(), String> {
         let c = system.front(core);
         for idx in 0..system.os.num_processes() {
@@ -3242,9 +3358,13 @@ mod tests {
             }
             let asid = System::asid_of(ProcessId(idx));
             for m in process.mappings() {
-                if let Some(pa) = c.mmu.l0_peek(asid, m.vaddr) {
-                    if pa != m.paddr {
-                        return Err(format!("core {core}: stale L0 pointer at {}", m.vaddr));
+                for page in (0..m.page_size.bytes()).step_by(4096) {
+                    let va = m.vaddr.add(page);
+                    if c.mmu
+                        .l0_peek(asid, va)
+                        .is_some_and(|pa| pa != m.translate(va))
+                    {
+                        return Err(format!("core {core}: stale L0 pointer at {va}"));
                     }
                 }
             }
@@ -3405,9 +3525,9 @@ mod tests {
     }
 
     /// Runs the planted machine of `seed`, asserting after the run and
-    /// after every plant that the compact frame pass gives the map
+    /// after every plant that the bitmap frame pass gives the map
     /// reference's verdict and that the slot-scanning L0 check agrees with
-    /// the per-mapping one on every core. Returns the frame verdicts in
+    /// the per-page one on every core. Returns the frame verdicts in
     /// step order and the number of failed L0 checks.
     fn planted_run_verdicts(seed: u64) -> (Vec<&'static str>, usize) {
         let mut rng = DetRng::new(seed);
@@ -3437,22 +3557,24 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
-        /// The compact frame pass gives the map reference's verdict (`Ok`,
+        /// The bitmap frame pass gives the map reference's verdict (`Ok`,
         /// an accounting `Err` or an overlap `Err`) on random 1–4-process
         /// runs and after every planted mapping; the slot-scanning L0
-        /// check agrees with the per-mapping one.
+        /// check agrees with the per-page one.
         ///
-        /// Mutations planted in the compact pass, each caught here
-        /// (observed, then reverted):
+        /// Mutations planted in the bitmap pass, each caught (observed,
+        /// then reverted):
         ///
         /// | planted change | what fired |
         /// |---|---|
-        /// | dedupe keeps each frame's *first* non-RestSeg record | the verdict assertion (`overlap` vs `accounting`) |
-        /// | each private record compared with its predecessor of any kind | the verdict assertion (`ok` vs `overlap`) |
-        /// | records sorted by frame alone, so equal frames lose collection order | the verdict assertion (`overlap` vs `accounting`) |
-        /// | file-backed records kept in the disjointness check | the verdict assertion (`overlap` vs `ok`) |
-        /// | RestSeg records counted by the accounting | the verdict assertion (`accounting` vs `ok`) |
-        /// | `l0_pointers` yields nothing | the L0 assertion, and `tlb.rs`'s `l0_pointers_are_exactly_what_l0_peek_serves` |
+        /// | pass 2 keeps each repeated start's *first* size | the verdict assertion here and in `planted_runs_reach_every_fence_verdict` (`overlap` vs `accounting`) |
+        /// | pass 2 never runs | the same two (`accounting` vs `ok`) |
+        /// | file-backed mappings marked as private | the same two (`overlap` vs `ok`) |
+        /// | RestSeg bytes counted by the accounting | the same two (`accounting` vs `ok`), and `oom_kill_keeps_every_design_coherent_at_one_and_four_cores` |
+        /// | the region key off by one bit (`frame >> 10`), so frames 2 MiB apart share a bit | the error path's `expect` (a clash no mapping owns) in the same two and in three OOM tests |
+        /// | `check_l0` back to `mapping_at`, skipping pointers off a mapping base | `the_l0_check_catches_a_stale_pointer_inside_a_huge_mapping` |
+        /// | a radix PD created without its link table (its parent's link holds its node id) | `radix.rs`' `arena_matches_the_map_model_op_for_op`, every other radix unit test, and `mmu.rs`' `radix_walks_shrink_once_pwcs_warm_up` |
+        /// | `l0_pointers` yields nothing | the L0 assertion here and in `planted_runs_reach_every_fence_verdict`, `the_l0_check_catches_a_stale_pointer_inside_a_huge_mapping`, and `tlb.rs`' `l0_pointers_are_exactly_what_l0_peek_serves` |
         #[test]
         fn the_frame_checks_agree_with_the_map_reference(seed in proptest::prelude::any::<u64>()) {
             planted_run_verdicts(seed);

@@ -15,28 +15,38 @@ const VA_BITS: u32 = 48;
 /// The PML4: allocated first, so it sits at `metadata_base`, and nobody's
 /// child — which frees index 0 to mean "no lower table".
 const ROOT: u32 = 0;
+/// The slot of the root's link table.
+const ROOT_LINKS: u32 = 0;
 /// Marks an entry that holds no leaf translation (no frame lives there).
 const NO_LEAF: PhysAddr = PhysAddr::new(u64::MAX);
 /// Page size of a leaf at each level (0 = PT, 1 = PD, 2 = PDPT).
 const LEAF_SIZE: [PageSize; 3] = [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G];
 
-/// One 512-entry table. An entry needs a lower-table slot *and* a leaf slot:
-/// a huge leaf can be installed over a still-populated lower table (the walk
-/// then stops at the leaf) and removing it re-exposes the base pages below.
+/// The leaf slots of one 512-entry table: the frame of each entry's leaf
+/// translation, or [`NO_LEAF`]. A PT-level lookup touches nothing else.
+type Leaves = [PhysAddr; ENTRIES];
+
+/// The link table of one directory node (levels 1-3): the node's own id,
+/// and per entry the lower table it links to, 0 meaning none (the root is
+/// nobody's child and owns link table 0). A PD entry names its PT by node
+/// id; a PML4 or PDPT entry names its lower directory by link table, which
+/// holds that directory's node id. An entry needs a link *and* a leaf
+/// slot: a huge leaf can be installed over a still-populated lower table
+/// (the walk then stops at the leaf) and removing it re-exposes the base
+/// pages below.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct Node {
-    /// Frame of each entry's leaf translation, or [`NO_LEAF`]. Read first:
-    /// a PT-level lookup touches nothing else.
-    leaves: [PhysAddr; ENTRIES],
-    /// Arena index of each entry's lower table (0 = none).
-    children: [u32; ENTRIES],
+struct Links {
+    node: u32,
+    entries: [u32; ENTRIES],
 }
 
-impl Node {
-    const EMPTY: Node = Node {
-        leaves: [NO_LEAF; ENTRIES],
-        children: [0; ENTRIES],
-    };
+impl Links {
+    fn of(node: u32) -> Links {
+        Links {
+            node,
+            entries: [0; ENTRIES],
+        }
+    }
 }
 
 /// The 4-level radix page table (PML4 → PDPT → PD → PT), the baseline design
@@ -45,11 +55,17 @@ impl Node {
 ///
 /// Stored the way it is walked: an arena of nodes linked by index, node `i`
 /// occupying the simulated frame at `metadata_base + i * 4 KiB` in
-/// allocation order. Nodes are never freed. The table covers the 48-bit
-/// address space; an address above it is never mapped.
+/// allocation order. Every node keeps its leaf slots under its id; only
+/// directory nodes also hold a link table, in a side arena, so a PT-level
+/// table costs the host 4 KiB, as it costs the simulated machine. Nodes
+/// are never freed. The table covers the 48-bit address space; an address
+/// above it is never mapped.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RadixPageTable {
-    nodes: Vec<Node>,
+    /// Each node's leaf slots, indexed by node id.
+    leaves: Vec<Leaves>,
+    /// The link tables of the directory nodes; the root's is slot 0.
+    links: Vec<Links>,
     /// Leaves currently installed.
     len: usize,
     metadata_base: PhysAddr,
@@ -61,7 +77,8 @@ impl RadixPageTable {
     pub fn new(metadata_base: PhysAddr) -> Self {
         RadixPageTable {
             // The root (PML4) always exists.
-            nodes: vec![Node::EMPTY],
+            leaves: vec![[NO_LEAF; ENTRIES]],
+            links: vec![Links::of(ROOT)],
             len: 0,
             metadata_base,
         }
@@ -87,6 +104,18 @@ impl RadixPageTable {
             .add(u64::from(node) * NODE_BYTES + idx as u64 * 8)
     }
 
+    /// The node that the link `next` of a level-`level` table leads to,
+    /// and the link table to go on from (unused below a PD: a PT links
+    /// nothing).
+    #[inline(always)]
+    fn lower(&self, level: usize, next: u32) -> (u32, u32) {
+        if level == 1 {
+            (next, ROOT_LINKS)
+        } else {
+            (self.links[next as usize].node, next)
+        }
+    }
+
     /// Follows `va` down from the root, recording in `path[level]` the node
     /// visited at each level, until an entry holds a leaf (larger sizes
     /// win: they sit higher) or no lower table. Returns the last level
@@ -100,25 +129,30 @@ impl RadixPageTable {
         if va.raw() >> VA_BITS != 0 {
             return (level, None);
         }
+        let mut links = ROOT_LINKS;
         loop {
-            let node = &self.nodes[path[level] as usize];
             let idx = Self::index(va, level);
-            if node.leaves[idx] != NO_LEAF {
+            let leaf = self.leaves[path[level] as usize][idx];
+            if leaf != NO_LEAF {
                 // The PML4 holds no leaves, so `level` is at most 2 here.
                 let size = LEAF_SIZE[level];
                 let mapping = Mapping {
                     vaddr: va.page_base(size),
-                    paddr: node.leaves[idx],
+                    paddr: leaf,
                     page_size: size,
                 };
                 return (level, Some(mapping));
             }
-            // PT entries never link a lower table, so this ends at level 0.
-            if node.children[idx] == 0 {
+            // A PT links no lower table.
+            if level == 0 {
                 return (level, None);
             }
+            let next = self.links[links as usize].entries[idx];
+            if next == 0 {
+                return (level, None);
+            }
+            (path[level - 1], links) = self.lower(level, next);
             level -= 1;
-            path[level] = node.children[idx];
         }
     }
 }
@@ -153,7 +187,7 @@ impl PageTable for RadixPageTable {
         debug_assert!(va.is_aligned(mapping.page_size), "unaligned {mapping:?}");
         let leaf_level = Self::leaf_level(mapping.page_size);
         let mut accesses = WalkAccessList::new();
-        let mut node = ROOT;
+        let (mut node, mut links) = (ROOT, ROOT_LINKS);
         // Touch (and allocate if needed) every node down to the leaf's, then
         // keep following existing tables below it: a leaf of another size at
         // exactly this base is replaced, wherever on the path it sits.
@@ -162,26 +196,36 @@ impl PageTable for RadixPageTable {
             if level >= leaf_level {
                 accesses.push(self.entry_addr(node, idx));
             }
-            let entry = &mut self.nodes[node as usize];
-            let had_leaf = entry.leaves[idx] != NO_LEAF;
+            let leaf = &mut self.leaves[node as usize][idx];
+            let had_leaf = *leaf != NO_LEAF;
             if level == leaf_level {
-                entry.leaves[idx] = mapping.paddr;
+                *leaf = mapping.paddr;
                 self.len += usize::from(!had_leaf);
             } else if had_leaf && va.is_aligned(LEAF_SIZE[level]) {
                 // (The PML4 holds no leaves, so `level` is at most 2 here.)
-                entry.leaves[idx] = NO_LEAF;
+                *leaf = NO_LEAF;
                 self.len -= 1;
             }
-            let mut child = entry.children[idx];
-            if child == 0 {
+            if level == 0 {
+                break;
+            }
+            let mut next = self.links[links as usize].entries[idx];
+            if next == 0 {
                 if level <= leaf_level {
                     break;
                 }
-                child = u32::try_from(self.nodes.len()).expect("fewer than 2^32 nodes");
-                self.nodes.push(Node::EMPTY);
-                self.nodes[node as usize].children[idx] = child;
+                let child = u32::try_from(self.leaves.len()).expect("fewer than 2^32 nodes");
+                self.leaves.push([NO_LEAF; ENTRIES]);
+                next = if level == 1 {
+                    child
+                } else {
+                    // A lower directory gets a link table of its own.
+                    self.links.push(Links::of(child));
+                    u32::try_from(self.links.len() - 1).expect("fewer than 2^32 nodes")
+                };
+                self.links[links as usize].entries[idx] = next;
             }
-            node = child;
+            (node, links) = self.lower(level, next);
         }
         accesses
     }
@@ -192,7 +236,7 @@ impl PageTable for RadixPageTable {
             return WalkAccessList::new();
         };
         let idx = Self::index(va, level);
-        self.nodes[path[level] as usize].leaves[idx] = NO_LEAF;
+        self.leaves[path[level] as usize][idx] = NO_LEAF;
         self.len -= 1;
         [self.entry_addr(path[level], idx)].into_iter().collect()
     }
@@ -202,7 +246,7 @@ impl PageTable for RadixPageTable {
     }
 
     fn metadata_bytes(&self) -> u64 {
-        self.nodes.len() as u64 * NODE_BYTES
+        self.leaves.len() as u64 * NODE_BYTES
     }
 
     fn len(&self) -> usize {
@@ -284,6 +328,24 @@ mod tests {
         // A distant address needs fresh intermediate nodes.
         pt.insert(map4k(0x7f00_0000_0000));
         assert!(pt.metadata_bytes() > after_second);
+    }
+
+    /// Host bytes the arena's node and link storage occupy.
+    fn host_bytes(pt: &RadixPageTable) -> usize {
+        std::mem::size_of_val(pt.leaves.as_slice()) + std::mem::size_of_val(pt.links.as_slice())
+    }
+
+    #[test]
+    fn a_pt_level_table_costs_the_host_what_it_costs_the_machine() {
+        let mut pt = RadixPageTable::new(PhysAddr::new(0x80_0000_0000));
+        pt.insert(map4k(0x4000_0000));
+        for region in 1..64u64 {
+            let (host, simulated) = (host_bytes(&pt), pt.metadata_bytes());
+            // A fresh 2 MiB region under the same PD: one more PT.
+            pt.insert(map4k(0x4000_0000 + (region << 21)));
+            assert_eq!(pt.metadata_bytes() - simulated, NODE_BYTES);
+            assert_eq!(host_bytes(&pt) - host, 4096, "region {region}");
+        }
     }
 
     #[test]

@@ -1,23 +1,22 @@
 //! The coherence fence's footprint: `System::check_invariants` on a
-//! machine with tens of thousands of mappings holds at most 16 bytes per
+//! machine with tens of thousands of mappings holds at most 1 byte per
 //! mapping (plus a small constant) of heap at its peak.
 //!
-//! The machine-wide half of the fence collects one 16-byte record per
-//! mapping of a live process into a `Vec` sized exactly from
-//! `Process::mapping_count()` and sorts it in place; nothing else it
-//! allocates grows with the mapping count. The bound is 16 B per mapping
-//! plus 64 KiB, on `small_test` (THP off, `BuddyFourK`) with 64 MiB of
-//! 4 KiB pages populated, asserting at least 10 000 mappings so the bound
-//! cannot pass on an empty machine.
+//! The machine-wide half of the fence keeps its frame checks in bitmaps of
+//! 4 KiB frames, one 64-byte bitmap per touched 2 MiB physical region, so
+//! what it allocates grows with the physical memory mapped, not with the
+//! mapping count: densely packed 4 KiB mappings cost it a fraction of a
+//! byte each. The bound is 1 B per mapping plus 4 KiB, on `small_test`
+//! (THP off, `BuddyFourK`) with 64 MiB of 4 KiB pages populated, asserting
+//! at least 10 000 mappings so the bound cannot pass on an empty machine.
 //!
 //! The counter is per-thread for the reason `alloc_free_hot_path.rs`
 //! gives, and this file holds a single `#[test]`.
 //!
-//! The body the compact pass replaced — a `BTreeMap<u64, u64>` entry per
-//! mapped frame plus a doubling `Vec<(u64, u64, usize, VirtAddr)>` span
-//! per private mapping — peaked at 1 085 480 bytes over 16 384 mappings
-//! under this test (66 B per mapping, against a bound of 327 680); the
-//! compact pass peaks at 262 144, exactly its 16 B per mapping.
+//! Under this test, over 16 384 mappings: the `BTreeMap` entry per frame
+//! plus sorted span per private mapping that the fence first used peaked
+//! at 1 085 480 bytes (66 B per mapping); the sorted 16-byte record per
+//! mapping that replaced it at 262 144 (16 B); the bitmaps at 10 400 (0.63 B).
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
@@ -26,9 +25,9 @@ use virtuoso_suite::prelude::*;
 const MIB: u64 = 1024 * 1024;
 const BASE: u64 = 0x10_0000_0000;
 /// Heap bytes the fence may hold per mapping at its peak.
-const BYTES_PER_MAPPING: u64 = 16;
+const BYTES_PER_MAPPING: u64 = 1;
 /// Heap bytes the fence may hold whatever the mapping count.
-const SLACK_BYTES: u64 = 64 * 1024;
+const SLACK_BYTES: u64 = 4 * 1024;
 /// Fewer mappings than this and the bound proves nothing.
 const MIN_MAPPINGS: u64 = 10_000;
 
@@ -85,7 +84,7 @@ fn peak_bytes_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 }
 
 #[test]
-fn the_fence_holds_at_most_sixteen_bytes_per_mapping() {
+fn the_fence_holds_at_most_one_byte_per_mapping() {
     // Sanity-check the tracker itself before trusting small results.
     let (sanity, _) = peak_bytes_during(|| std::hint::black_box(vec![0u8; 4096]));
     assert!(sanity >= 4096, "the tracker must observe allocations");

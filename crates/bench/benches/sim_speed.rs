@@ -1,11 +1,10 @@
 //! Criterion bench for the Fig. 11 / Fig. 12 experiments: steady-state
-//! simulation-speed overhead of the detailed MimicOS integration over the
-//! emulation baseline, steady-state GUPS translation on every design of
-//! [`Design::ALL`] beside one explicit first-touch fault-path cell, plus
-//! the regression guards for the zero-allocation hot path — a
-//! multi-programmed scheduler case and a per-instruction `System::step`
-//! microbench, so slowdowns show up at both the workload and the
-//! single-instruction granularity.
+//! GUPS steps on every design of [`Design::ALL`] and on the emulation
+//! baseline (Fig. 11's pair is `Radix` against `emulation`), one explicit
+//! first-touch fault-path cell, and a multi-programmed scheduler case.
+//! Each steady-state cell times 20 000 `System::step`s, so a regression of
+//! a few nanoseconds per instruction on the zero-allocation hot path shows
+//! up there long before it moves a whole-workload number.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use mimic_os::ThpConfig;
@@ -14,34 +13,12 @@ use virtuoso::{Design, System, SystemConfig};
 use virtuoso_bench::{map_spec_regions, run_multiprogram_specs, run_spec_with_config};
 use vm_workloads::{catalog, SyntheticWorkload};
 
-/// Fig. 11's two modes on the same steady state: GUPS over 64 MiB,
-/// populated and warmed outside the timed region, so each cell times
-/// translation and memory rather than the first-touch fault storm (the
-/// `designs` group keeps one explicit fault-path cell).
-fn sim_speed(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig11_sim_speed");
-    group.sample_size(10);
-    for (label, config) in [
-        (
-            "emulation",
-            SystemConfig::small_test().with_emulation_baseline(),
-        ),
-        ("detailed_mimicos", SystemConfig::small_test()),
-    ] {
-        let (mut system, mut source) = warmed_gups(config, 0.125);
-        group.bench_function(BenchmarkId::new("mode", label), |b| {
-            b.iter(|| steps(&mut system, &mut source, 20_000))
-        });
-    }
-    group.finish();
-}
-
-/// A GUPS system over `footprint_scale` of the catalog footprint, mapped,
+/// A GUPS system over an eighth of the catalog footprint (64 MiB), mapped,
 /// populated and warmed (TLBs, caches, DRAM banks) outside any timed
 /// region, with its endless trace positioned after the warmup.
-fn warmed_gups(config: SystemConfig, footprint_scale: f64) -> (System, SyntheticWorkload) {
+fn warmed_gups(config: SystemConfig) -> (System, SyntheticWorkload) {
     let spec = catalog::gups_randacc()
-        .scaled_footprint(footprint_scale)
+        .scaled_footprint(0.125)
         .with_instructions(u64::MAX);
     let mut system = System::new(config);
     let pid = system.pid();
@@ -61,19 +38,32 @@ fn steps(system: &mut System, source: &mut SyntheticWorkload, n: u64) {
 }
 
 /// Steady-state GUPS translation on every design, each with the
-/// allocation policy it pairs with: the cells are populated and warmed
-/// first, so they time translation rather than the first-touch fault
-/// storm. The fault path keeps one explicit cell: radix GUPS on 4 KiB
-/// pages from an unpopulated address space, so its 20 000 instructions
-/// take thousands of first-touch faults (under THP they would take a few
-/// dozen).
+/// allocation policy it pairs with, and on the emulation baseline, which
+/// skips MimicOS (Fig. 11's detailed-over-emulation overhead is the
+/// `Radix` cell over the `emulation` one). The cells are populated and
+/// warmed first, so they time translation rather than the first-touch
+/// fault storm. The fault path keeps one explicit cell: radix GUPS on
+/// 4 KiB pages from an unpopulated address space, so its 20 000
+/// instructions take thousands of first-touch faults (under THP they
+/// would take a few dozen).
 fn designs(c: &mut Criterion) {
     let mut group = c.benchmark_group("designs");
     group.sample_size(10);
-    for design in Design::ALL {
-        let (mut system, mut source) =
-            warmed_gups(SystemConfig::small_test().with_design(design), 0.125);
-        group.bench_function(BenchmarkId::new("steady_state_20k", design.label()), |b| {
+    let cells = Design::ALL
+        .into_iter()
+        .map(|design| {
+            (
+                design.label(),
+                SystemConfig::small_test().with_design(design),
+            )
+        })
+        .chain([(
+            "emulation",
+            SystemConfig::small_test().with_emulation_baseline(),
+        )]);
+    for (label, config) in cells {
+        let (mut system, mut source) = warmed_gups(config);
+        group.bench_function(BenchmarkId::new("steady_state_20k", label), |b| {
             b.iter(|| steps(&mut system, &mut source, 20_000))
         });
     }
@@ -117,35 +107,5 @@ fn multiprogram_speed(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-instruction granularity: a steady-state `System::step` loop over a
-/// populated address space (no faults, no report assembly). This is the
-/// code the zero-allocation tentpole pinned; regressions of a few
-/// nanoseconds per instruction are visible here long before they move a
-/// whole-workload number.
-fn step_microbench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("step_per_instruction");
-    group.sample_size(10);
-    for (label, config) in [
-        ("detailed", SystemConfig::small_test()),
-        (
-            "emulation",
-            SystemConfig::small_test().with_emulation_baseline(),
-        ),
-    ] {
-        // 32 MB of GUPS.
-        let (mut system, mut source) = warmed_gups(config, 0.0625);
-        group.bench_function(BenchmarkId::new("steady_state_20k", label), |b| {
-            b.iter(|| steps(&mut system, &mut source, 20_000))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    sim_speed,
-    designs,
-    multiprogram_speed,
-    step_microbench
-);
+criterion_group!(benches, designs, multiprogram_speed);
 criterion_main!(benches);

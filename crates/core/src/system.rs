@@ -3100,6 +3100,16 @@ mod tests {
             violation.contains("L0 pointer"),
             "unexpected message: {violation}"
         );
+        // Drop the mapping, still without a shootdown: a pointer served for
+        // a page no live mapping covers is a violation too, not a pointer
+        // with nothing to compare against.
+        system.os.process_mut(pid).remove_mapping(inside).unwrap();
+        assert!(system.os.process(pid).lookup_mapping(inside).is_none());
+        let violation = system.check_l0(0).unwrap_err();
+        assert!(
+            violation.contains("kernel says None"),
+            "unexpected message: {violation}"
+        );
     }
 
     #[test]
@@ -3573,6 +3583,7 @@ mod tests {
         /// | RestSeg bytes counted by the accounting | the same two (`accounting` vs `ok`), and `oom_kill_keeps_every_design_coherent_at_one_and_four_cores` |
         /// | the region key off by one bit (`frame >> 10`), so frames 2 MiB apart share a bit | the error path's `expect` (a clash no mapping owns) in the same two and in three OOM tests |
         /// | `check_l0` back to `mapping_at`, skipping pointers off a mapping base | `the_l0_check_catches_a_stale_pointer_inside_a_huge_mapping` |
+        /// | `check_l0` skips a pointer whose page no live mapping covers (`expected.is_some() &&`) | the unmapped-page assertion of `the_l0_check_catches_a_stale_pointer_inside_a_huge_mapping` |
         /// | a radix PD created without its link table (its parent's link holds its node id) | `radix.rs`' `arena_matches_the_map_model_op_for_op`, every other radix unit test, and `mmu.rs`' `radix_walks_shrink_once_pwcs_warm_up` |
         /// | `l0_pointers` yields nothing | the L0 assertion here and in `planted_runs_reach_every_fence_verdict`, `the_l0_check_catches_a_stale_pointer_inside_a_huge_mapping`, and `tlb.rs`' `l0_pointers_are_exactly_what_l0_peek_serves` |
         #[test]

@@ -5,13 +5,15 @@
 //! back in). Each iteration builds its machine afresh — populate is
 //! one-shot — which costs tens of microseconds against milliseconds of
 //! faults. Divide the printed time by the page count in the id for ns/page.
-//! The `boot` group times the paper machine's fragmented boot on its own,
-//! the `fence` group the coherence fence on a populated machine, and the
-//! `report` group report assembly on the same machine.
+//! The `boot` group times the paper machine's fragmented boot on its own
+//! and followed by 64 k base-page allocations, the `fence` group the
+//! coherence fence on a populated and on a randomly first-touched machine,
+//! and the `report` group report assembly on the populated one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mimic_os::buddy::BuddyAllocator;
 use mimic_os::{AllocationPolicy, MimicOs, OsConfig, ThpConfig};
+use sim_core::Instruction;
 use virtuoso::{System, SystemConfig};
 use vm_types::{DetRng, PageSize, VirtAddr};
 
@@ -85,8 +87,13 @@ fn swap_round_trip(c: &mut Criterion) {
 /// Boot of the paper's Table 4 machine: 256 GiB with 80 % of its 2 MiB
 /// regions left free. `mimic_os/paper_baseline` is the whole `MimicOs::new`;
 /// `fragment/256GiB_0.8` is `BuddyAllocator::fragment` alone on a fresh
-/// allocator, which is nearly all of it.
+/// allocator: drawing the 26 214 victims and writing the free blocks of
+/// 2 MiB and above, the pinned regions themselves left implicit.
+/// `boot_then_4k/paper_baseline` boots, then takes 64 k order-0 `alloc`s:
+/// each of the first 26 214 lands beside a pinned frame and writes that
+/// region out, so this cell times the materializing path.
 fn boot(c: &mut Criterion) {
+    const ALLOCS: u64 = 64 * 1024;
     let config = OsConfig::paper_baseline();
     let target = config
         .fragmentation_target
@@ -115,13 +122,28 @@ fn boot(c: &mut Criterion) {
             assert_on_target(buddy.huge_page_availability())
         })
     });
+    group.bench_function(BenchmarkId::new("boot_then_4k", "paper_baseline"), |b| {
+        b.iter(|| {
+            let mut os = MimicOs::new(config.clone());
+            let free = os.buddy().free_bytes();
+            let buddy = os.buddy_mut();
+            for _ in 0..ALLOCS {
+                buddy.alloc(0).expect("the paper machine has room");
+            }
+            assert_eq!(free - buddy.free_bytes(), ALLOCS * PAGE);
+            assert_on_target(buddy.huge_page_availability())
+        })
+    });
     group.finish();
 }
 
-/// `fault_touch`'s machine (1 GiB, 4 KiB pages) with 640 MiB populated:
+/// `fault_touch`'s machine (1 GiB, 4 KiB pages) with 640 MiB mapped:
 /// 163 840 mappings and as many faults, about what a `fault_touch` run
-/// ends with.
-fn fault_touch_machine() -> System {
+/// ends with. `populate` maps the pages in address order, so physical
+/// frames ascend with virtual addresses; `scattered` first-touches them in
+/// a fixed-seed random page order instead, as `fault_touch`'s random
+/// stream does, so frames land scattered across the footprint.
+fn fault_touch_machine(scattered: bool) -> System {
     const FOOTPRINT: u64 = 640 * MIB;
     let mut config =
         SystemConfig::small_test().with_allocation_policy(AllocationPolicy::BuddyFourK);
@@ -131,30 +153,46 @@ fn fault_touch_machine() -> System {
     system
         .mmap_anonymous(VirtAddr::new(VA_BASE), FOOTPRINT)
         .expect("the bench VMA is fresh");
-    system.populate(system.pid());
+    if scattered {
+        let mut pages: Vec<u64> = (0..FOOTPRINT / PAGE).collect();
+        DetRng::new(0x5ca7).shuffle(&mut pages);
+        for page in pages {
+            let addr = VirtAddr::new(VA_BASE + page * PAGE);
+            system.step(&Instruction::store(VirtAddr::new(0x400), addr));
+        }
+    } else {
+        system.populate(system.pid());
+    }
     assert_eq!(
         system.os().process(system.pid()).mapping_count() as u64,
         FOOTPRINT / PAGE,
-        "populate must map the footprint"
+        "every page of the footprint must be mapped"
     );
     system
 }
 
-/// `System::check_invariants` on [`fault_touch_machine`]. The machine is
-/// built once; only the fence is timed.
+/// `System::check_invariants` on [`fault_touch_machine`], populated
+/// (`check_invariants`, frames in address order: the fence's best case)
+/// and first-touched in random order (`check_invariants_scattered`). Each
+/// machine is built once; only the fence is timed.
 fn fence(c: &mut Criterion) {
-    let system = fault_touch_machine();
-    let mappings = system.os().process(system.pid()).mapping_count();
     let mut group = c.benchmark_group("fence");
     group.sample_size(20);
-    let id = BenchmarkId::new("check_invariants", format!("{mappings}_mappings"));
-    group.bench_function(id, |b| {
-        b.iter(|| {
-            system
-                .check_invariants()
-                .expect("a populated machine is coherent")
-        })
-    });
+    for (name, scattered) in [
+        ("check_invariants", false),
+        ("check_invariants_scattered", true),
+    ] {
+        let system = fault_touch_machine(scattered);
+        let mappings = system.os().process(system.pid()).mapping_count();
+        let id = BenchmarkId::new(name, format!("{mappings}_mappings"));
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                system
+                    .check_invariants()
+                    .expect("a first-touched machine is coherent")
+            })
+        });
+    }
     group.finish();
 }
 
@@ -164,7 +202,7 @@ fn fence(c: &mut Criterion) {
 /// the report copies a few dozen pairs, not one sample per fault. Built
 /// once; only the report is timed.
 fn report(c: &mut Criterion) {
-    let system = fault_touch_machine();
+    let system = fault_touch_machine(false);
     let faults = system.os().stats().fault_latency_ns.count();
     let mut group = c.benchmark_group("report");
     let id = BenchmarkId::new("system_report", format!("{faults}_faults"));

@@ -200,6 +200,12 @@ impl OsConfig {
                     reason: format!("fragmentation target {f} outside [0,1]"),
                 });
             }
+            if self.memory_bytes / 4096 > 1 << 32 {
+                // The buddy keeps its pinned frames as 32-bit frame numbers.
+                return Err(VmError::InvalidConfig {
+                    reason: "fragmentation needs at most 16 TiB of memory".to_string(),
+                });
+            }
         }
         if let AllocationPolicy::Utopia(cfg) = self.policy {
             if cfg.size_bytes >= self.memory_bytes {
@@ -2450,6 +2456,17 @@ mod tests {
             ..OsConfig::small_test()
         };
         assert!(MimicOs::try_new(unaligned_restseg).is_err());
+        // Beyond 32-bit frame numbers only an unfragmented machine boots.
+        let huge = OsConfig {
+            memory_bytes: 32 << 40,
+            ..OsConfig::paper_baseline()
+        };
+        assert!(huge.validate().is_err());
+        let unfragmented = OsConfig {
+            fragmentation_target: None,
+            ..huge
+        };
+        assert!(unfragmented.validate().is_ok());
     }
 
     /// One case per RestSeg geometry rule: each would crash or overrun

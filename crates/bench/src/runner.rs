@@ -1,7 +1,7 @@
 //! Shared helpers for the figure harnesses: single-spec runs, the
-//! multi-programmed run builder, and the work-stealing parallel experiment
-//! runner that shards independent (workload × config) cells across host
-//! cores with deterministic per-cell seeding.
+//! multi-programmed run builder, and [`par_map`], the work-stealing
+//! parallel map that shards a figure's independent cells across host
+//! cores and returns their results in cell order.
 
 use mimic_os::ProcessId;
 use sim_core::TraceSource;
@@ -157,29 +157,6 @@ pub fn steady_state_overheads(config: SystemConfig, spec: &WorkloadSpec, seed: u
 // The work-stealing parallel experiment runner.
 // ---------------------------------------------------------------------------
 
-/// One independent experiment cell: a (workload × configuration) point of a
-/// figure sweep.
-#[derive(Debug, Clone)]
-pub struct ExperimentCell {
-    /// Label used in tables (e.g. `"RND/radix"`).
-    pub label: String,
-    /// The system configuration of this cell.
-    pub config: SystemConfig,
-    /// The workload of this cell.
-    pub workload: WorkloadSpec,
-}
-
-impl ExperimentCell {
-    /// Builds a cell.
-    pub fn new(label: &str, config: SystemConfig, workload: WorkloadSpec) -> Self {
-        ExperimentCell {
-            label: label.to_string(),
-            config,
-            workload,
-        }
-    }
-}
-
 /// The deterministic seed of cell `index` under `base_seed` (a splitmix64
 /// step). Derived from the cell's position alone, never from which worker
 /// thread claims it, so results are bit-identical at any `--jobs` level.
@@ -192,74 +169,17 @@ pub fn cell_seed(base_seed: u64, index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs every cell and returns the reports in cell order.
+/// The work-stealing parallel map every figure runs its cells through:
+/// calls `run(i)` for each `i` in `0..count` across `jobs` worker threads
+/// and returns the results in index order.
 ///
-/// Cells are sharded across `jobs` worker threads through a shared
-/// work-stealing index: each worker claims the next unclaimed cell as soon
-/// as it finishes its previous one, so long cells never serialize behind
-/// short ones. Each cell's RNG seed comes from [`cell_seed`], making the
-/// result vector bit-identical for any `jobs` value (including 1).
-pub fn run_cells(cells: &[ExperimentCell], base_seed: u64, jobs: usize) -> Vec<SimulationReport> {
-    run_sharded(cells.len(), jobs, |idx| {
-        let cell = &cells[idx];
-        run_spec_with_config(
-            cell.config.clone(),
-            &cell.workload,
-            cell_seed(base_seed, idx),
-        )
-    })
-}
-
-/// One multi-programmed experiment cell: a (workload mix × configuration)
-/// point. The configuration's `num_cores` decides whether the mix runs on
-/// the legacy single-core loop or the sharded multi-core loop.
-#[derive(Debug, Clone)]
-pub struct MultiProgramCell {
-    /// Label used in tables (e.g. `"RND+STR/2core"`).
-    pub label: String,
-    /// The system configuration of this cell.
-    pub config: SystemConfig,
-    /// One workload per process; process `i` is pinned to core
-    /// `i % num_cores` by the MimicOS scheduler.
-    pub workloads: Vec<WorkloadSpec>,
-}
-
-impl MultiProgramCell {
-    /// Builds a cell.
-    pub fn new(label: &str, config: SystemConfig, workloads: Vec<WorkloadSpec>) -> Self {
-        MultiProgramCell {
-            label: label.to_string(),
-            config,
-            workloads,
-        }
-    }
-}
-
-/// [`run_cells`] for multi-programmed (including multi-core) cells: the
-/// same work-stealing shard over host threads, the same positional
-/// [`cell_seed`] derivation. Program `i` inside cell `idx` runs with seed
-/// `cell_seed(base_seed, idx) + i` — derived from positions alone, never
-/// from which worker thread claims the cell or which simulated core the
-/// process lands on, so the result vector is bit-identical at any
-/// `--jobs` level.
-pub fn run_multiprogram_cells(
-    cells: &[MultiProgramCell],
-    base_seed: u64,
-    jobs: usize,
-) -> Vec<MultiProgramReport> {
-    run_sharded(cells.len(), jobs, |idx| {
-        let cell = &cells[idx];
-        run_multiprogram_specs(
-            cell.config.clone(),
-            &cell.workloads,
-            cell_seed(base_seed, idx),
-        )
-    })
-}
-
-/// The shared work-stealing shard: runs `count` independent cells across
-/// `jobs` threads, collecting results in cell order.
-fn run_sharded<R: Send>(count: usize, jobs: usize, run: impl Fn(usize) -> R + Sync) -> Vec<R> {
+/// Workers share one work-stealing index: each claims the next unclaimed
+/// cell as soon as it finishes its previous one, so long cells never
+/// serialize behind short ones. A cell that seeds its RNG from its index
+/// (directly or through [`cell_seed`]), never from the worker that claims
+/// it, makes the result vector bit-identical for any `jobs` value
+/// (including 1).
+pub fn par_map<R: Send>(jobs: usize, count: usize, run: impl Fn(usize) -> R + Sync) -> Vec<R> {
     let jobs = jobs.max(1).min(count.max(1));
     let next = AtomicUsize::new(0);
     let results: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
@@ -270,8 +190,8 @@ fn run_sharded<R: Send>(count: usize, jobs: usize, run: impl Fn(usize) -> R + Sy
                 if idx >= count {
                     break;
                 }
-                let report = run(idx);
-                *results[idx].lock().expect("result slot poisoned") = Some(report);
+                let result = run(idx);
+                *results[idx].lock().expect("result slot poisoned") = Some(result);
             });
         }
     });
@@ -283,42 +203,6 @@ fn run_sharded<R: Send>(count: usize, jobs: usize, run: impl Fn(usize) -> R + Sy
                 .expect("every cell index was claimed")
         })
         .collect()
-}
-
-/// Parses `--jobs N` (or `-j N`) out of a raw argument list, returning the
-/// worker count and the remaining arguments. Defaults to the host's
-/// available parallelism.
-pub fn jobs_from_args(args: &[String]) -> (usize, Vec<String>) {
-    let default = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut jobs = default;
-    let mut rest = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--jobs" | "-j" => {
-                if let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    jobs = n;
-                    i += 2;
-                    continue;
-                }
-                i += 1;
-            }
-            arg => {
-                if let Some(n) = arg
-                    .strip_prefix("--jobs=")
-                    .and_then(|s| s.parse::<usize>().ok())
-                {
-                    jobs = n;
-                } else {
-                    rest.push(arg.to_string());
-                }
-                i += 1;
-            }
-        }
-    }
-    (jobs.max(1), rest)
 }
 
 #[cfg(test)]
@@ -356,26 +240,30 @@ mod tests {
         assert_eq!(report.instructions, 2_000);
     }
 
-    fn tiny_cells(n: usize) -> Vec<ExperimentCell> {
+    fn tiny_specs(n: usize) -> Vec<WorkloadSpec> {
         (0..n)
             .map(|i| {
-                let spec = WorkloadSpec::simple(
+                WorkloadSpec::simple(
                     &format!("cell-{i}"),
                     WorkloadClass::ShortRunning,
                     (2 + i as u64) * 1024 * 1024,
                     AccessPattern::UniformRandom,
                     1_500,
-                );
-                ExperimentCell::new(&format!("cell-{i}"), SystemConfig::small_test(), spec)
+                )
             })
             .collect()
     }
 
     #[test]
     fn parallel_runner_matches_serial_bit_for_bit() {
-        let cells = tiny_cells(6);
-        let serial = run_cells(&cells, 42, 1);
-        let parallel = run_cells(&cells, 42, 8);
+        let specs = tiny_specs(6);
+        let run = |jobs| {
+            par_map(jobs, specs.len(), |i| {
+                run_spec_with_config(SystemConfig::small_test(), &specs[i], cell_seed(42, i))
+            })
+        };
+        let serial = run(1);
+        let parallel = run(8);
         assert_eq!(serial.len(), 6);
         for (s, p) in serial.iter().zip(&parallel) {
             let sj = serde_json::to_string(s).expect("serialize");
@@ -384,7 +272,9 @@ mod tests {
         }
     }
 
-    fn multicore_pressure_cells(n: usize) -> Vec<MultiProgramCell> {
+    /// `n` multi-core pressure cells: a machine of 2-4 cores and one more
+    /// process than cores.
+    fn multicore_pressure_cells(n: usize) -> Vec<(SystemConfig, Vec<WorkloadSpec>)> {
         (0..n)
             .map(|i| {
                 let cores = 2 + i % 3;
@@ -407,7 +297,7 @@ mod tests {
                         )
                     })
                     .collect();
-                MultiProgramCell::new(&format!("mc-{i}/{cores}core"), config, workloads)
+                (config, workloads)
             })
             .collect()
     }
@@ -415,9 +305,15 @@ mod tests {
     #[test]
     fn multicore_cells_are_bit_identical_at_any_jobs_level() {
         let cells = multicore_pressure_cells(4);
-        let serial = run_multiprogram_cells(&cells, 0xD0_0D, 1);
-        let two = run_multiprogram_cells(&cells, 0xD0_0D, 2);
-        let eight = run_multiprogram_cells(&cells, 0xD0_0D, 8);
+        let run = |jobs| {
+            par_map(jobs, cells.len(), |i| {
+                let (config, workloads) = &cells[i];
+                run_multiprogram_specs(config.clone(), workloads, cell_seed(0xD0_0D, i))
+            })
+        };
+        let serial = run(1);
+        let two = run(2);
+        let eight = run(8);
         assert_eq!(serial.len(), 4);
         assert!(
             serial.iter().any(|r| r.rollup.shootdowns.is_some()),
@@ -437,18 +333,6 @@ mod tests {
         assert_ne!(cell_seed(7, 0), cell_seed(7, 1));
         assert_ne!(cell_seed(7, 0), cell_seed(8, 0));
         assert_eq!(cell_seed(7, 3), cell_seed(7, 3));
-    }
-
-    #[test]
-    fn jobs_flag_parsing() {
-        let (jobs, rest) = jobs_from_args(&["--jobs".into(), "4".into(), "2".into()]);
-        assert_eq!(jobs, 4);
-        assert_eq!(rest, vec!["2".to_string()]);
-        let (jobs, rest) = jobs_from_args(&["--jobs=9".into()]);
-        assert_eq!(jobs, 9);
-        assert!(rest.is_empty());
-        let (jobs, _) = jobs_from_args(&[]);
-        assert!(jobs >= 1);
     }
 
     #[test]

@@ -376,15 +376,43 @@ pub fn fig10_mmu_validation(scale: u64, jobs: usize) -> ExperimentTable {
     table
 }
 
+/// Timed runs per cell of Figs. 11 and 12: each cell reports the median,
+/// and its spread is the interquartile range of the runs.
+const TIMED_RUNS: usize = 5;
+
+/// Wall-clock milliseconds of one call of `run`.
+fn timed_ms<R>(run: impl FnOnce() -> R) -> f64 {
+    let start = std::time::Instant::now();
+    let _ = run();
+    start.elapsed().as_secs_f64() * 1000.0
+}
+
+/// The median and the interquartile range (second to fourth of five
+/// sorted values) of `TIMED_RUNS` samples.
+fn median_and_iqr(mut samples: [f64; TIMED_RUNS]) -> (f64, f64) {
+    samples.sort_by(f64::total_cmp);
+    (samples[2], samples[3] - samples[1])
+}
+
 /// Figure 11: simulation-time overhead of the detailed (MimicOS) mode over
-/// the emulation mode, measured as wall-clock time of this host.
+/// the emulation mode, measured as wall-clock time of this host. Each of
+/// the `TIMED_RUNS` repetitions times both modes back to back, in
+/// alternating order; the table gives the median of each mode and of the
+/// per-repetition overheads, with the overheads' interquartile range in
+/// points as the spread.
 ///
 /// It runs serially and ignores `jobs`: a cell sharing the host with
 /// another would time the contention, not the simulator.
 pub fn fig11_sim_overhead(scale: u64, _jobs: usize) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "Fig. 11: simulation-time overhead of MimicOS integration",
-        &["workload", "emulation ms", "detailed ms", "overhead %"],
+        &[
+            "workload",
+            "emulation ms",
+            "detailed ms",
+            "overhead %",
+            "spread %",
+        ],
     );
     for spec in [
         catalog::gups_randacc(),
@@ -392,33 +420,42 @@ pub fn fig11_sim_overhead(scale: u64, _jobs: usize) -> ExperimentTable {
         catalog::faas_json(),
     ] {
         let budgeted = spec.with_instructions(budget(40_000, scale));
-        let start = std::time::Instant::now();
-        let _ = run_spec_with_config(
-            SystemConfig::small_test().with_emulation_baseline(),
-            &budgeted,
-            13,
-        );
-        let emulation_ms = start.elapsed().as_secs_f64() * 1000.0;
-        let start = std::time::Instant::now();
-        let _ = run_spec(&budgeted, 13);
-        let detailed_ms = start.elapsed().as_secs_f64() * 1000.0;
-        let overhead = if emulation_ms > 0.0 {
-            (detailed_ms / emulation_ms - 1.0) * 100.0
-        } else {
-            0.0
+        let emulation = || {
+            let config = SystemConfig::small_test().with_emulation_baseline();
+            timed_ms(|| run_spec_with_config(config, &budgeted, 13))
         };
+        let detailed = || timed_ms(|| run_spec(&budgeted, 13));
+        let (mut emulation_ms, mut detailed_ms, mut overhead) =
+            ([0.0; TIMED_RUNS], [0.0; TIMED_RUNS], [0.0; TIMED_RUNS]);
+        for rep in 0..TIMED_RUNS {
+            let (e, d) = if rep % 2 == 0 {
+                let e = emulation();
+                (e, detailed())
+            } else {
+                let d = detailed();
+                (emulation(), d)
+            };
+            emulation_ms[rep] = e;
+            detailed_ms[rep] = d;
+            overhead[rep] = (d / e - 1.0) * 100.0;
+        }
+        let (overhead, spread) = median_and_iqr(overhead);
         table.push_row(vec![
             budgeted.name.clone(),
-            fmt(emulation_ms),
-            fmt(detailed_ms),
+            fmt(median_and_iqr(emulation_ms).0),
+            fmt(median_and_iqr(detailed_ms).0),
             fmt(overhead),
+            fmt(spread),
         ]);
     }
     table
 }
 
 /// Figure 12: correlation between the fraction of instructions executed by
-/// MimicOS and the simulation-time overhead.
+/// MimicOS and the simulation-time overhead. An untimed first run of each
+/// row gives its kernel fraction; the row's time is the median of the
+/// `TIMED_RUNS` runs after it, normalized to the first row's, and its
+/// spread is their interquartile range as a percentage of their median.
 ///
 /// Like Fig. 11 it times the host per cell, so it runs serially and
 /// ignores `jobs`.
@@ -429,6 +466,7 @@ pub fn fig12_overhead_correlation(scale: u64, _jobs: usize) -> ExperimentTable {
             "new-page fraction",
             "kernel instr fraction",
             "normalized sim time",
+            "spread %",
         ],
     );
     let mut baseline_ms = None;
@@ -441,9 +479,8 @@ pub fn fig12_overhead_correlation(scale: u64, _jobs: usize) -> ExperimentTable {
             vm_workloads::AccessPattern::AllocateAndTouch { new_page_fraction },
             budget(30_000, scale),
         );
-        let start = std::time::Instant::now();
         let r = run_spec(&spec, 17);
-        let ms = start.elapsed().as_secs_f64() * 1000.0;
+        let (ms, iqr) = median_and_iqr(std::array::from_fn(|_| timed_ms(|| run_spec(&spec, 17))));
         let base = *baseline_ms.get_or_insert(ms);
         let kernel_fraction =
             r.kernel_instructions as f64 / (r.instructions + r.kernel_instructions).max(1) as f64;
@@ -451,6 +488,7 @@ pub fn fig12_overhead_correlation(scale: u64, _jobs: usize) -> ExperimentTable {
             fmt(new_page_fraction),
             fmt(kernel_fraction),
             fmt(ms / base),
+            fmt(iqr / ms * 100.0),
         ]);
     }
     table

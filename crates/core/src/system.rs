@@ -24,7 +24,7 @@ use mimic_os::{
     InvalidationBatch, KernelInstructionStream, KernelOp, Mapping, MimicOs, PageFaultOutcome,
     ProcessId,
 };
-use mmu_sim::{InstallInfo, Mmu, TranslationEngine};
+use mmu_sim::{InstallInfo, Mmu, TranslationEngine, WalkAccessList};
 use sim_core::{CoreModel, Instruction, TraceSource};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use vm_types::{
@@ -353,6 +353,14 @@ fn front_mut(frontends: &mut [Option<Box<Frontend>>], core: usize) -> &mut Front
     frontends[core].as_deref_mut().expect(FRONTEND_HOME)
 }
 
+/// Translation-metadata update accesses as the kernel writes they are.
+fn writes(accesses: WalkAccessList) -> impl Iterator<Item = KernelOp> {
+    accesses.into_iter().map(|paddr| KernelOp::Memory {
+        paddr,
+        kind: AccessType::Write,
+    })
+}
+
 /// The full simulated machine.
 ///
 /// See the [crate-level documentation](crate) for an example.
@@ -638,17 +646,6 @@ impl System {
         Ok(())
     }
 
-    /// Maps a hugetlbfs-backed region for the primary process.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`VmError::InvalidVma`] for overlapping or empty regions.
-    pub fn mmap_hugetlb(&mut self, start: VirtAddr, len: u64) -> VmResult<()> {
-        self.os.mmap_anonymous(self.primary, start, len, true)?;
-        self.engine_note_mapped_region(self.primary, start, len);
-        Ok(())
-    }
-
     /// Maps a file-backed region for the primary process.
     ///
     /// # Errors
@@ -709,36 +706,23 @@ impl System {
             while offset < len {
                 let va = start.add(offset);
                 if let Some(existing) = self.os.process(pid).lookup_mapping(va) {
-                    let c = front_mut(&mut self.frontends, home);
-                    c.engine.handle_fault_install(
-                        &mut c.mmu,
-                        asid,
-                        &existing,
-                        InstallInfo::default(),
-                    );
+                    self.install_on(home, asid, &existing, InstallInfo::default(), false);
                     offset = existing.vaddr.add(existing.page_size.bytes()).raw() - start.raw();
                     continue;
                 }
                 match self.os.handle_page_fault(pid, va, false) {
                     Ok(outcome) => {
-                        let info = InstallInfo {
-                            restseg_placed: outcome.restseg_placed,
-                        };
                         // Populating a footprint larger than memory can
                         // reclaim; the shootdowns still apply (state, not
                         // time — populate charges nothing by design).
                         self.apply_invalidations_from(home, &outcome.invalidations, false);
                         self.process_oom_kills(false);
-                        let c = front_mut(&mut self.frontends, home);
-                        c.engine
-                            .handle_fault_install(&mut c.mmu, asid, &outcome.mapping, info);
+                        let info = InstallInfo {
+                            restseg_placed: outcome.restseg_placed,
+                        };
+                        self.install_on(home, asid, &outcome.mapping, info, false);
                         for extra in &outcome.additional_mappings {
-                            c.engine.handle_fault_install(
-                                &mut c.mmu,
-                                asid,
-                                extra,
-                                InstallInfo::default(),
-                            );
+                            self.install_on(home, asid, extra, InstallInfo::default(), false);
                         }
                         offset = outcome
                             .mapping
@@ -1313,17 +1297,14 @@ impl System {
     /// switch-code kernel stream, the TLB flush policy and the bookkeeping.
     fn apply_context_switch(&mut self, switch: ContextSwitch) {
         let stream = self.os.context_switch_stream(switch);
-        match self.config.mode {
-            SimulationMode::Detailed => {
-                self.inject_stream(stream);
-            }
-            SimulationMode::Emulation { .. } => {
-                // Emulation mode charges the switch as a fixed stall instead
-                // of simulating the switch code.
-                self.cores[self.active]
-                    .core
-                    .stall(Cycles::new(u64::from(self.config.os.context_switch_cost)));
-            }
+        let charge = self.charges();
+        self.settle_stream(stream, charge);
+        if !charge {
+            // Emulation mode charges the switch as a fixed stall instead of
+            // simulating the switch code.
+            self.cores[self.active]
+                .core
+                .stall(Cycles::new(u64::from(self.config.os.context_switch_cost)));
         }
         self.ensure_perf_slot(switch.to);
         let f = front_mut(&mut self.frontends, self.active);
@@ -1506,11 +1487,9 @@ impl System {
         let current = self.cores[self.active].current;
         self.os.background_tick();
         let (stream, invalidations) = self.os.khugepaged_tick(current);
-        let detailed = self.config.mode.is_detailed();
-        if detailed && !stream.is_empty() {
-            self.inject_stream(stream);
-        }
-        self.apply_invalidations_from(self.active, &invalidations, detailed);
+        let charge = self.charges();
+        self.settle_stream(stream, charge);
+        self.apply_invalidations_from(self.active, &invalidations, charge);
     }
 
     /// Completes a memory access whose core-local translation faulted:
@@ -1535,14 +1514,15 @@ impl System {
             .complete_access(entry.pc, entry.kind, retry.attempt(), carried);
     }
 
-    /// Asks MimicOS to handle a page fault, injects the returned kernel
-    /// stream, installs the new mappings and charges the fault latency.
-    /// Returns `false` when the fault could not be resolved (segmentation
-    /// fault).
+    /// Asks MimicOS to handle a page fault, settles the returned kernel
+    /// stream, installs the new mappings and stalls the core for the fault:
+    /// the device time in detailed mode, the fixed fault latency in
+    /// emulation mode. Returns `false` when the fault could not be resolved
+    /// (segmentation fault).
     fn handle_fault(&mut self, vaddr: VirtAddr, is_write: bool) -> bool {
         let pid = self.cores[self.active].current;
         let asid = Self::asid_of(pid);
-
+        let charge = self.charges();
         match self.os.handle_page_fault(pid, vaddr, is_write) {
             Ok(PageFaultOutcome {
                 mapping,
@@ -1553,53 +1533,28 @@ impl System {
                 restseg_placed,
                 ..
             }) => {
-                // Engine-specific install metadata travels with the fault
-                // outcome (e.g. Utopia RestSeg placement).
-                let install_info = InstallInfo { restseg_placed };
-
-                match self.config.mode {
-                    SimulationMode::Detailed => {
-                        self.inject_stream(stream);
-                        // Mirror the kernel's order: reclaim (and its
-                        // shootdowns) happened before the new mapping was
-                        // established.
-                        self.apply_invalidations_from(self.active, &invalidations, true);
-                        self.install_mapping_detailed(self.active, asid, &mapping, install_info);
-                        for extra in &additional {
-                            self.install_mapping_detailed(
-                                self.active,
-                                asid,
-                                extra,
-                                InstallInfo::default(),
-                            );
-                        }
-                        let device_cycles =
-                            (device_latency_ns * self.config.core.frequency.ghz()).round() as u64;
-                        self.cores[self.active]
-                            .core
-                            .stall(Cycles::new(device_cycles));
-                    }
+                let stall = match self.config.mode {
+                    SimulationMode::Detailed => Cycles::new(
+                        (device_latency_ns * self.config.core.frequency.ghz()).round() as u64,
+                    ),
                     SimulationMode::Emulation {
                         fixed_fault_latency,
                         ..
-                    } => {
-                        self.os.recycle_stream(stream);
-                        self.apply_invalidations_from(self.active, &invalidations, false);
-                        let c = front_mut(&mut self.frontends, self.active);
-                        c.engine
-                            .handle_fault_install(&mut c.mmu, asid, &mapping, install_info);
-                        for extra in &additional {
-                            c.engine.handle_fault_install(
-                                &mut c.mmu,
-                                asid,
-                                extra,
-                                InstallInfo::default(),
-                            );
-                        }
-                        self.cores[self.active].core.stall(fixed_fault_latency);
-                    }
+                    } => fixed_fault_latency,
+                };
+                self.settle_stream(stream, charge);
+                // Mirror the kernel's order: reclaim (and its shootdowns)
+                // happened before the new mapping was established.
+                self.apply_invalidations_from(self.active, &invalidations, charge);
+                // Engine-specific install metadata travels with the fault
+                // outcome (e.g. Utopia RestSeg placement).
+                let info = InstallInfo { restseg_placed };
+                self.install_on(self.active, asid, &mapping, info, charge);
+                for extra in &additional {
+                    self.install_on(self.active, asid, extra, InstallInfo::default(), charge);
                 }
-                self.process_oom_kills(true);
+                self.cores[self.active].core.stall(stall);
+                self.process_oom_kills(charge);
                 true
             }
             Err(VmError::OutOfMemory { .. }) => {
@@ -1609,8 +1564,8 @@ impl System {
                 // victims. Attributing this to `segfaults` — as the
                 // catch-all arm below once did — made pressure-run reports
                 // blame innocent survivors for bad pointers.
-                self.apply_pending_invalidations();
-                self.process_oom_kills(true);
+                self.apply_pending_invalidations(charge);
+                self.process_oom_kills(charge);
                 self.oom_failures += 1;
                 self.perf_mut(pid).oom_failures += 1;
                 false
@@ -1618,12 +1573,21 @@ impl System {
             Err(_) => {
                 // A segmentation fault, or any other fault the kernel
                 // could not resolve.
-                self.apply_pending_invalidations();
+                self.apply_pending_invalidations(charge);
                 self.segfaults += 1;
                 self.perf_mut(pid).segfaults += 1;
                 false
             }
         }
+    }
+
+    /// Whether kernel work costs simulated time, decided here and nowhere
+    /// else: detailed mode injects every kernel stream into the core and
+    /// sends the translation-metadata writes of installs and shootdowns
+    /// through the caches; emulation mode applies the same state changes
+    /// and recycles the streams. `populate` charges nothing in either mode.
+    fn charges(&self) -> bool {
+        self.config.mode.is_detailed()
     }
 
     /// Applies the architectural side of the OOM kills the kernel performed
@@ -1632,10 +1596,9 @@ impl System {
     /// per-ASID state: every core's TLB entries and the engine's
     /// address-space structures (Midgard frontends, RMM range tables,
     /// Utopia RestSeg residency) are flushed so a recycled ASID can never
-    /// inherit a dead process's translations. In detailed mode the kill's
-    /// kernel stream (badness scan + `exit_mmap` teardown) is injected when
-    /// `charge` is set; `populate` passes `false` because it charges
-    /// nothing by design.
+    /// inherit a dead process's translations. The kill's kernel stream
+    /// (badness scan + `exit_mmap` teardown) is injected when `charge` is
+    /// set and recycled otherwise.
     fn process_oom_kills(&mut self, charge: bool) {
         let kills = self.os.take_oom_kills();
         if kills.is_empty() {
@@ -1646,7 +1609,6 @@ impl System {
             "OOM kill fired inside an epoch the headroom check passed"
         );
         let num_cores = self.num_cores();
-        let detailed = charge && self.config.mode.is_detailed();
         for kill in kills {
             let asid = Self::asid_of(kill.victim);
             for core in 0..num_cores {
@@ -1654,9 +1616,7 @@ impl System {
                 let dropped = c.engine.flush_asid(&mut c.mmu, asid);
                 self.shootdowns.tlb_entries_dropped += dropped as u64;
             }
-            if detailed && !kill.stream.is_empty() {
-                self.inject_stream(kill.stream);
-            }
+            self.settle_stream(kill.stream, charge);
         }
     }
 
@@ -1665,55 +1625,51 @@ impl System {
     /// fault ultimately errored, and that work is real even though the
     /// fault is not. The failed fault's stream died with it, so the
     /// kernel rebuilds the shootdown-cost portion for injection.
-    fn apply_pending_invalidations(&mut self) {
+    fn apply_pending_invalidations(&mut self, charge: bool) {
         let pending = self.os.take_pending_invalidations();
         if pending.is_empty() {
             return;
         }
-        let detailed = self.config.mode.is_detailed();
-        // Build the replacement stream in both modes so the kernel-side
-        // instruction accounting stays mode-independent (as it is for
-        // successful faults); only the injection is detailed-only.
+        // Build the replacement stream whether or not it is charged, so the
+        // kernel-side instruction accounting stays mode-independent (as it
+        // is for successful faults).
         let stream = self
             .os
             .pending_shootdown_stream(pending.victims.len() as u64);
-        if detailed && !stream.is_empty() {
-            self.inject_stream(stream);
-        }
-        self.apply_invalidations_from(self.active, &pending, detailed);
+        self.settle_stream(stream, charge);
+        self.apply_invalidations_from(self.active, &pending, charge);
     }
 
-    /// Installs a mapping on `core` in detailed mode, charging the
-    /// translation-metadata update accesses as that core's kernel traffic.
-    fn install_mapping_detailed(
+    /// Installs `mapping` for `asid` in `core`'s translation engine — every
+    /// install the framework makes goes through here — and, when `charge`
+    /// is set, retires the translation-metadata writes as that core's
+    /// kernel traffic.
+    fn install_on(
         &mut self,
         core: usize,
         asid: Asid,
         mapping: &Mapping,
         info: InstallInfo,
+        charge: bool,
     ) {
-        let accesses = {
-            let c = front_mut(&mut self.frontends, core);
-            c.engine
-                .handle_fault_install(&mut c.mmu, asid, mapping, info)
-        };
-        self.cores[core].core.set_kernel_mode(true);
-        for pa in accesses {
-            let lat = self.charge_kernel_access(pa, AccessType::Write);
-            self.cores[core].core.retire_memory(lat);
+        let c = front_mut(&mut self.frontends, core);
+        let accesses = c
+            .engine
+            .handle_fault_install(&mut c.mmu, asid, mapping, info);
+        if charge {
+            self.retire_kernel_ops(core, writes(accesses));
         }
-        self.cores[core].core.set_kernel_mode(false);
     }
 
     /// Tears down the translations of a single victim page on core `core`,
     /// folding the dropped-entry counts into the shootdown statistics and —
-    /// when `charge_memory` — sending the metadata-update accesses through
-    /// the hierarchy as that core's kernel traffic.
+    /// when `charge` — retiring the metadata-update writes as that core's
+    /// kernel traffic.
     fn invalidate_victim_on(
         &mut self,
         core: usize,
         victim: &mimic_os::InvalidationVictim,
-        charge_memory: bool,
+        charge: bool,
     ) {
         let asid = Self::asid_of(victim.pid);
         let outcome = {
@@ -1724,13 +1680,8 @@ impl System {
         self.shootdowns.tlb_entries_dropped += outcome.tlb_entries_dropped as u64;
         self.shootdowns.pwc_entries_dropped += outcome.pwc_entries_dropped as u64;
         self.shootdowns.engine_entries_dropped += outcome.engine_entries_dropped as u64;
-        if charge_memory {
-            self.cores[core].core.set_kernel_mode(true);
-            for pa in outcome.accesses {
-                let lat = self.charge_kernel_access(pa, AccessType::Write);
-                self.cores[core].core.retire_memory(lat);
-            }
-            self.cores[core].core.set_kernel_mode(false);
+        if charge {
+            self.retire_kernel_ops(core, writes(outcome.accesses));
         }
     }
 
@@ -1749,15 +1700,14 @@ impl System {
     /// reclaim (and hence no shootdown) can fire, so every IPI is serviced
     /// on the serial path in core-index order. The initiator-side IPI
     /// *instruction* cost is already part of the kernel stream MimicOS
-    /// produced; `charge_memory` additionally sends the metadata-update
-    /// accesses through the cache hierarchy and charges the remote stalls
-    /// (detailed mode on the simulated-time path; `populate` passes
-    /// `false` because it charges nothing by design).
+    /// produced; `charge` additionally sends the metadata-update accesses
+    /// through the cache hierarchy and charges the remote stalls (see
+    /// [`System::charges`]).
     fn apply_invalidations_from(
         &mut self,
         initiator: usize,
         batch: &InvalidationBatch,
-        charge_memory: bool,
+        charge: bool,
     ) {
         if batch.is_empty() {
             return;
@@ -1782,7 +1732,7 @@ impl System {
         // Initiator-local teardown (the legacy single-core path verbatim).
         for victim in &batch.victims {
             self.shootdowns.pages += 1;
-            self.invalidate_victim_on(initiator, victim, charge_memory);
+            self.invalidate_victim_on(initiator, victim, charge);
         }
 
         // Remote cores service the IPI: stall for the delivery cost, then
@@ -1792,7 +1742,7 @@ impl System {
             if let Some(per_core) = self.shootdowns.per_core.as_mut() {
                 per_core[core].ipis_received += 1;
             }
-            if charge_memory {
+            if charge {
                 // Fault injection may hold the IPI in flight a while
                 // longer (a busy interrupt controller); the remote
                 // core's stall grows by the configured delay.
@@ -1803,42 +1753,49 @@ impl System {
                 }
             }
             for victim in &batch.victims {
-                self.invalidate_victim_on(core, victim, charge_memory);
+                self.invalidate_victim_on(core, victim, charge);
             }
         }
 
         for (pid, mapping) in &batch.replacements {
-            let asid = Self::asid_of(*pid);
             let home = self.core_of(*pid);
-            if charge_memory {
-                self.install_mapping_detailed(home, asid, mapping, InstallInfo::default());
-            } else {
-                let c = front_mut(&mut self.frontends, home);
-                c.engine
-                    .handle_fault_install(&mut c.mmu, asid, mapping, InstallInfo::default());
-            }
+            self.install_on(
+                home,
+                Self::asid_of(*pid),
+                mapping,
+                InstallInfo::default(),
+                charge,
+            );
             self.shootdowns.replacements_installed += 1;
         }
     }
 
-    /// Injects a kernel instruction stream into the core model, sending its
-    /// memory references through the cache hierarchy and DRAM, then hands
-    /// it back to MimicOS, whose next fault reuses its buffer.
-    fn inject_stream(&mut self, stream: KernelInstructionStream) {
-        self.cores[self.active].core.set_kernel_mode(true);
-        for op in stream.ops() {
-            match *op {
+    /// Settles a kernel instruction stream: retired on the active core when
+    /// `charge` is set, then handed back to MimicOS, whose next fault reuses
+    /// its buffer.
+    fn settle_stream(&mut self, stream: KernelInstructionStream, charge: bool) {
+        if charge {
+            self.retire_kernel_ops(self.active, stream.ops().iter().copied());
+        }
+        self.os.recycle_stream(stream);
+    }
+
+    /// Retires kernel work on `core` in kernel mode: compute blocks, and
+    /// memory references sent through the cache hierarchy and DRAM.
+    fn retire_kernel_ops(&mut self, core: usize, ops: impl IntoIterator<Item = KernelOp>) {
+        self.cores[core].core.set_kernel_mode(true);
+        for op in ops {
+            match op {
                 KernelOp::Compute { count } => {
-                    self.cores[self.active].core.retire_compute(count as u64);
+                    self.cores[core].core.retire_compute(count as u64);
                 }
                 KernelOp::Memory { paddr, kind } => {
                     let latency = self.charge_kernel_access(paddr, kind);
-                    self.cores[self.active].core.retire_memory(latency);
+                    self.cores[core].core.retire_memory(latency);
                 }
             }
         }
-        self.cores[self.active].core.set_kernel_mode(false);
-        self.os.recycle_stream(stream);
+        self.cores[core].core.set_kernel_mode(false);
     }
 
     fn charge_kernel_access(&mut self, paddr: PhysAddr, kind: AccessType) -> Cycles {

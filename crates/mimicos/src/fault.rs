@@ -185,17 +185,9 @@ pub struct PageFaultOutcome {
     pub invalidations: InvalidationBatch,
 }
 
-impl PageFaultOutcome {
-    /// Total fault latency estimate (software + device) in nanoseconds.
-    pub fn total_latency_ns(&self) -> f64 {
-        self.software_latency_ns + self.device_latency_ns
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel_stream::KernelRoutine;
 
     #[test]
     fn mapping_translate_preserves_offset() {
@@ -216,27 +208,6 @@ mod tests {
         assert!(!FaultKind::Minor.is_major());
         assert!(!FaultKind::Hugetlb.is_major());
         assert_eq!(FaultKind::Minor.to_string(), "minor");
-    }
-
-    #[test]
-    fn outcome_total_latency_sums_components() {
-        let outcome = PageFaultOutcome {
-            mapping: Mapping {
-                vaddr: VirtAddr::new(0x1000),
-                paddr: PhysAddr::new(0x2000),
-                page_size: PageSize::Size4K,
-            },
-            additional_mappings: Vec::new(),
-            kind: FaultKind::Major,
-            stream: KernelInstructionStream::new(KernelRoutine::PageFaultHandler),
-            software_latency_ns: 1500.0,
-            device_latency_ns: 70_000.0,
-            zeroed_bytes: 0,
-            pt_frames_allocated: 2,
-            restseg_placed: false,
-            invalidations: InvalidationBatch::default(),
-        };
-        assert_eq!(outcome.total_latency_ns(), 71_500.0);
     }
 
     #[test]

@@ -335,6 +335,15 @@ impl OsStats {
             + self.spurious_faults.get()
     }
 
+    /// Counts one mapping the kernel created, huge or base: the one place
+    /// both counters move.
+    fn count_mapping(&mut self, size: PageSize) {
+        match size {
+            PageSize::Size4K => self.base_mappings.inc(),
+            _ => self.huge_mappings.inc(),
+        }
+    }
+
     /// Records one handled fault's total latency, into the minor-fault
     /// distribution too when the fault was minor.
     fn record_fault_latency(&mut self, total_ns: f64, minor: bool) {
@@ -701,11 +710,7 @@ impl MimicOs {
                     paddr: pa,
                     page_size: size,
                 });
-                if size == PageSize::Size2M {
-                    self.stats.huge_mappings.inc();
-                } else {
-                    self.stats.base_mappings.inc();
-                }
+                self.stats.count_mapping(size);
                 inner += size.bytes();
             }
             offset += bytes;
@@ -996,16 +1001,25 @@ impl MimicOs {
         is_write: bool,
         invalidations: &mut InvalidationBatch,
     ) -> VmResult<PageFaultOutcome> {
-        let mut stream = KernelInstructionStream::with_buffer(
-            KernelRoutine::PageFaultHandler,
-            std::mem::take(&mut self.spare_ops),
-        );
+        let mut work = FaultWork {
+            pid,
+            is_write,
+            stream: KernelInstructionStream::with_buffer(
+                KernelRoutine::PageFaultHandler,
+                std::mem::take(&mut self.spare_ops),
+            ),
+            device_ns: 0.0,
+            zeroed_bytes: 0,
+            pt_frames: None,
+            additional: Vec::new(),
+            restseg_placed: false,
+        };
         // Exception entry, register save, mmap_lock acquisition.
-        stream.compute(220);
+        work.stream.compute(220);
 
         let Some(vma) = self.processes[pid.0]
             .vmas
-            .find_traced(vaddr, &mut stream)
+            .find_traced(vaddr, &mut work.stream)
             .cloned()
         else {
             return Err(VmError::SegmentationFault { vaddr });
@@ -1013,94 +1027,71 @@ impl MimicOs {
 
         // Spurious fault: another thread (or eager paging) already mapped it.
         if let Some(existing) = self.processes[pid.0].lookup_mapping(vaddr) {
-            stream.compute(40);
-            let outcome = self.finish_fault(
-                pid,
-                existing,
-                Vec::new(),
-                FaultKind::Spurious,
-                stream,
-                0.0,
-                0,
-                0,
-                is_write,
-            );
-            return Ok(outcome);
+            work.stream.compute(40);
+            return Ok(self.finish_fault(work, existing, FaultKind::Spurious));
         }
 
-        let mut device_ns = 0.0;
-        let mut zeroed_bytes = 0u64;
-        let mut additional = Vec::new();
-
         // Reclaim (kswapd-style) if memory pressure is above the threshold.
-        device_ns += self.reclaim_if_needed(&mut stream, invalidations)?;
+        work.device_ns += self.reclaim_if_needed(&mut work.stream, invalidations)?;
 
+        // Every arm ends here: the page-table frames (unless the arm charged
+        // them before its allocation), the PTE store, the statistics.
+        let (frame, size, kind) = self.fault_frame(&mut work, vaddr, &vma, invalidations)?;
+        if work.pt_frames.is_none() {
+            work.pt_frames = Some(self.charge_page_table_frames(pid, vaddr, &mut work.stream)?);
+        }
+        let mapping = Mapping {
+            vaddr: vaddr.page_base(size),
+            paddr: frame,
+            page_size: size,
+        };
+        work.stream.compute(45);
+        work.stream.store(PhysAddr::new(
+            0xFFFF_D000_0000_0000 + (mapping.vaddr.raw() >> 9 & 0xF_FFF_FF8),
+        ));
+        self.processes[pid.0].insert_mapping(mapping);
+        self.stats.count_mapping(size);
+        Ok(self.finish_fault(work, mapping, kind))
+    }
+
+    /// The part of the Fig. 6 flow in which faults differ: picks the frame
+    /// that backs the faulting page, its size and the fault's kind.
+    fn fault_frame(
+        &mut self,
+        work: &mut FaultWork,
+        vaddr: VirtAddr,
+        vma: &Vma,
+        batch: &mut InvalidationBatch,
+    ) -> VmResult<(PhysAddr, PageSize, FaultKind)> {
+        let pid = work.pid;
         // Swapped-out page: bring it back in.
         if self.processes[pid.0].is_swapped(vaddr) {
-            self.swap.trace_lookup(&mut stream);
+            self.swap.trace_lookup(&mut work.stream);
             let slot = self.processes[pid.0]
                 .take_swap_slot(vaddr)
                 .expect("is_swapped implies a slot");
-            let dest = self.alloc_base_frame_for(&mut stream, invalidations)?;
+            let dest = self.alloc_base_frame_for(&mut work.stream, batch)?;
             let (frame, io) = self.swap.swap_in(slot, dest, &mut self.ssd)?;
             if frame != dest {
                 // The page was still in the swap cache; release the frame we
                 // speculatively allocated.
                 let _ = self.buddy.free(dest, 0);
             }
-            device_ns += io.as_nanos() + self.injected_swap_penalty_ns(io.as_nanos(), &mut stream);
-            let pt_frames = self.charge_page_table_frames(pid, vaddr, &mut stream)?;
-            let mapping = Mapping {
-                vaddr: vaddr.page_base(PageSize::Size4K),
-                paddr: frame,
-                page_size: PageSize::Size4K,
-            };
-            self.install_mapping(pid, mapping, &mut stream);
-            let outcome = self.finish_fault(
-                pid,
-                mapping,
-                additional,
-                FaultKind::SwapIn,
-                stream,
-                device_ns,
-                zeroed_bytes,
-                pt_frames,
-                is_write,
-            );
-            return Ok(outcome);
+            work.device_ns +=
+                io.as_nanos() + self.injected_swap_penalty_ns(io.as_nanos(), &mut work.stream);
+            return Ok((frame, PageSize::Size4K, FaultKind::SwapIn));
         }
 
         // hugetlbfs VMAs take 2 MiB pages from the reserved pool (Fig. 6,
         // "Page in HugeTLB?").
         if vma.hugetlb {
-            stream.compute(80);
+            work.stream.compute(80);
             let frame = match self.hugetlb.take() {
                 Some(f) => f,
-                None => self.buddy.alloc_traced(ORDER_2M, Some(&mut stream))?,
+                None => self.buddy.alloc_traced(ORDER_2M, Some(&mut work.stream))?,
             };
-            zeroed_bytes += self.zero_page(frame, PageSize::Size2M.bytes(), &mut stream);
-            let pt_frames = self.charge_page_table_frames(pid, vaddr, &mut stream)?;
-            let mapping = Mapping {
-                vaddr: vaddr.page_base(PageSize::Size2M),
-                paddr: frame,
-                page_size: PageSize::Size2M,
-            };
-            self.install_mapping(pid, mapping, &mut stream);
-            // Hugetlbfs pages are pinned for the life of the mapping (Linux
-            // never swaps or demotes them); only an OOM kill returns them.
-            self.stats.unreclaimable_bytes += PageSize::Size2M.bytes();
-            let outcome = self.finish_fault(
-                pid,
-                mapping,
-                additional,
-                FaultKind::Hugetlb,
-                stream,
-                device_ns,
-                zeroed_bytes,
-                pt_frames,
-                is_write,
-            );
-            return Ok(outcome);
+            work.zero(frame, PageSize::Size2M.bytes());
+            return Ok((frame, PageSize::Size2M, FaultKind::Hugetlb));
         }
 
         // 1 GiB path: DAX/file-backed VMAs with gigantic flags and an
@@ -1110,140 +1101,58 @@ impl MimicOs {
             && self.buddy.can_alloc(ORDER_1G)
             && vaddr.page_base(PageSize::Size1G) >= vma.start
         {
-            let frame = self.buddy.alloc_traced(ORDER_1G, Some(&mut stream))?;
-            let pt_frames = self.charge_page_table_frames(pid, vaddr, &mut stream)?;
-            let mapping = Mapping {
-                vaddr: vaddr.page_base(PageSize::Size1G),
-                paddr: frame,
-                page_size: PageSize::Size1G,
-            };
-            self.install_mapping(pid, mapping, &mut stream);
-            let outcome = self.finish_fault(
-                pid,
-                mapping,
-                additional,
-                FaultKind::Minor,
-                stream,
-                device_ns,
-                zeroed_bytes,
-                pt_frames,
-                is_write,
-            );
-            return Ok(outcome);
+            let frame = self.buddy.alloc_traced(ORDER_1G, Some(&mut work.stream))?;
+            return Ok((frame, PageSize::Size1G, FaultKind::Minor));
         }
 
         // File-backed pages go through the page cache (Fig. 6, step 7).
         if let VmaKind::FileBacked { file_id } = vma.kind {
             let page_index = (vaddr.page_base(PageSize::Size4K).offset_from(vma.start)) / 4096;
-            let mut kind = FaultKind::Minor;
-            let frame = match self
-                .page_cache
-                .lookup_traced(file_id, page_index, &mut stream)
+            if let Some(frame) =
+                self.page_cache
+                    .lookup_traced(file_id, page_index, &mut work.stream)
             {
-                Some(f) => f,
-                None => {
-                    // Page-cache miss: read from the device (major fault).
-                    let frame = self.alloc_base_frame_for(&mut stream, invalidations)?;
-                    let io = self.ssd.read(file_id * (1 << 30) + page_index * 4096);
-                    device_ns += io.as_nanos();
-                    if let Some(evicted) = self.page_cache.insert(file_id, page_index, frame) {
-                        let _ = self.buddy.free(evicted, 0);
-                    }
-                    kind = FaultKind::Major;
-                    frame
-                }
-            };
-            let pt_frames = self.charge_page_table_frames(pid, vaddr, &mut stream)?;
-            let mapping = Mapping {
-                vaddr: vaddr.page_base(PageSize::Size4K),
-                paddr: frame,
-                page_size: PageSize::Size4K,
-            };
-            self.install_mapping(pid, mapping, &mut stream);
-            let outcome = self.finish_fault(
-                pid,
-                mapping,
-                additional,
-                kind,
-                stream,
-                device_ns,
-                zeroed_bytes,
-                pt_frames,
-                is_write,
-            );
-            return Ok(outcome);
+                return Ok((frame, PageSize::Size4K, FaultKind::Minor));
+            }
+            // Page-cache miss: read from the device (major fault).
+            let frame = self.alloc_base_frame_for(&mut work.stream, batch)?;
+            let io = self.ssd.read(file_id * (1 << 30) + page_index * 4096);
+            work.device_ns += io.as_nanos();
+            if let Some(evicted) = self.page_cache.insert(file_id, page_index, frame) {
+                let _ = self.buddy.free(evicted, 0);
+            }
+            return Ok((frame, PageSize::Size4K, FaultKind::Major));
         }
 
-        // Anonymous memory: dispatch on the allocation policy.
-        let pt_frames = self.charge_page_table_frames(pid, vaddr, &mut stream)?;
-        let mut restseg_placed = false;
-        let mapping = match self.config.policy {
+        // Anonymous memory: the page-table frames come first, then the
+        // allocation policy decides.
+        work.pt_frames = Some(self.charge_page_table_frames(pid, vaddr, &mut work.stream)?);
+        let (frame, size) = match self.config.policy {
+            // Eager paging normally populates at mmap time; reaching this
+            // point means the eager allocation ran out of memory, so fall
+            // back to on-demand 4 KiB pages.
             AllocationPolicy::BuddyFourK | AllocationPolicy::EagerPaging => {
-                // Eager paging normally populates at mmap time; reaching this
-                // point means the eager allocation ran out of memory, so fall
-                // back to on-demand 4 KiB pages.
-                let frame = self.alloc_base_frame_for(&mut stream, invalidations)?;
-                zeroed_bytes += self.zero_page(frame, 4096, &mut stream);
-                Mapping {
-                    vaddr: vaddr.page_base(PageSize::Size4K),
-                    paddr: frame,
-                    page_size: PageSize::Size4K,
-                }
+                self.zeroed_base_frame(work, batch)?
             }
-            AllocationPolicy::LinuxThp => self.linux_thp_fault(
-                pid,
-                vaddr,
-                &vma,
-                &mut stream,
-                &mut zeroed_bytes,
-                invalidations,
-            )?,
+            AllocationPolicy::LinuxThp => self.linux_thp_fault(work, vaddr, vma, batch)?,
             AllocationPolicy::ConservativeReservationThp
-            | AllocationPolicy::AggressiveReservationThp => self.reservation_fault(
-                pid,
-                vaddr,
-                &mut stream,
-                &mut zeroed_bytes,
-                &mut additional,
-                invalidations,
-            )?,
-            AllocationPolicy::Utopia(_) => self.utopia_fault(
-                pid,
-                vaddr,
-                &mut stream,
-                &mut zeroed_bytes,
-                &mut device_ns,
-                &mut restseg_placed,
-                invalidations,
-            )?,
+            | AllocationPolicy::AggressiveReservationThp => {
+                self.reservation_fault(work, vaddr, batch)?
+            }
+            AllocationPolicy::Utopia(_) => self.utopia_fault(work, vaddr, batch)?,
         };
-        self.install_mapping(pid, mapping, &mut stream);
-        let mut outcome = self.finish_fault(
-            pid,
-            mapping,
-            additional,
-            FaultKind::Minor,
-            stream,
-            device_ns,
-            zeroed_bytes,
-            pt_frames,
-            is_write,
-        );
-        outcome.restseg_placed = restseg_placed;
-        Ok(outcome)
+        Ok((frame, size, FaultKind::Minor))
     }
 
     /// Linux-like THP: try a 2 MiB allocation for eligible first-touch
     /// regions, otherwise a 4 KiB page plus a khugepaged notification.
     fn linux_thp_fault(
         &mut self,
-        pid: ProcessId,
+        work: &mut FaultWork,
         vaddr: VirtAddr,
         vma: &Vma,
-        stream: &mut KernelInstructionStream,
-        zeroed_bytes: &mut u64,
         batch: &mut InvalidationBatch,
-    ) -> VmResult<Mapping> {
+    ) -> VmResult<(PhysAddr, PageSize)> {
         let thp_eligible = match self.config.thp.mode {
             ThpMode::Always => true,
             ThpMode::Madvise => vma.hugetlb,
@@ -1252,7 +1161,8 @@ impl MimicOs {
         let region_base = vaddr.page_base(PageSize::Size2M);
         let region_fits_vma =
             region_base >= vma.start && region_base.add(PageSize::Size2M.bytes()) <= vma.end;
-        let region_untouched = !self.processes[pid.0].region_has_mappings(vaddr, PageSize::Size2M);
+        let region_untouched =
+            !self.processes[work.pid.0].region_has_mappings(vaddr, PageSize::Size2M);
 
         // Keep headroom: under memory pressure Linux's huge-page allocation
         // (compaction) fails and the fault falls back to a base page, which
@@ -1264,135 +1174,107 @@ impl MimicOs {
             && region_untouched
             && headroom_ok
         {
-            stream.compute(90);
+            work.stream.compute(90);
             // Prefer a pre-zeroed huge page from the pool. The pool is only
             // replenished by background work (`background_tick`), so bursts
             // of huge-page faults quickly fall back to inline zeroing — the
             // source of the THP tail latency in Figs. 2 and 16.
             if let Some(frame) = self.zeroed_pool.take() {
-                stream.compute(30);
-                return Ok(Mapping {
-                    vaddr: region_base,
-                    paddr: frame,
-                    page_size: PageSize::Size2M,
-                });
+                work.stream.compute(30);
+                return Ok((frame, PageSize::Size2M));
             }
             if self.buddy.can_alloc(ORDER_2M) {
-                let frame = self.buddy.alloc_traced(ORDER_2M, Some(stream))?;
-                *zeroed_bytes += self.zero_page(frame, PageSize::Size2M.bytes(), stream);
-                return Ok(Mapping {
-                    vaddr: region_base,
-                    paddr: frame,
-                    page_size: PageSize::Size2M,
-                });
+                let frame = self.buddy.alloc_traced(ORDER_2M, Some(&mut work.stream))?;
+                work.zero(frame, PageSize::Size2M.bytes());
+                return Ok((frame, PageSize::Size2M));
             }
             // Fallback path: compaction attempt failed, take a base page.
-            stream.compute(400);
+            work.stream.compute(400);
         }
-        let frame = self.alloc_base_frame_for(stream, batch)?;
-        *zeroed_bytes += self.zero_page(frame, 4096, stream);
+        let base = self.zeroed_base_frame(work, batch)?;
         self.khugepaged.notify(vaddr);
-        Ok(Mapping {
-            vaddr: vaddr.page_base(PageSize::Size4K),
-            paddr: frame,
-            page_size: PageSize::Size4K,
-        })
+        Ok(base)
     }
 
     /// Reservation-based THP fault (CR-THP / AR-THP).
     fn reservation_fault(
         &mut self,
-        pid: ProcessId,
+        work: &mut FaultWork,
         vaddr: VirtAddr,
-        stream: &mut KernelInstructionStream,
-        zeroed_bytes: &mut u64,
-        additional: &mut Vec<Mapping>,
         batch: &mut InvalidationBatch,
-    ) -> VmResult<Mapping> {
+    ) -> VmResult<(PhysAddr, PageSize)> {
         let reservation = self
             .reservation
             .as_mut()
             .expect("reservation policy implies a tracker");
-        match reservation.on_fault(vaddr, &mut self.buddy, stream) {
-            Some((frame, promote)) => {
-                *zeroed_bytes += self.zero_page(frame, 4096, stream);
-                let base_mapping = Mapping {
-                    vaddr: vaddr.page_base(PageSize::Size4K),
-                    paddr: frame,
-                    page_size: PageSize::Size4K,
-                };
-                if let Some(huge_base) = promote {
-                    // Promotion: replace every 4 KiB mapping in the region
-                    // with one 2 MiB mapping.
-                    let region = vaddr.page_base(PageSize::Size2M);
-                    let huge = Mapping {
-                        vaddr: region,
-                        paddr: huge_base,
-                        page_size: PageSize::Size2M,
-                    };
-                    self.processes[pid.0].collapse_to_huge(region, huge);
-                    self.stats.huge_mappings.inc();
-                    additional.push(huge);
-                }
-                Ok(base_mapping)
-            }
-            None => {
-                // Reservation failed (no contiguous 2 MiB region): plain page.
-                let frame = self.alloc_base_frame_for(stream, batch)?;
-                *zeroed_bytes += self.zero_page(frame, 4096, stream);
-                Ok(Mapping {
-                    vaddr: vaddr.page_base(PageSize::Size4K),
-                    paddr: frame,
-                    page_size: PageSize::Size4K,
-                })
-            }
+        let Some((frame, promote)) = reservation.on_fault(vaddr, &mut self.buddy, &mut work.stream)
+        else {
+            // Reservation failed (no contiguous 2 MiB region): plain page.
+            return self.zeroed_base_frame(work, batch);
+        };
+        work.zero(frame, 4096);
+        if let Some(huge_base) = promote {
+            // Promotion: replace every 4 KiB mapping in the region with one
+            // 2 MiB mapping.
+            let region = vaddr.page_base(PageSize::Size2M);
+            let huge = Mapping {
+                vaddr: region,
+                paddr: huge_base,
+                page_size: PageSize::Size2M,
+            };
+            self.processes[work.pid.0].collapse_to_huge(region, huge);
+            self.stats.count_mapping(PageSize::Size2M);
+            work.additional.push(huge);
         }
+        Ok((frame, PageSize::Size4K))
     }
 
     /// Utopia fault: hash-based placement into the RestSeg; collisions spill
     /// to the FlexSeg (buddy) and, under memory pressure, force swapping —
     /// the behaviour behind Fig. 20.
-    #[allow(clippy::too_many_arguments)]
     fn utopia_fault(
         &mut self,
-        pid: ProcessId,
+        work: &mut FaultWork,
         vaddr: VirtAddr,
-        stream: &mut KernelInstructionStream,
-        zeroed_bytes: &mut u64,
-        device_ns: &mut f64,
-        restseg_placed: &mut bool,
         batch: &mut InvalidationBatch,
-    ) -> VmResult<Mapping> {
-        let asid = pid.0 as u16;
+    ) -> VmResult<(PhysAddr, PageSize)> {
+        let asid = work.pid.0 as u16;
         let utopia = self
             .utopia
             .as_mut()
             .expect("utopia policy implies segments");
-        if let Some((frame, size)) = utopia.try_place(asid, vaddr, PageSize::Size4K, stream) {
-            *restseg_placed = true;
-            *zeroed_bytes += self.zero_page(frame, size.bytes().min(4096), stream);
-            return Ok(Mapping {
-                vaddr: vaddr.page_base(size),
-                paddr: frame,
-                page_size: size,
-            });
+        if let Some((frame, size)) =
+            utopia.try_place(asid, vaddr, PageSize::Size4K, &mut work.stream)
+        {
+            work.restseg_placed = true;
+            work.zero(frame, size.bytes().min(4096));
+            return Ok((frame, size));
         }
         // Collision: spill to the FlexSeg. If the FlexSeg is out of memory,
         // reclaim by swapping out resident pages first.
-        let frame = match self.alloc_base_frame_for(stream, batch) {
+        let frame = match self.alloc_base_frame_for(&mut work.stream, batch) {
             Ok(f) => f,
             Err(VmError::OutOfMemory { .. }) => {
-                *device_ns += self.reclaim_pages(self.config.reclaim_batch, stream, batch)?;
-                self.alloc_base_frame_for(stream, batch)?
+                work.device_ns +=
+                    self.reclaim_pages(self.config.reclaim_batch, &mut work.stream, batch)?;
+                self.alloc_base_frame_for(&mut work.stream, batch)?
             }
             Err(e) => return Err(e),
         };
-        *zeroed_bytes += self.zero_page(frame, 4096, stream);
-        Ok(Mapping {
-            vaddr: vaddr.page_base(PageSize::Size4K),
-            paddr: frame,
-            page_size: PageSize::Size4K,
-        })
+        work.zero(frame, 4096);
+        Ok((frame, PageSize::Size4K))
+    }
+
+    /// A zeroed 4 KiB frame, with direct reclaim on a shortfall: the base
+    /// page every anonymous policy falls back to.
+    fn zeroed_base_frame(
+        &mut self,
+        work: &mut FaultWork,
+        batch: &mut InvalidationBatch,
+    ) -> VmResult<(PhysAddr, PageSize)> {
+        let frame = self.alloc_base_frame_for(&mut work.stream, batch)?;
+        work.zero(frame, 4096);
+        Ok((frame, PageSize::Size4K))
     }
 
     /// Allocates one 4 KiB frame, reclaiming (swapping out) when physical
@@ -1442,44 +1324,6 @@ impl MimicOs {
             }
         }
         Ok(frames)
-    }
-
-    /// Zeroes a freshly allocated page, charging the memset work.
-    /// Returns the number of bytes zeroed.
-    fn zero_page(
-        &mut self,
-        frame: PhysAddr,
-        bytes: u64,
-        stream: &mut KernelInstructionStream,
-    ) -> u64 {
-        // A rep-stos style memset: roughly one instruction per 8 bytes, plus
-        // a store sample per 512 bytes so the memory system sees the traffic
-        // without exploding the stream length.
-        stream.compute((bytes / 8).min(u32::MAX as u64) as u32);
-        let mut offset = 0;
-        while offset < bytes && offset < 512 * 128 {
-            stream.store(frame.add(offset));
-            offset += 512;
-        }
-        bytes
-    }
-
-    /// Installs a mapping into the process and charges the page-table update.
-    fn install_mapping(
-        &mut self,
-        pid: ProcessId,
-        mapping: Mapping,
-        stream: &mut KernelInstructionStream,
-    ) {
-        stream.compute(45);
-        stream.store(PhysAddr::new(
-            0xFFFF_D000_0000_0000 + (mapping.vaddr.raw() >> 9 & 0xF_FFF_FF8),
-        ));
-        self.processes[pid.0].insert_mapping(mapping);
-        match mapping.page_size {
-            PageSize::Size4K => self.stats.base_mappings.inc(),
-            _ => self.stats.huge_mappings.inc(),
-        }
     }
 
     /// Reclaims memory when utilization exceeds the swapping threshold.
@@ -1714,19 +1558,22 @@ impl MimicOs {
     /// Finalizes an outcome and records kernel-wide plus per-process
     /// statistics (including the read/write split of the faulting access —
     /// every handled fault, spurious ones included, counts on one side).
-    #[allow(clippy::too_many_arguments)]
     fn finish_fault(
         &mut self,
-        pid: ProcessId,
+        work: FaultWork,
         mapping: Mapping,
-        additional: Vec<Mapping>,
         kind: FaultKind,
-        mut stream: KernelInstructionStream,
-        device_ns: f64,
-        zeroed_bytes: u64,
-        pt_frames: u32,
-        is_write: bool,
     ) -> PageFaultOutcome {
+        let FaultWork {
+            pid,
+            is_write,
+            mut stream,
+            device_ns,
+            zeroed_bytes,
+            pt_frames,
+            additional,
+            restseg_placed,
+        } = work;
         // Exception return, TLB entry install, mmap_lock release.
         stream.compute(120);
         let software_ns = stream.estimate_latency_ns(2.0, 60.0);
@@ -1747,6 +1594,10 @@ impl MimicOs {
             FaultKind::Hugetlb => {
                 self.stats.hugetlb_faults.inc();
                 self.processes[pid.0].minor_faults += 1;
+                // Hugetlbfs pages are pinned for the life of the mapping
+                // (Linux never swaps or demotes them); only an OOM kill
+                // returns them.
+                self.stats.unreclaimable_bytes += mapping.page_size.bytes();
             }
             FaultKind::Spurious => self.stats.spurious_faults.inc(),
         }
@@ -1773,10 +1624,43 @@ impl MimicOs {
             software_latency_ns: software_ns,
             device_latency_ns: device_ns,
             zeroed_bytes,
-            pt_frames_allocated: pt_frames,
-            restseg_placed: false,
+            pt_frames_allocated: pt_frames.unwrap_or(0),
+            restseg_placed,
             invalidations: InvalidationBatch::default(),
         }
+    }
+}
+
+/// One page fault in flight: its kernel stream and what its arm adds to
+/// the outcome, closed by [`MimicOs::finish_fault`].
+struct FaultWork {
+    pid: ProcessId,
+    is_write: bool,
+    stream: KernelInstructionStream,
+    /// Storage-device time (swap and file I/O, reclaim write-back).
+    device_ns: f64,
+    zeroed_bytes: u64,
+    /// Page-table frames charged; `None` until the fault charges them.
+    pt_frames: Option<u32>,
+    /// Mappings established beside the faulting page (a promotion).
+    additional: Vec<Mapping>,
+    /// The page went to a Utopia RestSeg.
+    restseg_placed: bool,
+}
+
+impl FaultWork {
+    /// Zeroes `bytes` of a freshly allocated frame, charging the memset.
+    fn zero(&mut self, frame: PhysAddr, bytes: u64) {
+        // A rep-stos style memset: roughly one instruction per 8 bytes, plus
+        // a store sample per 512 bytes so the memory system sees the traffic
+        // without exploding the stream length.
+        self.stream.compute((bytes / 8).min(u32::MAX as u64) as u32);
+        let mut offset = 0;
+        while offset < bytes && offset < 512 * 128 {
+            self.stream.store(frame.add(offset));
+            offset += 512;
+        }
+        self.zeroed_bytes += bytes;
     }
 }
 

@@ -36,11 +36,6 @@ pub struct SchedStats {
 }
 
 impl SchedStats {
-    /// Total instructions accounted across all processes.
-    pub fn total_instructions(&self) -> u64 {
-        self.instructions_by_pid.values().sum()
-    }
-
     /// Instructions accounted to one process.
     pub fn instructions_of(&self, pid: ProcessId) -> u64 {
         self.instructions_by_pid.get(&pid.0).copied().unwrap_or(0)
@@ -307,7 +302,10 @@ mod tests {
                 s.preempt();
             }
         }
-        assert_eq!(s.stats().total_instructions(), total);
+        assert_eq!(
+            s.stats().instructions_of(pid(0)) + s.stats().instructions_of(pid(1)),
+            total
+        );
         assert!(s.stats().instructions_of(pid(0)) > 0);
         assert!(s.stats().instructions_of(pid(1)) > 0);
     }

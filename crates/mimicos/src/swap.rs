@@ -20,13 +20,6 @@ pub struct SwapStats {
     pub total_io_ns: f64,
 }
 
-impl SwapStats {
-    /// Total swap I/O operations.
-    pub fn total_ops(&self) -> u64 {
-        self.swap_outs.get() + self.swap_ins.get()
-    }
-}
-
 /// Manages swap slots on the swap device and the in-memory swap cache.
 ///
 /// # Examples
@@ -245,6 +238,6 @@ mod tests {
                 .unwrap();
         }
         assert!(swap.stats().total_io_ns > 0.0);
-        assert_eq!(swap.stats().total_ops(), 8);
+        assert_eq!(swap.stats().swap_outs.get(), 8);
     }
 }

@@ -223,27 +223,9 @@ impl UtopiaAllocator {
         }
     }
 
-    /// The paper's Table 4 configuration: two 8 GB RestSegs (one of 4 KiB
-    /// pages, one of 2 MiB pages), 16-way, carved out of physical memory
-    /// starting at `base`.
-    pub fn paper_default(base: PhysAddr) -> Self {
-        const GB: u64 = 1024 * 1024 * 1024;
-        let seg4k = RestSeg::new(UtopiaConfig::new(8 * GB, 16, PageSize::Size4K), base);
-        let seg2m = RestSeg::new(
-            UtopiaConfig::new(8 * GB, 16, PageSize::Size2M),
-            base.add(9 * GB),
-        );
-        UtopiaAllocator::new(vec![seg4k, seg2m])
-    }
-
     /// Access to the individual RestSegs.
     pub fn segments(&self) -> &[RestSeg] {
         &self.segs
-    }
-
-    /// Total bytes covered by all RestSegs.
-    pub fn restseg_bytes(&self) -> u64 {
-        self.segs.iter().map(|s| s.config().size_bytes).sum()
     }
 
     /// Attempts to place `vaddr` (a base page) into the first RestSeg with a
@@ -431,13 +413,6 @@ mod tests {
         }
         assert!(spilled > 0);
         assert_eq!(alloc.flexseg_spills.get(), spilled);
-    }
-
-    #[test]
-    fn paper_default_has_two_segments() {
-        let alloc = UtopiaAllocator::paper_default(PhysAddr::new(0x10_0000_0000));
-        assert_eq!(alloc.segments().len(), 2);
-        assert_eq!(alloc.restseg_bytes(), 16 * 1024 * 1024 * 1024);
     }
 
     #[test]

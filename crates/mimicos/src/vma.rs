@@ -133,11 +133,6 @@ impl VmaTree {
         self.vmas.is_empty()
     }
 
-    /// Total bytes covered by all VMAs.
-    pub fn total_bytes(&self) -> u64 {
-        self.vmas.values().map(Vma::len).sum()
-    }
-
     /// Inserts a VMA.
     ///
     /// # Errors
@@ -323,13 +318,5 @@ mod tests {
         assert_eq!(h.bucket_counts()[0], 1); // 4 KB
         assert_eq!(h.bucket_counts()[1], 1); // 64 KB < 128 KB
         assert_eq!(*h.bucket_counts().last().unwrap(), 1); // 77 GB overflow
-    }
-
-    #[test]
-    fn total_bytes_sums_all_vmas() {
-        let mut tree = VmaTree::new();
-        tree.insert(Vma::anonymous(va(0x1000), 0x1000)).unwrap();
-        tree.insert(Vma::anonymous(va(0x10_000), 0x2000)).unwrap();
-        assert_eq!(tree.total_bytes(), 0x3000);
     }
 }

@@ -49,9 +49,6 @@ pub struct CoreStats {
     pub app_cycles: u64,
     /// Cycles spent executing injected kernel work.
     pub kernel_cycles: u64,
-    /// Cycles the core stalled waiting for address translation (page walks
-    /// and page faults), counted inside the above.
-    pub translation_stall_cycles: u64,
 }
 
 /// The core timing model.
@@ -172,23 +169,10 @@ impl CoreModel {
         self.advance(cycles_x1000, 1);
     }
 
-    /// Charges a translation stall (page-walk latency beyond the TLB, or a
-    /// page-fault service time) without retiring an instruction. The stall
-    /// is attributed to the current mode and also recorded separately.
-    pub fn stall_translation(&mut self, latency: Cycles) {
-        self.stats.translation_stall_cycles += latency.raw();
-        self.advance(latency.raw() * 1000, 0);
-    }
-
     /// Charges an arbitrary stall (e.g. storage I/O) without retiring an
     /// instruction.
     pub fn stall(&mut self, latency: Cycles) {
         self.advance(latency.raw() * 1000, 0);
-    }
-
-    /// Elapsed wall-clock time in nanoseconds at the configured frequency.
-    pub fn elapsed_ns(&self) -> f64 {
-        self.cycles().to_nanos(self.config.frequency).as_nanos()
     }
 }
 
@@ -234,27 +218,6 @@ mod tests {
         assert!(core.stats().kernel_cycles > 0);
         assert_eq!(core.instructions(), 151);
         assert!(core.app_ipc() < core.ipc() + 1e-12);
-    }
-
-    #[test]
-    fn translation_stalls_accumulate() {
-        let mut core = CoreModel::new(CoreConfig::paper_baseline());
-        core.stall_translation(Cycles::new(120));
-        core.stall_translation(Cycles::new(30));
-        assert_eq!(core.stats().translation_stall_cycles, 150);
-        assert_eq!(core.instructions(), 0);
-        assert!(core.cycles() >= Cycles::new(150));
-    }
-
-    #[test]
-    fn elapsed_time_respects_frequency() {
-        let mut core = CoreModel::new(CoreConfig {
-            compute_ipc: 1.0,
-            memory_overlap: 0.0,
-            frequency: Frequency::from_ghz(2.0),
-        });
-        core.retire_compute(2000);
-        assert!((core.elapsed_ns() - 1000.0).abs() < 1.0);
     }
 
     proptest::proptest! {

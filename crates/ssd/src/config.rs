@@ -51,15 +51,6 @@ impl SsdConfig {
         }
     }
 
-    /// A fast Optane-like low-latency device, useful for sensitivity studies.
-    pub fn low_latency() -> Self {
-        SsdConfig {
-            read_latency_ns: 10_000.0,
-            program_latency_ns: 12_000.0,
-            ..SsdConfig::nvme_datacenter()
-        }
-    }
-
     /// Total number of flash chips.
     pub fn total_chips(&self) -> usize {
         self.channels * self.chips_per_channel
@@ -82,13 +73,6 @@ mod tests {
         assert!(cfg.total_chips() > 0);
         assert!(cfg.program_latency_ns > cfg.read_latency_ns);
         assert!(cfg.flash_page_bytes >= 4096);
-    }
-
-    #[test]
-    fn low_latency_is_faster() {
-        assert!(
-            SsdConfig::low_latency().read_latency_ns < SsdConfig::nvme_datacenter().read_latency_ns
-        );
     }
 
     #[test]

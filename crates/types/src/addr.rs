@@ -74,12 +74,6 @@ impl PageSize {
     pub const fn base_pages(self) -> u64 {
         1 << self.order_4k()
     }
-
-    /// Returns the page size matching a byte count, if it is exactly one of
-    /// the supported sizes.
-    pub fn from_bytes(bytes: u64) -> Option<PageSize> {
-        PageSize::ALL.into_iter().find(|p| p.bytes() == bytes)
-    }
 }
 
 impl fmt::Display for PageSize {
@@ -341,14 +335,6 @@ mod tests {
     fn page_size_ordering() {
         assert!(PageSize::Size4K < PageSize::Size2M);
         assert!(PageSize::Size2M < PageSize::Size1G);
-    }
-
-    #[test]
-    fn page_size_from_bytes_roundtrip() {
-        for size in PageSize::ALL {
-            assert_eq!(PageSize::from_bytes(size.bytes()), Some(size));
-        }
-        assert_eq!(PageSize::from_bytes(8192), None);
     }
 
     #[test]

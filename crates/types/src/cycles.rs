@@ -174,12 +174,6 @@ impl Nanoseconds {
         self.as_nanos() / 1000.0
     }
 
-    /// Converts to core cycles at the given frequency.
-    #[inline]
-    pub fn to_cycles(self, freq: Frequency) -> Cycles {
-        Cycles::new((self.as_nanos() * freq.ghz()).round() as u64)
-    }
-
     /// Saturating subtraction.
     #[inline]
     pub const fn saturating_sub(self, other: Nanoseconds) -> Nanoseconds {
@@ -307,7 +301,6 @@ mod tests {
         let c = Cycles::new(4000);
         let ns = c.to_nanos(freq);
         assert_eq!(ns.as_nanos(), 2000.0);
-        assert_eq!(ns.to_cycles(freq), c);
     }
 
     #[test]

@@ -80,20 +80,6 @@ impl DetRng {
         self.next_f64() < p
     }
 
-    /// Samples an approximately Pareto-distributed value with the given shape
-    /// `alpha` and scale `x_min`, useful for heavy-tailed latency and
-    /// allocation-size models.
-    pub fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
-        let u = self.next_f64().max(f64::MIN_POSITIVE);
-        x_min / u.powf(1.0 / alpha)
-    }
-
-    /// Samples an exponentially distributed value with the given mean.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        let u = self.next_f64().max(f64::MIN_POSITIVE);
-        -mean * u.ln()
-    }
-
     /// Samples an index from a discrete weighted distribution. Returns the
     /// index of the chosen weight.
     ///
@@ -123,12 +109,6 @@ impl DetRng {
             let j = self.gen_range(0, (i + 1) as u64) as usize;
             slice.swap(i, j);
         }
-    }
-
-    /// Derives an independent child generator, useful for giving each
-    /// subsystem its own stream from one experiment seed.
-    pub fn fork(&mut self, label: u64) -> DetRng {
-        DetRng::new(self.next_u64() ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 }
 
@@ -193,22 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn pareto_is_heavy_tailed_above_min() {
-        let mut rng = DetRng::new(17);
-        for _ in 0..1000 {
-            assert!(rng.pareto(2.0, 1.5) >= 2.0);
-        }
-    }
-
-    #[test]
-    fn exponential_mean_close_to_parameter() {
-        let mut rng = DetRng::new(19);
-        let n = 50_000;
-        let mean: f64 = (0..n).map(|_| rng.exponential(4.0)).sum::<f64>() / n as f64;
-        assert!((mean - 4.0).abs() < 0.15, "mean was {mean}");
-    }
-
-    #[test]
     fn weighted_index_respects_weights() {
         let mut rng = DetRng::new(23);
         let weights = [1.0, 0.0, 3.0];
@@ -230,13 +194,5 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(v, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fork_produces_independent_streams() {
-        let mut parent = DetRng::new(31);
-        let mut c1 = parent.fork(1);
-        let mut c2 = parent.fork(2);
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 }

@@ -33,7 +33,7 @@
 //! | planted change | assertion that fired |
 //! |---|---|
 //! | the fault stream built on a fresh `Vec::with_capacity(64)` (the spare buffer never taken) | (a) 8 215 allocations over 8 192 faults |
-//! | `System::inject_stream` drops each stream instead of handing it back | (b) 4 063 over 4 047 ((a) passes: `populate` hands its streams back itself) |
+//! | `System::settle_stream` drops each stream instead of handing it back | (b) 4 063 over 4 047 ((a) passes: `populate` hands its streams back itself) |
 //! | `populate` drops the stream it discards | (a) 8 215 over 8 192 |
 //! | a `Vec` back in `RadixPageTable::insert`, collected into the list on return | (a) 16 407 over 8 192 |
 //! | an allocation never extends the run ending at its frame | (a) 1 391 over 8 192 |

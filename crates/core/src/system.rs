@@ -1307,10 +1307,9 @@ impl System {
                 .stall(Cycles::new(u64::from(self.config.os.context_switch_cost)));
         }
         self.ensure_perf_slot(switch.to);
-        let f = front_mut(&mut self.frontends, self.active);
-        let dropped = f
-            .engine
-            .context_switch(&mut f.mmu, Self::asid_of(switch.to));
+        let dropped = front_mut(&mut self.frontends, self.active)
+            .mmu
+            .context_switch();
         self.switch_flushed_entries += dropped as u64;
         self.context_switches += 1;
         let c = &mut self.cores[self.active];

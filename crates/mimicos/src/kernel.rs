@@ -1038,7 +1038,20 @@ impl MimicOs {
         // them before its allocation), the PTE store, the statistics.
         let (frame, size, kind) = self.fault_frame(&mut work, vaddr, &vma, invalidations)?;
         if work.pt_frames.is_none() {
-            work.pt_frames = Some(self.charge_page_table_frames(pid, vaddr, &mut work.stream)?);
+            match self.charge_page_table_frames(pid, vaddr, &mut work.stream) {
+                Ok(frames) => work.pt_frames = Some(frames),
+                Err(e) => {
+                    // The frame was taken but will not be mapped: return a
+                    // hugetlbfs page to the pool and a gigabyte to the buddy
+                    // (base frames belong to the page or swap cache).
+                    if kind == FaultKind::Hugetlb {
+                        self.hugetlb.release(frame);
+                    } else if size == PageSize::Size1G {
+                        let _ = self.buddy.free(frame, ORDER_1G);
+                    }
+                    return Err(e);
+                }
+            }
         }
         let mapping = Mapping {
             vaddr: vaddr.page_base(size),

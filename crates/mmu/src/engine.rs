@@ -2,61 +2,46 @@
 //! lets the *full* simulation pipeline (TLBs, faults, MimicOS, caches,
 //! DRAM, reporting) run any of the paper's translation architectures —
 //! the conventional TLB + page-table path, Midgard's intermediate address
-//! space, RMM's range translation, and Utopia's restrictive segments.
+//! space ([`crate::midgard`]), RMM's range translation ([`crate::rmm`])
+//! and Utopia's restrictive segments ([`crate::utopia_mmu`]).
 //!
-//! # Composition: the framework owns the `Mmu`, the engine borrows it
-//!
-//! The framework (`virtuoso::System`) owns the [`Mmu`] — the TLB
-//! hierarchy, page-walk caches and per-address-space page tables every
-//! design composes with — and a [`TranslationEngine`] value holding only
-//! the *design-specific* state (VLB frontends, range TLBs, RestSeg
-//! walkers). Every operation takes `&mut Mmu`, so:
-//!
-//! * [`TranslationEngine::PageTable`] is a unit variant: its state *is*
-//!   the `Mmu`, and the hot path compiles to the very same direct
-//!   `Mmu::translate` call on a `System` field that the PR 3
-//!   zero-allocation loop was tuned around (one predicted branch on the
-//!   engine tag is the entire dispatch cost — measured, not assumed);
-//! * the alternative engines are boxed, keeping the enum two words, and
-//!   their code is kept out of the hot instruction loop entirely via
-//!   `#[cold]`/`#[inline(never)]` on the dispatch's alternative arm.
-//!
-//! Dispatch is a `match` on an enum rather than a `dyn` vtable for the
-//! same reason: the common arm must inline.
+//! The framework (`virtuoso::System`) owns the [`Mmu`] — the TLBs,
+//! page-walk caches and per-address-space page tables every design
+//! composes with — and lends it to every call; a [`TranslationEngine`]
+//! holds only the design-specific state. [`TranslationEngine::PageTable`]
+//! is a unit variant whose calls forward to the `Mmu` behind one predicted
+//! branch; the alternative engines are boxed (the enum stays two words)
+//! and sit behind `#[cold]`/`#[inline(never)]` arms, out of the hot
+//! instruction loop. Dispatch is a `match`, not a `dyn` vtable, so the
+//! common arm inlines.
 //!
 //! # Adding an engine
 //!
-//! A new virtual-memory design lands as one file: implement the five
-//! operations ([`translate`](TranslationEngine::translate),
+//! A design is one type in one file: its lookup structures, counters and
+//! the operations the dispatch calls ([`translate`](TranslationEngine::translate),
 //! [`handle_fault_install`](TranslationEngine::handle_fault_install),
-//! [`context_switch`](TranslationEngine::context_switch),
+//! [`invalidate`](TranslationEngine::invalidate),
 //! [`flush_asid`](TranslationEngine::flush_asid),
-//! [`report`](TranslationEngine::report)) on a struct (composing with the
-//! borrowed `Mmu` via [`Mmu::probe_tlb`], [`Mmu::walk_after_miss`] and
-//! [`Mmu::external_translation`]), add an [`EngineConfig`] and a
-//! [`TranslationEngine`] variant, and every figure harness, multiprogram
-//! mix and sweep in the repository can run it end-to-end through
+//! [`report`](TranslationEngine::report)), composing with the borrowed
+//! `Mmu` through [`Mmu::probe_tlb`], [`Mmu::walk_after_miss`] and
+//! [`Mmu::external_translation`]. Add an [`EngineConfig`], a
+//! [`TranslationEngine`] and an [`EngineReport`] variant, and every figure
+//! harness, multiprogram mix and sweep can run it end to end through
 //! `System::run` / `System::run_multiprogram`.
 
-use crate::midgard::{MidgardConfig, MidgardMmu};
+use crate::midgard::{MidgardConfig, MidgardEngine};
 use crate::mmu::{Mmu, RemovedTranslation, TranslationResult};
-use crate::pt::{WalkAccessList, WalkOutcome};
-use crate::rmm::{RmmConfig, RmmMmu};
-use crate::utopia_mmu::{UtopiaMmu, UtopiaMmuConfig};
+use crate::pt::WalkAccessList;
+use crate::rmm::{RmmConfig, RmmEngine};
+use crate::utopia_mmu::{UtopiaEngine, UtopiaMmuConfig};
 use mimic_os::kernel::RangeMapping;
-use mimic_os::{AllocationPolicy, Mapping, UtopiaConfig};
+use mimic_os::{AllocationPolicy, Mapping};
 use serde::{Deserialize, Serialize};
-use vm_types::{Asid, Counter, PageSize, PhysAddr, VirtAddr};
+use vm_types::{Asid, PageSize, VirtAddr};
 
-/// Physical region where the Midgard frontend keeps its per-address-space
-/// VMA trees (distinct from the page-table metadata region).
-const MIDGARD_FRONTEND_BASE: u64 = 0xE0_0000_0000;
-/// Physical region where the per-address-space RMM range tables live.
-const RMM_TABLE_BASE: u64 = 0xC0_0000_0000;
-/// Physical region where the Utopia RestSeg tag arrays live.
-const UTOPIA_TAG_BASE: u64 = 0xD0_0000_0000;
-/// Stride between per-ASID metadata regions of the engine structures.
-const ENGINE_ASID_STRIDE: u64 = 0x1_0000_0000;
+/// Stride between the per-ASID metadata regions of the engines' in-memory
+/// structures (Midgard's VMA trees, RMM's range tables).
+pub(crate) const ENGINE_ASID_STRIDE: u64 = 0x1_0000_0000;
 
 /// Which translation engine the simulated machine runs.
 ///
@@ -111,7 +96,7 @@ pub struct InvalidationOutcome {
 }
 
 impl InvalidationOutcome {
-    fn from_removed(removed: RemovedTranslation, engine_entries_dropped: usize) -> Self {
+    pub(crate) fn from_removed(removed: RemovedTranslation, engine_entries_dropped: usize) -> Self {
         InvalidationOutcome {
             accesses: removed.accesses,
             tlb_entries_dropped: removed.tlb_entries_dropped,
@@ -311,10 +296,7 @@ impl TranslationEngine {
     /// already-registered ranges are updated in place.
     pub fn note_ranges(&mut self, asid: Asid, ranges: &[RangeMapping]) {
         if let TranslationEngine::Rmm(e) = self {
-            let rmm = e.rmm_for(asid);
-            for range in ranges {
-                rmm.register_range(*range);
-            }
+            e.note_ranges(asid, ranges);
         }
     }
 
@@ -346,11 +328,7 @@ impl TranslationEngine {
             }
             TranslationEngine::Midgard(e) => e.invalidate(mmu, asid, va),
             TranslationEngine::Rmm(e) => {
-                let engine_entries = e
-                    .rmms
-                    .iter_mut()
-                    .find(|(a, _)| *a == asid)
-                    .map_or(0, |(_, rmm)| rmm.invalidate_page(va, size.bytes()));
+                let engine_entries = e.invalidate_page(asid, va, size.bytes());
                 InvalidationOutcome::from_removed(mmu.remove_mapping(asid, va), engine_entries)
             }
             TranslationEngine::Utopia(e) => {
@@ -365,11 +343,7 @@ impl TranslationEngine {
     /// invariant checking and debugging.
     pub fn resident_mappings(&self) -> Vec<(Asid, Mapping)> {
         match self {
-            TranslationEngine::Utopia(e) => e
-                .resident
-                .iter()
-                .map(|((asid, _), m)| (Asid::new(*asid), *m))
-                .collect(),
+            TranslationEngine::Utopia(e) => e.resident_mappings().collect(),
             _ => Vec::new(),
         }
     }
@@ -379,19 +353,9 @@ impl TranslationEngine {
     /// checking and debugging.
     pub fn resident_ranges(&self) -> Vec<(Asid, RangeMapping)> {
         match self {
-            TranslationEngine::Rmm(e) => e
-                .rmms
-                .iter()
-                .flat_map(|(asid, rmm)| rmm.ranges().map(move |r| (*asid, *r)))
-                .collect(),
+            TranslationEngine::Rmm(e) => e.ranges().collect(),
             _ => Vec::new(),
         }
-    }
-
-    /// Notifies the engine of a context switch into `to`, applying the
-    /// configured TLB policy. Returns the number of entries dropped.
-    pub fn context_switch(&mut self, mmu: &mut Mmu, to: Asid) -> usize {
-        mmu.context_switch(to)
     }
 
     /// Flushes the translation state of one address space (teardown):
@@ -402,9 +366,9 @@ impl TranslationEngine {
     pub fn flush_asid(&mut self, mmu: &mut Mmu, asid: Asid) -> usize {
         match self {
             TranslationEngine::PageTable => {}
-            TranslationEngine::Midgard(e) => e.frontends.retain(|(a, _)| *a != asid),
-            TranslationEngine::Rmm(e) => e.rmms.retain(|(a, _)| *a != asid),
-            TranslationEngine::Utopia(e) => e.flush_asid_resident(asid),
+            TranslationEngine::Midgard(e) => e.flush_asid(asid),
+            TranslationEngine::Rmm(e) => e.flush_asid(asid),
+            TranslationEngine::Utopia(e) => e.flush_asid(asid),
         }
         mmu.flush_asid(asid)
     }
@@ -433,467 +397,13 @@ impl TranslationEngine {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Midgard
-// ---------------------------------------------------------------------------
-
-/// Midgard end to end: a per-address-space VLB frontend (virtual → Midgard
-/// at VMA granularity) in front of the framework's [`Mmu`], which the
-/// engine repurposes as its *backend*, keyed by Midgard addresses. The
-/// backend's TLB models cached Midgard→physical translations (the paper
-/// defers these walks to cache-miss time; here a backend-TLB hit plays
-/// that "no walk needed" role) and its page table is the Midgard→physical
-/// structure the backend walker descends on misses.
-#[derive(Debug)]
-pub struct MidgardEngine {
-    config: MidgardConfig,
-    /// One VLB frontend per address space, created on first use.
-    frontends: Vec<(Asid, MidgardMmu)>,
-    /// Fixed frontend cycles actually paid by end-to-end translations
-    /// (VLB probes + VMA-tree walk latency).
-    frontend_cycles: u64,
-    /// Fixed backend cycles actually paid (the borrowed backend `Mmu`'s
-    /// TLB/PWC probe latency). The memory-hierarchy latency of charged
-    /// backend walk accesses is simulated — and attributed — by the
-    /// framework, so the breakdown below covers the fixed lookup costs
-    /// both sides pay on every translation.
-    backend_cycles: u64,
-}
-
-impl MidgardEngine {
-    /// Builds the engine.
-    pub fn new(config: MidgardConfig) -> Self {
-        MidgardEngine {
-            config,
-            frontends: Vec::new(),
-            frontend_cycles: 0,
-            backend_cycles: 0,
-        }
-    }
-
-    fn frontend_for(&mut self, asid: Asid) -> &mut MidgardMmu {
-        if let Some(idx) = self.frontends.iter().position(|(a, _)| *a == asid) {
-            return &mut self.frontends[idx].1;
-        }
-        let base =
-            PhysAddr::new(MIDGARD_FRONTEND_BASE + u64::from(asid.raw()) * ENGINE_ASID_STRIDE);
-        self.frontends
-            .push((asid, MidgardMmu::new(self.config, base)));
-        &mut self.frontends.last_mut().expect("just pushed").1
-    }
-
-    /// Registers a VMA with the address space's frontend.
-    pub fn note_vma(&mut self, asid: Asid, start: VirtAddr, bytes: u64) {
-        self.frontend_for(asid).register_vma(start, bytes);
-    }
-
-    /// Shoots a page out of the backend. The backend's page table and TLB
-    /// are keyed by *Midgard* addresses, so the victim's virtual address is
-    /// first remapped through the address space's frontend; a page outside
-    /// any registered VMA was never installed and needs no work. The
-    /// frontend VMA itself stays registered — reclaim unmaps pages, not
-    /// regions.
-    fn invalidate(&mut self, backend: &mut Mmu, asid: Asid, va: VirtAddr) -> InvalidationOutcome {
-        let Some(mva) = self
-            .frontends
-            .iter()
-            .find(|(a, _)| *a == asid)
-            .and_then(|(_, frontend)| frontend.midgard_of(va))
-        else {
-            return InvalidationOutcome::default();
-        };
-        InvalidationOutcome::from_removed(backend.remove_mapping(asid, VirtAddr::new(mva)), 0)
-    }
-
-    fn translate(&mut self, backend: &mut Mmu, asid: Asid, va: VirtAddr) -> TranslationResult {
-        let config = self.config;
-        let frontend = self.frontend_for(asid);
-        let Some((midgard_addr, frontend_latency, frontend_accesses)) =
-            frontend.translate_frontend(va)
-        else {
-            // No VMA names this address: the frontend cannot even form a
-            // Midgard address. MimicOS decides (map or segfault) through
-            // the ordinary fault path.
-            return TranslationResult {
-                paddr: None,
-                mapping: None,
-                tlb_hit_level: None,
-                fixed_latency: config.l1_vlb_latency,
-                walk: None,
-            };
-        };
-        self.frontend_cycles += frontend_latency.raw();
-        let mva = VirtAddr::new(midgard_addr);
-        let mut result = backend.translate(asid, mva);
-        self.backend_cycles += result.fixed_latency.raw();
-        result.fixed_latency += frontend_latency;
-        if !frontend_accesses.is_empty() {
-            // Both VLBs missed: the frontend walked its in-memory VMA tree.
-            // Its node accesses are charged ahead of whatever the backend
-            // walked (serial — the backend walk needs the Midgard address).
-            let mut combined = frontend_accesses;
-            match result.walk.take() {
-                Some(walk) => {
-                    for pa in &walk.accesses {
-                        combined.push(*pa);
-                    }
-                    result.walk = Some(WalkOutcome {
-                        mapping: walk.mapping,
-                        accesses: combined,
-                        parallel: false,
-                    });
-                }
-                None => {
-                    result.walk = Some(WalkOutcome {
-                        mapping: result.mapping,
-                        accesses: combined,
-                        parallel: false,
-                    });
-                }
-            }
-        }
-        result
-    }
-
-    /// Remaps a kernel-established mapping into the Midgard space and
-    /// installs it in the backend.
-    fn install(&mut self, backend: &mut Mmu, asid: Asid, mapping: &Mapping) -> WalkAccessList {
-        let frontend = self.frontend_for(asid);
-        let mva = match frontend.midgard_of(mapping.vaddr) {
-            Some(mva) => mva,
-            // Mapping outside any registered VMA (e.g. a direct API user
-            // installing without `note_vma`): register a covering VMA on
-            // the fly. Cover at least a 2 MiB-aligned window, not just
-            // this page — page-by-page installs would otherwise create
-            // one VMA per page and the frontend's linear VMA scan (and
-            // its per-VMA VLB entries) would degrade quadratically.
-            // Over-covering is harmless: frontend coverage only forms the
-            // Midgard address; unmapped pages still fault in the backend.
-            None => {
-                const WINDOW: u64 = 2 << 20;
-                let bytes = mapping.page_size.bytes().max(WINDOW);
-                let start = VirtAddr::new(mapping.vaddr.raw() & !(bytes - 1));
-                frontend.register_vma(start, bytes);
-                frontend
-                    .midgard_of(mapping.vaddr)
-                    .expect("vma registered above")
-            }
-        };
-        debug_assert_eq!(
-            mva % mapping.page_size.bytes(),
-            0,
-            "register_vma preserves page alignment in the Midgard space"
-        );
-        let backend_mapping = Mapping {
-            vaddr: VirtAddr::new(mva),
-            paddr: mapping.paddr,
-            page_size: mapping.page_size,
-        };
-        backend.install_mapping(asid, &backend_mapping)
-    }
-
-    fn report(&self, backend: &Mmu) -> EngineReport {
-        let mut translations = 0u64;
-        let mut l1 = 0u64;
-        let mut l2 = 0u64;
-        let mut walks = 0u64;
-        for (_, frontend) in &self.frontends {
-            let s = frontend.stats();
-            translations += s.translations.get();
-            l1 += s.l1_vlb_hits.get();
-            l2 += s.l2_vlb_hits.get();
-            walks += s.frontend_walks.get();
-        }
-        // Both sides of the fraction are the fixed lookup cycles the
-        // *end-to-end* run actually paid (not the standalone MidgardMmu
-        // backend model, which charges a constant per translation).
-        let fixed_total = self.frontend_cycles + self.backend_cycles;
-        let l2_lookups = walks + l2;
-        EngineReport::Midgard {
-            translations,
-            l1_vlb_hits: l1,
-            l2_vlb_hits: l2,
-            frontend_walks: walks,
-            frontend_fraction: if fixed_total == 0 {
-                0.0
-            } else {
-                self.frontend_cycles as f64 / fixed_total as f64
-            },
-            l2_vlb_hit_ratio: if l2_lookups == 0 {
-                0.0
-            } else {
-                l2 as f64 / l2_lookups as f64
-            },
-            backend_walks: backend.stats().walks.get(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RMM
-// ---------------------------------------------------------------------------
-
-/// RMM end to end: per-address-space range TLBs + range tables consulted
-/// on L1/L2 TLB misses; addresses no range covers fall through to the
-/// conventional page-table walk of the framework's [`Mmu`].
-#[derive(Debug)]
-pub struct RmmEngine {
-    config: RmmConfig,
-    /// One range TLB/table pair per address space, created on first use.
-    rmms: Vec<(Asid, RmmMmu)>,
-}
-
-impl RmmEngine {
-    /// Builds the engine.
-    pub fn new(config: RmmConfig) -> Self {
-        RmmEngine {
-            config,
-            rmms: Vec::new(),
-        }
-    }
-
-    fn rmm_for(&mut self, asid: Asid) -> &mut RmmMmu {
-        if let Some(idx) = self.rmms.iter().position(|(a, _)| *a == asid) {
-            return &mut self.rmms[idx].1;
-        }
-        let base = PhysAddr::new(RMM_TABLE_BASE + u64::from(asid.raw()) * ENGINE_ASID_STRIDE);
-        self.rmms.push((asid, RmmMmu::new(self.config, base)));
-        &mut self.rmms.last_mut().expect("just pushed").1
-    }
-
-    fn translate(&mut self, mmu: &mut Mmu, asid: Asid, va: VirtAddr) -> TranslationResult {
-        match mmu.probe_tlb(asid, va) {
-            Ok(hit) => hit,
-            Err(fixed) => {
-                let rlb_latency = self.config.rlb_latency;
-                match self.rmm_for(asid).translate(va) {
-                    Some((paddr, latency, accesses)) => {
-                        // Covered by a range: translate without a page walk
-                        // and fill the TLBs with the page so the next
-                        // access hits there (the RLB is probed alongside
-                        // the L2 TLB in the paper's design).
-                        let page = va.page_base(PageSize::Size4K);
-                        let mapping = Mapping {
-                            vaddr: page,
-                            paddr: PhysAddr::new(paddr.raw() - va.page_offset(PageSize::Size4K)),
-                            page_size: PageSize::Size4K,
-                        };
-                        mmu.external_translation(asid, &mapping);
-                        let walk = if accesses.is_empty() {
-                            None // RLB hit: no range-table walk.
-                        } else {
-                            Some(WalkOutcome {
-                                mapping: Some(mapping),
-                                accesses,
-                                parallel: false, // B-tree descent is serial.
-                            })
-                        };
-                        TranslationResult {
-                            paddr: Some(paddr),
-                            mapping: Some(mapping),
-                            tlb_hit_level: None,
-                            fixed_latency: fixed + latency,
-                            walk,
-                        }
-                    }
-                    // No range covers the address (demand-paged region or
-                    // exhausted eager allocation): conventional page walk,
-                    // with the wasted RLB probe latency on top.
-                    None => mmu.walk_after_miss(asid, va, fixed + rlb_latency),
-                }
-            }
-        }
-    }
-
-    fn report(&self) -> EngineReport {
-        let mut range = 0u64;
-        let mut fallback = 0u64;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut ranges = 0u64;
-        for (_, rmm) in &self.rmms {
-            range += rmm.range_translations.get();
-            fallback += rmm.fallback_translations.get();
-            hits += rmm.rlb().hits.get();
-            misses += rmm.rlb().misses.get();
-            ranges += rmm.range_count() as u64;
-        }
-        let attempts = range + fallback;
-        EngineReport::Rmm {
-            range_translations: range,
-            fallback_translations: fallback,
-            rlb_hits: hits,
-            rlb_misses: misses,
-            ranges,
-            range_coverage: if attempts == 0 {
-                0.0
-            } else {
-                range as f64 / attempts as f64
-            },
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Utopia
-// ---------------------------------------------------------------------------
-
-/// Utopia end to end: on a TLB miss the RestSeg walkers (set-index
-/// computation, TAR/SF caches, tag-array fetches) run first; pages the
-/// kernel placed in a RestSeg resolve right there, everything else pays
-/// the conventional page-table walk on top of the RestSeg lookup — the
-/// cost structure Fig. 19 sweeps.
-#[derive(Debug)]
-pub struct UtopiaEngine {
-    /// The RestSeg-side hardware (set-index + TAR/SF caches).
-    utopia: UtopiaMmu,
-    /// Pages resident in a RestSeg, keyed by `(asid, page base >> 12)` —
-    /// fed by the kernel's placement decisions through [`InstallInfo`].
-    /// The shift matters: page bases have twelve zero low bits, and the
-    /// Fx hash keeps its entropy in the *high* bits while the hash map
-    /// picks buckets from the *low* bits — unshifted keys collapse the
-    /// whole resident set into a few probe chains (a measured ~40% of
-    /// the Utopia cell's host time before the rekey).
-    resident: vm_types::FxHashMap<(u16, u64), Mapping>,
-    restseg_hits: Counter,
-    rsw_fetches: Counter,
-}
-
-impl UtopiaEngine {
-    /// Builds the engine over the kernel's RestSeg `geometry`.
-    pub fn new(config: UtopiaMmuConfig, geometry: UtopiaConfig) -> Self {
-        // Pre-size the resident map for a full RestSeg of base pages so
-        // steady-state installs never pause to rehash mid-run.
-        let resident_capacity = (geometry.size_bytes / 4096).min(1 << 20) as usize;
-        UtopiaEngine {
-            utopia: UtopiaMmu::new(config, geometry, PhysAddr::new(UTOPIA_TAG_BASE)),
-            resident: vm_types::FxHashMap::with_capacity_and_hasher(
-                resident_capacity,
-                Default::default(),
-            ),
-            restseg_hits: Counter::new(),
-            rsw_fetches: Counter::new(),
-        }
-    }
-
-    fn resident_mapping(&self, asid: Asid, va: VirtAddr) -> Option<Mapping> {
-        for size in [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G] {
-            let key = (asid.raw(), va.page_base(size).raw() >> 12);
-            if let Some(mapping) = self.resident.get(&key) {
-                if mapping.page_size == size {
-                    return Some(*mapping);
-                }
-            }
-        }
-        None
-    }
-
-    /// Drops `va`'s page from the RestSeg resident set (all sizes) and
-    /// the TAR/SF caches. Returns the number of engine entries dropped.
-    fn remove_resident(&mut self, asid: Asid, va: VirtAddr) -> usize {
-        let mut engine_entries = 0;
-        for probe in [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G] {
-            let key = (asid.raw(), va.page_base(probe).raw() >> 12);
-            if matches!(self.resident.get(&key), Some(m) if m.page_size == probe) {
-                self.resident.remove(&key);
-                engine_entries += 1 + self.utopia.invalidate(va);
-            }
-        }
-        engine_entries
-    }
-
-    /// Drops every RestSeg-resident page of one address space (teardown).
-    fn flush_asid_resident(&mut self, asid: Asid) {
-        self.resident.retain(|(a, _), _| *a != asid.raw());
-    }
-
-    fn translate(&mut self, mmu: &mut Mmu, asid: Asid, va: VirtAddr) -> TranslationResult {
-        match mmu.probe_tlb(asid, va) {
-            Ok(hit) => hit,
-            Err(fixed) => {
-                // The hardware always pays the RestSeg lookup first.
-                let rsw = self.utopia.translate(va);
-                self.rsw_fetches.add(rsw.metadata_accesses.len() as u64);
-                let fixed = fixed + rsw.latency;
-                if let Some(mapping) = self.resident_mapping(asid, va) {
-                    self.restseg_hits.inc();
-                    mmu.external_translation(asid, &mapping);
-                    let walk = if rsw.metadata_accesses.is_empty() {
-                        None // TAR/SF caches absorbed the tag lookup.
-                    } else {
-                        Some(WalkOutcome {
-                            mapping: Some(mapping),
-                            accesses: rsw.metadata_accesses,
-                            parallel: true, // tag groups fetch in parallel
-                        })
-                    };
-                    return TranslationResult {
-                        paddr: Some(mapping.translate(va)),
-                        mapping: Some(mapping),
-                        tlb_hit_level: None,
-                        fixed_latency: fixed,
-                        walk,
-                    };
-                }
-                // Not RestSeg-resident: conventional walk, with the RSW
-                // tag fetches charged ahead of the page-table accesses.
-                let mut result = mmu.walk_after_miss(asid, va, fixed);
-                if !rsw.metadata_accesses.is_empty() {
-                    if let Some(walk) = result.walk.take() {
-                        // RSW tag fetches precede the page-table accesses;
-                        // reuse the RSW list's buffer instead of copying.
-                        let mut combined = rsw.metadata_accesses;
-                        for pa in &walk.accesses {
-                            combined.push(*pa);
-                        }
-                        result.walk = Some(WalkOutcome {
-                            mapping: walk.mapping,
-                            accesses: combined,
-                            parallel: walk.parallel,
-                        });
-                    }
-                }
-                result
-            }
-        }
-    }
-
-    /// Installs a fault-time mapping; RestSeg placements (flagged by the
-    /// kernel) additionally become resident on the RestSeg side.
-    fn install(
-        &mut self,
-        mmu: &mut Mmu,
-        asid: Asid,
-        mapping: &Mapping,
-        info: InstallInfo,
-    ) -> WalkAccessList {
-        if info.restseg_placed {
-            self.resident
-                .insert((asid.raw(), mapping.vaddr.raw() >> 12), *mapping);
-        }
-        // The kernel keeps the page table authoritative for every page
-        // (RestSeg-resident pages simply never walk it), so the install
-        // accesses are the conventional page-table update.
-        mmu.install_mapping(asid, mapping)
-    }
-
-    fn report(&self, mmu: &Mmu) -> EngineReport {
-        EngineReport::Utopia {
-            lookups: self.utopia.lookups.get(),
-            restseg_hits: self.restseg_hits.get(),
-            flexseg_walks: mmu.stats().walks.get(),
-            rsw_fetches: self.rsw_fetches.get(),
-            tar_hit_ratio: self.utopia.tar_hit_ratio(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mmu::MmuConfig;
     use crate::pt::PageTableKind;
-    use vm_types::Cycles;
+    use mimic_os::UtopiaConfig;
+    use vm_types::{Cycles, PhysAddr};
 
     const A0: Asid = Asid::KERNEL;
 

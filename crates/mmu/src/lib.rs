@@ -47,13 +47,10 @@ pub mod utopia_mmu;
 pub use crate::mmu::{
     AsidMmuStats, Mmu, MmuConfig, MmuStats, RemovedTranslation, TranslationResult,
 };
-pub use engine::{
-    EngineConfig, EngineReport, InstallInfo, InvalidationOutcome, MidgardEngine, RmmEngine,
-    TranslationEngine, UtopiaEngine,
-};
-pub use midgard::{MidgardConfig, MidgardMmu, MidgardStats};
+pub use engine::{EngineConfig, EngineReport, InstallInfo, InvalidationOutcome, TranslationEngine};
+pub use midgard::{MidgardConfig, MidgardEngine};
 pub use pt::{PageTable, PageTableKind, WalkAccessList, WalkOutcome};
 pub use pwc::PageWalkCaches;
-pub use rmm::{RangeTable, RangeTlb, RmmConfig, RmmMmu};
+pub use rmm::{RmmConfig, RmmEngine};
 pub use tlb::{Tlb, TlbConfig, TlbHierarchy, TlbHierarchyConfig, TlbLevel};
-pub use utopia_mmu::{UtopiaMmu, UtopiaMmuConfig};
+pub use utopia_mmu::{UtopiaEngine, UtopiaMmuConfig};

@@ -283,41 +283,16 @@ impl Mmu {
         &mut self.stats.per_asid[idx]
     }
 
-    /// Translates `va` in address space `asid`. On a TLB miss the address
-    /// space's page table is walked; the returned [`WalkOutcome`] carries
-    /// the page-table accesses the caller must replay through the memory
-    /// hierarchy to obtain the walk latency.
-    ///
-    /// Semantically this is exactly [`Mmu::probe_tlb`] followed, on a
-    /// miss, by [`Mmu::walk_after_miss`] — the two halves the alternative
-    /// translation engines interpose between (pinned by the
-    /// `translate_equals_probe_plus_walk` test). The body is kept
-    /// monolithic rather than composed from the halves because the radix
-    /// hot path is allocation- and copy-sensitive: routing the hit result
-    /// through a `Result` return costs measurable sustained MIPS.
+    /// Translates `va` in address space `asid`: [`Mmu::probe_tlb`], then,
+    /// on a miss, [`Mmu::walk_after_miss`] — the two halves the alternative
+    /// translation engines interpose between. The returned [`WalkOutcome`]
+    /// carries the page-table accesses the caller must replay through the
+    /// memory hierarchy to obtain the walk latency.
     pub fn translate(&mut self, asid: Asid, va: VirtAddr) -> TranslationResult {
-        self.stats.translations.inc();
-        let (tlb_hit, fixed_latency) = self.tlb.lookup(asid, va);
-        if let Some((mapping, level)) = tlb_hit {
-            match level {
-                TlbLevel::L1 => self.stats.l1_hits.inc(),
-                TlbLevel::L2 => self.stats.l2_hits.inc(),
-            }
-            let per_asid = self.asid_stats(asid);
-            per_asid.translations.inc();
-            match level {
-                TlbLevel::L1 => per_asid.l1_hits.inc(),
-                TlbLevel::L2 => per_asid.l2_hits.inc(),
-            }
-            return TranslationResult {
-                paddr: Some(mapping.translate(va)),
-                mapping: Some(mapping),
-                tlb_hit_level: Some(level),
-                fixed_latency,
-                walk: None,
-            };
+        match self.probe_tlb(asid, va) {
+            Ok(hit) => hit,
+            Err(fixed_latency) => self.walk_after_miss(asid, va, fixed_latency),
         }
-        self.walk_after_miss(asid, va, fixed_latency)
     }
 
     /// Fast-path translation through the TLB hierarchy's L0 pointer cache
@@ -361,7 +336,9 @@ impl Mmu {
     /// accumulated probe latency is returned so the caller can either walk
     /// the page table ([`Mmu::walk_after_miss`]) or consult an alternative
     /// translation structure (range TLB, RestSeg walker, VLB) first.
-    #[inline]
+    /// Always inlined, so [`Mmu::translate`]'s hit path builds its result
+    /// in place instead of through the `Result`.
+    #[inline(always)]
     pub fn probe_tlb(&mut self, asid: Asid, va: VirtAddr) -> Result<TranslationResult, Cycles> {
         self.stats.translations.inc();
         let (tlb_hit, fixed_latency) = self.tlb.lookup(asid, va);
@@ -478,12 +455,11 @@ impl Mmu {
         }
     }
 
-    /// Notifies the MMU of a context switch into `to`. In ASID-tagged mode
-    /// the TLBs survive; in the full-flush baseline every entry is dropped.
-    /// The page-walk caches tag by virtual address alone and are flushed in
+    /// Notifies the MMU of a context switch. In ASID-tagged mode the TLBs
+    /// survive; in the full-flush baseline every entry is dropped. The
+    /// page-walk caches tag by virtual address alone and are flushed in
     /// both modes. Returns the number of TLB entries dropped.
-    pub fn context_switch(&mut self, to: Asid) -> usize {
-        let _ = to;
+    pub fn context_switch(&mut self) -> usize {
         self.stats.context_switches.inc();
         self.pwc.flush();
         if self.config.asid_tlb_tags {
@@ -632,39 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn translate_equals_probe_plus_walk() {
-        // `translate` keeps a monolithic body for hot-path reasons; this
-        // pins that it stays behaviorally identical — results and
-        // accumulated statistics — to the probe_tlb/walk_after_miss
-        // composition the alternative engines build on.
-        for kind in PageTableKind::ALL {
-            let mut mono = Mmu::new(MmuConfig::small_test(kind));
-            let mut split = Mmu::new(MmuConfig::small_test(kind));
-            let asids = [A0, Asid::new(1)];
-            for i in 0..64u64 {
-                let m = mapping(0x4000_0000 + i * 0x20_0000, PageSize::Size4K);
-                mono.install_mapping(asids[(i % 2) as usize], &m);
-                split.install_mapping(asids[(i % 2) as usize], &m);
-            }
-            mono.flush_tlb();
-            split.flush_tlb();
-            for i in 0..256u64 {
-                let asid = asids[(i % 2) as usize];
-                // Mix of mapped pages (repeated, so TLB hits occur too)
-                // and unmapped addresses (faulting walks).
-                let va = VirtAddr::new(0x4000_0000 + (i % 80) * 0x20_0000 + (i * 64) % 4096);
-                let a = mono.translate(asid, va);
-                let b = match split.probe_tlb(asid, va) {
-                    Ok(hit) => hit,
-                    Err(fixed) => split.walk_after_miss(asid, va, fixed),
-                };
-                assert_eq!(a, b, "{kind}: translation {i} diverged");
-            }
-            assert_eq!(mono.stats(), split.stats(), "{kind}: statistics diverged");
-        }
-    }
-
-    #[test]
     fn radix_walks_shrink_once_pwcs_warm_up() {
         let mut mmu = Mmu::new(MmuConfig::small_test(PageTableKind::Radix));
         // Map many pages in the same 2 MiB region.
@@ -760,9 +703,9 @@ mod tests {
         let a = Asid::new(1);
         let m = mapping(0x9000, PageSize::Size4K);
         mmu.install_mapping(a, &m);
-        let dropped = mmu.context_switch(Asid::new(2));
+        let dropped = mmu.context_switch();
         assert_eq!(dropped, 0);
-        let back = mmu.context_switch(a);
+        let back = mmu.context_switch();
         assert_eq!(back, 0);
         let r = mmu.translate(a, VirtAddr::new(0x9000));
         assert!(r.tlb_hit_level.is_some(), "entry survived both switches");
@@ -776,9 +719,9 @@ mod tests {
         let a = Asid::new(1);
         let m = mapping(0x9000, PageSize::Size4K);
         mmu.install_mapping(a, &m);
-        let dropped = mmu.context_switch(Asid::new(2));
+        let dropped = mmu.context_switch();
         assert!(dropped > 0, "install filled L1+L2, flush drops them");
-        mmu.context_switch(a);
+        mmu.context_switch();
         let r = mmu.translate(a, VirtAddr::new(0x9000));
         assert!(r.tlb_hit_level.is_none(), "entry lost to the full flush");
         assert!(mmu.stats().switch_flushed_entries.get() > 0);

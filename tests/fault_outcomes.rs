@@ -17,12 +17,13 @@
 //!
 //! # Mutation table
 //!
-//! Each change was planted in a copy of the tree, observed and reverted;
-//! none is committed.
+//! Each change is a patch under `tests/mutants/`, which `tests/mutants/run.sh`
+//! applies to a copy of the tree to check that the named test still fails.
 //!
 //! | planted change | what fired |
 //! |---|---|
-//! | the file-backed arm charges its page-table frames before the page-cache lookup instead of after it | `file_cold` and `file_warm` outcome digests |
+//! | the file-backed arm charges its page-table frames before the page-cache lookup instead of after it (`01-file-charge-before-page-cache`) | `file_cold` and `file_warm` outcome digests |
+//! | a fault whose page-table charge fails keeps the frame its arm took (`02-failed-fault-keeps-its-frame`) | `a_gigantic_fault_that_cannot_charge_its_page_table_returns_the_gigabyte`: free bytes 0, not 1 GiB |
 
 use std::collections::BTreeSet;
 use std::fmt::Debug;
@@ -506,6 +507,38 @@ fn every_fault_arm_keeps_its_pinned_outcomes() {
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// The `gigantic` machine with THP on: the THP pool refilled at boot leaves
+/// the page-table slab no memory once the DAX fault has taken the
+/// gigabyte, so the fault fails after its frame was allocated. The frame
+/// must go back to the buddy, and the next fault must find it there.
+#[test]
+fn a_gigantic_fault_that_cannot_charge_its_page_table_returns_the_gigabyte() {
+    let mut os = MimicOs::new(OsConfig {
+        memory_bytes: 1040 * MIB,
+        ..config(AllocationPolicy::BuddyFourK)
+    });
+    let pid = os.spawn_process();
+    let dax = Vma {
+        kind: VmaKind::Dax,
+        gigantic_ok: true,
+        ..Vma::anonymous(VirtAddr::new(0x40_0000_0000), 2048 * MIB)
+    };
+    os.process_mut(pid).vmas.insert(dax).unwrap();
+    os.mmap_anonymous(pid, VirtAddr::new(BASE), 16 * MIB, false)
+        .unwrap();
+    let free_before = os.buddy().free_bytes();
+    let failed = os.handle_page_fault(pid, VirtAddr::new(0x40_0000_0000 + 5 * MIB), true);
+    assert!(
+        matches!(failed, Err(vm_types::VmError::OutOfMemory { .. })),
+        "{failed:?}"
+    );
+    assert_eq!(os.buddy().free_bytes(), free_before);
+    let next = os
+        .handle_page_fault(pid, VirtAddr::new(BASE), true)
+        .unwrap();
+    assert_eq!(next.mapping.page_size, PageSize::Size4K);
 }
 
 /// The digests of a serialized report and of the `System`'s final
